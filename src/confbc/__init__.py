@@ -21,7 +21,7 @@ from .info_core import (Pmf, JointPmf, entropy, conditional_entropy,
                         mutual_information, compose_joint, binary_entropy,
                         xlog2x)
 from .gridding import (simplex_grid, simplex_grid_chunks, simplex_grid_size,
-                       check_budget, worker_count, EVAL_BUDGET)
+                       check_budget, EVAL_BUDGET)
 from .channels import (DmBroadcastChannel, GaussianBc, load_channel,
                        dump_channel, example_channel, is_semi_deterministic,
                        more_capable_evidence, kappa)

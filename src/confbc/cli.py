@@ -10,8 +10,6 @@ Verbs:
 Exit codes: 0 ok / 1 failure (including failed verify) /
 2 bound not applicable to this channel / 3 malformed channel or JSON /
 4 parameter grid larger than the evaluation budget.
-
-CONFBC_THREADS caps the worker threads the sweeps may use.
 """
 
 import argparse

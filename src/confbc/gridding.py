@@ -1,4 +1,4 @@
-"""Simplex grids and worker accounting for the parameter sweeps.
+"""Simplex grids and the evaluation budget for the parameter sweeps.
 
 A "simplex grid" with step 1/n over k cells is the set of probability
 vectors whose entries are integer multiples of 1/n summing to 1, i.e.
@@ -7,7 +7,6 @@ order so sweeps are reproducible run to run.
 """
 
 import math
-import os
 from itertools import combinations, islice
 
 import numpy as np
@@ -68,18 +67,3 @@ def _units(step):
         raise ValueError("step must be 1/n for a positive integer n, got %r" % step)
     return n
 
-
-# ---------------------------------------------------------------------------
-# worker pool sizing
-# ---------------------------------------------------------------------------
-
-def worker_count():
-    """CPU count, capped by the CONFBC_THREADS environment variable."""
-    cpus = os.cpu_count() or 1
-    cap = os.environ.get("CONFBC_THREADS")
-    if cap:
-        try:
-            cpus = min(cpus, max(1, int(cap)))
-        except ValueError:
-            pass
-    return cpus

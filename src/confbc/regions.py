@@ -3,9 +3,15 @@
 All regions handled here are intersections of halfspaces
     sum_i c_i * R_i <= rhs        (c_i >= 0 for ConstraintPolytope rows)
 together with R_i >= 0, so they are downward closed ("comprehensive"):
-shrinking any coordinate keeps you inside.  Supports are computed by
-vertex enumeration, which is exact for these tiny dimensions and avoids
-an LP dependency; an LP only appears in the test suite as an
+shrinking any coordinate keeps you inside.  Supports come from the LP
+dual: a sweep shares one coefficient matrix and varies only the rhs,
+so batch_support enumerates the dual vertices of each direction once
+(from the k-row bases of the tiny matrix) and prices every rhs with
+one matrix product and a min over each direction's vertices.  That
+is exact, not a relaxation: the optimal dual vertex is always a
+candidate and no candidate undercuts the optimum.  Primal vertex
+enumeration stays for the polytope's own vertices and general-sign
+systems, and an LP solver only appears in the test suite as an
 independent oracle.
 
 rhs = +inf encodes "this constraint is absent" (used by the Gaussian
@@ -188,6 +194,9 @@ class LinearSystem:
 # ---------------------------------------------------------------------------
 
 _BIG = 1e30
+_DUAL_TOL = 1e-12
+# Candidate values priced per GEMM block: 8 MiB of float64.
+_PRICE_CELLS = 1 << 20
 
 
 def enumerate_vertices(a, b, nonneg=True, tol=_FEAS_TOL):
@@ -220,8 +229,7 @@ def enumerate_vertices(a, b, nonneg=True, tol=_FEAS_TOL):
     return verts[np.sort(first)]
 
 
-def batch_support(coeffs, rhs, dirs, tol=_FEAS_TOL, reduce_max=False,
-                  chunk=1024, dir_block=32):
+def batch_support(coeffs, rhs, dirs, reduce_max=False):
     """Supports of many same-shaped polytopes at once.
 
     coeffs -- (m, k) shared nonnegative coefficient matrix
@@ -232,51 +240,95 @@ def batch_support(coeffs, rhs, dirs, tol=_FEAS_TOL, reduce_max=False,
     reduce_max is set (the envelope of the union).  Empty polytopes give
     -inf; directions someone can run off to infinity along give +inf.
 
-    The trick that makes the sweeps cheap: the coefficient rows are
-    shared, so each basis (k-subset of rows) is factorized once and
-    reused for every right-hand side.
+    The support is priced through the LP dual
+        h(d; b) = min { lam . b : lam >= 0, coeffs^T lam >= d },
+    whose vertices depend on (coeffs, d) but not on b.  Identical
+    coefficient rows are first merged into one row carrying the
+    row-wise min rhs.  The dual vertices of each direction are then
+    enumerated once, from the nonsingular k-row bases of [coeffs; -I],
+    so every right-hand side costs one GEMM against them plus a min
+    over each direction's vertices.  This is exact: an optimal basis of
+    the LP is dual feasible, so it is among the candidates, and by weak
+    duality no candidate undercuts the LP value.  A candidate that puts
+    weight on an absent row is dropped for that polytope (the dual of
+    the system without the row is the face lam_row = 0), so +inf rows
+    never enter the arithmetic; a direction left with no candidate is
+    unbounded.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    n_poly, m = rhs.shape
-    k = coeffs.shape[1]
-    a = np.vstack([coeffs, -np.eye(k)])
+    n_poly, n_dirs = rhs.shape[0], dirs.shape[0]
+    empty = np.any(rhs < -1e-12, axis=1)
+    copies = {}
+    for i, row in enumerate(coeffs):
+        copies.setdefault(row.tobytes(), []).append(i)
+    copies = list(copies.values())
+    rows = coeffs[[c[0] for c in copies]]
+    rhs = np.column_stack([rhs[:, c].min(axis=1) for c in copies]) if copies \
+        else np.zeros((n_poly, 0))
+    absent = ~np.isfinite(rhs)
+    rhs = np.where(absent, 0.0, rhs)
+    lam, used, has = _dual_vertices(rows, dirs)
+    n_cand, n_has, m = lam.shape
+    lam = lam.reshape(n_cand * n_has, m)
+    used = used.reshape(n_cand * n_has, m).astype(float)
+
+    out = np.full(n_dirs, -np.inf) if reduce_max else np.empty((n_poly, n_dirs))
+    step = max(1, _PRICE_CELLS // max(lam.shape[0], 1))
+    for lo in range(0, n_poly, step):
+        vals = lam @ rhs[lo:lo + step].T           # (n_cand * n_has, n)
+        gone = absent[lo:lo + step]
+        if np.any(gone):
+            vals[used @ gone.T.astype(float) > 0.0] = np.inf
+        sup = np.full((vals.shape[1], n_dirs), np.inf)
+        if n_cand:
+            sup[:, has] = vals.reshape(n_cand, n_has, -1).min(axis=0).T
+        sup[empty[lo:lo + step]] = -np.inf
+        if reduce_max:
+            out = np.maximum(out, sup.max(axis=0))
+        else:
+            out[lo:lo + step] = sup
+    return out
+
+
+def _dual_vertices(a, dirs):
+    """Vertices of {lam >= 0 : a^T lam >= d} for every direction d.
+
+    Returns (lam, used, has).  has is a bool mask over dirs; a direction
+    without any vertex has an infeasible dual, i.e. an unbounded LP.
+    lam is (C, H, m): slot j of direction h (the h-th one in has) holds
+    a vertex, and directions with fewer than C vertices repeat their
+    last one, which leaves the min over slots unchanged.  used flags
+    the rows each slot puts weight on.  A degenerate vertex reached
+    from several bases fills one slot per basis."""
+    m, k = a.shape
+    full = np.vstack([a, -np.eye(k)])
     idx = np.array(list(combinations(range(m + k), k)))
-    mats = a[idx]
+    mats = full[idx]
     dets = np.abs(np.linalg.det(mats))
     scale = np.maximum(np.prod(np.linalg.norm(mats, axis=2), axis=1), 1e-30)
-    good = idx[dets > 1e-9 * scale]
-    inv = np.linalg.inv(a[good])                    # (T, k, k)
-
-    out = np.empty((n_poly, dirs.shape[0]))
-    coeff_pos = coeffs > 0                          # (m, k)
-    dir_pos = dirs > 0                              # (D, k)
-    for lo in range(0, n_poly, chunk):
-        r = rhs[lo:lo + chunk]
-        full = np.concatenate([r, np.zeros((r.shape[0], k))], axis=1)
-        solve_rhs = np.where(np.isfinite(full), full, _BIG)
-        verts = np.einsum("tij,ntj->nti", inv, solve_rhs[:, good], optimize=True)
-        feas = np.ones(verts.shape[:2], dtype=bool)
-        margin = tol * (1.0 + np.abs(solve_rhs))
-        for row in range(m + k):
-            lhs = verts @ a[row]
-            feas &= lhs <= (solve_rhs[:, row] + margin[:, row])[:, None]
-        sup = np.full((r.shape[0], dirs.shape[0]), -np.inf)
-        for dlo in range(0, dirs.shape[0], dir_block):
-            vals = np.einsum("ntk,dk->ntd", verts, dirs[dlo:dlo + dir_block],
-                             optimize=True)
-            vals[~feas] = -np.inf
-            sup[:, dlo:dlo + dir_block] = vals.max(axis=1)
-        # directions that escape to infinity: some positive component of
-        # the direction touches a variable no finite row bounds
-        covered = (np.isfinite(r).astype(np.int64) @ coeff_pos) > 0   # (n, k)
-        unbounded = ((~covered).astype(np.int64) @ dir_pos.T.astype(np.int64)) > 0
-        sup[unbounded] = np.inf
-        empty = np.any(r < -1e-12, axis=1)
-        sup[empty] = -np.inf
-        out[lo:lo + chunk] = sup
-    return out.max(axis=0) if reduce_max else out
+    idx = idx[dets > 1e-9 * scale]
+    inv = np.linalg.inv(full[idx])
+    y = dirs @ inv                                  # (T, D, k): basis^-T d
+    # a multiplier within rounding of zero is zero: the tolerance scales
+    # with the terms that make it up, so tiny direction components count
+    tol = _DUAL_TOL * (np.abs(dirs) @ np.abs(inv))
+    feas = np.all(y >= -tol, axis=2)
+    # scatter each basis' multipliers onto the coefficient rows; the -I
+    # rows carry surplus with zero rhs, so they drop out of the price
+    spread = np.zeros((idx.shape[0], k, m))
+    t, p = np.nonzero(idx < m)
+    spread[t, p, idx[t, p]] = 1.0
+    lam = y @ spread                                # (T, D, m)
+    used = (y > tol) @ spread > 0.0
+    count = feas.sum(axis=0)
+    has = count > 0
+    first = np.argsort(~feas[:, has], axis=0, kind="stable")   # vertices first
+    slot = np.minimum(np.arange(count.max(initial=0))[:, None], count[has] - 1)
+    pick = np.take_along_axis(first, slot, axis=0)             # (C, H)
+    col = np.nonzero(has)[0][None, :]
+    return lam[pick, col], used[pick, col], has
 
 
 def support_of_system(system, direction, tol=_FEAS_TOL):
@@ -328,18 +380,24 @@ def _system_unbounded_along(a, d, tol):
 
 def envelope_of_union(polytopes, directions, meta=None):
     """Support of the union of polytopes in each direction (equivalently
-    of its convex hull).  Empty members are skipped."""
+    of its convex hull).  Empty members are skipped.  Members sharing a
+    coefficient matrix are priced together in one batch_support call."""
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     polys = list(polytopes)
     if not polys:
         raise ValueError("need at least one polytope")
     variables = polys[0].variables
-    sups = np.full(directions.shape[0], -np.inf)
+    groups = {}
     for p in polys:
         if p.variables != variables:
             raise ValueError("mixed variable sets in union")
         a, b = p.coeff_matrix()
-        sups = np.maximum(sups, batch_support(a, b[None, :], directions)[0])
+        key = (a.shape, a.tobytes())
+        groups.setdefault(key, (a, []))[1].append(b)
+    sups = np.full(directions.shape[0], -np.inf)
+    for a, rhs in groups.values():
+        sups = np.maximum(sups, batch_support(a, np.array(rhs), directions,
+                                              reduce_max=True))
     return RegionEnvelope(variables, directions, sups, meta=meta)
 
 
@@ -555,13 +613,10 @@ def envelope_boundary_2d(env):
     verts = enumerate_vertices(a, b, nonneg=True)
     if verts.shape[0] == 0:
         return np.empty((0, 2))
-    # keep the non-dominated ones (upper-right frontier)
-    front = []
-    for i, v in enumerate(verts):
-        dominated = np.any(np.all(verts - v >= -1e-9, axis=1) &
-                           (np.arange(verts.shape[0]) != i) &
-                           np.any(verts - v > 1e-9, axis=1))
-        if not dominated:
-            front.append(v)
-    front = np.array(sorted(front, key=lambda v: (v[0], -v[1])))
-    return front
+    # keep the non-dominated ones (upper-right frontier): row i is
+    # dominated when some vertex is no worse anywhere and better somewhere
+    diff = verts[None, :, :] - verts[:, None, :]
+    dominated = np.any(np.all(diff >= -1e-9, axis=2) & np.any(diff > 1e-9, axis=2),
+                       axis=1)
+    front = verts[~dominated]
+    return front[np.lexsort((-front[:, 1], front[:, 0]))]

@@ -12,7 +12,6 @@ from confbc.gridding import (
     simplex_grid,
     simplex_grid_chunks,
     simplex_grid_size,
-    worker_count,
 )
 
 
@@ -61,11 +60,3 @@ def test_budget_guard():
         check_budget(10, budget=5)
     assert simplex_grid_size(32, 0.001) > EVAL_BUDGET   # why the guard exists
 
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("CONFBC_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.setenv("CONFBC_THREADS", "not-a-number")
-    assert worker_count() >= 1
-    monkeypatch.delenv("CONFBC_THREADS")
-    assert worker_count() >= 1

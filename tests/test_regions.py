@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from confbc.regions import (
@@ -113,24 +113,50 @@ def test_enumerate_vertices_general_sign():
 # ---------------------------------------------------------------------------
 
 def _lp_support(a, b, d):
-    res = linprog(-np.asarray(d, dtype=float), A_ub=a, b_ub=b,
+    keep = np.isfinite(b)                 # +inf rows are absent
+    res = linprog(-np.asarray(d, dtype=float),
+                  A_ub=a[keep] if np.any(keep) else None,
+                  b_ub=b[keep] if np.any(keep) else None,
                   bounds=[(0, None)] * a.shape[1], method="highs")
+    if res.status == 3:
+        return math.inf
     assert res.status == 0, res.message
     return -res.fun
 
 
+# the dm converse's row pattern: repeated rows, each with its own rhs
+_DUP_ROWS = np.array([(1, 1, 0), (0, 1, 0), (0, 1, 0), (1, 0, 1), (0, 0, 1),
+                      (0, 0, 1)] + [(1, 1, 1)] * 5, dtype=float)
+
+
 def test_batch_support_matches_linprog():
     rng = np.random.default_rng(42)
+    systems = [_DUP_ROWS, np.zeros((0, 3))]
     for _ in range(25):
         n_rows = rng.integers(3, 7)
         a = rng.uniform(0.0, 1.0, size=(n_rows, 3))
         a[rng.integers(0, n_rows)] = [1.0, 1.0, 1.0]   # keep it bounded
-        b = rng.uniform(0.5, 3.0, size=n_rows)
-        dirs = rng.uniform(0.0, 1.0, size=(6, 3))
+        systems += [a, a[rng.integers(0, n_rows, size=n_rows + 2)]]
+    for a in systems:
+        m = a.shape[0]
+        rhs = rng.uniform(0.5, 3.0, size=(4, m))
+        rhs[1, rng.random(m) < 0.4] = np.inf           # absent rows among finite ones
+        rhs[2, rng.random(m) < 0.4] = 0.0
+        rhs[3, :] = 0.0
+        dirs = rng.uniform(-0.5, 1.0, size=(8, 3))
         dirs[0] = (1.0, 1.0, 1.0)
-        sups = batch_support(a, b[None, :], dirs)[0]
-        for d, s in zip(dirs, sups):
-            assert s == pytest.approx(_lp_support(a, b, d), abs=1e-6)
+        dirs[1] = (0.0, 0.0, 0.0)
+        dirs[2] = (1.0, 0.0, -1.0)
+        sups = batch_support(a, rhs, dirs)
+        for b, row in zip(rhs, sups):
+            for d, s in zip(dirs, row):
+                want = _lp_support(a, b, d)
+                if math.isinf(want):
+                    assert s == want
+                else:
+                    assert s == pytest.approx(want, abs=1e-6)
+        assert np.array_equal(batch_support(a, rhs, dirs, reduce_max=True),
+                              sups.max(axis=0))
 
 
 def test_batch_support_sampled_points_stay_inside():
@@ -166,10 +192,27 @@ def test_batch_support_unbounded_direction():
     assert sups[0] == math.inf and sups[1] == pytest.approx(1.0)
     empty = batch_support(a, np.array([[-1.0]]), np.array([[1.0, 0.0]]))[0]
     assert empty[0] == -math.inf
+    # no rows at all: bounded exactly where no direction component is positive
+    dirs = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, 0.0], [-1.0, -2.0]])
+    free = batch_support(np.zeros((0, 2)), np.zeros((1, 0)), dirs)[0]
+    assert free.tolist() == [math.inf, 0.0, 0.0, 0.0]
+    # an absent row uncaps its variable; a duplicate keeps the finite copy;
+    # emptiness beats unboundedness
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    rhs = np.array([[1.0, np.inf, np.inf],
+                    [np.inf, np.inf, 2.0],
+                    [-1.0, np.inf, np.inf],
+                    [np.inf, np.inf, np.inf]])
+    sups = batch_support(a, rhs, np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]]))
+    assert sups[0].tolist() == [math.inf, 1.0, math.inf]
+    assert sups[1].tolist() == [math.inf, math.inf, 2.0]
+    assert sups[2].tolist() == [-math.inf] * 3
+    assert sups[3].tolist() == [math.inf] * 3
 
 
 @given(r=st.tuples(st.floats(0.1, 5), st.floats(0.1, 5), st.floats(0.1, 5)),
        d=st.tuples(st.floats(0, 2), st.floats(0, 2), st.floats(0, 2)))
+@example(r=(1.0, 1.0, 5.0), d=(0.0, 1.0, 1e-12))   # a component near rounding
 @settings(max_examples=80, deadline=None)
 def test_box_support_is_corner_dot_property(r, d):
     p = _box(*r)
