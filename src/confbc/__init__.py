@@ -8,7 +8,7 @@ The package is organized bottom-up:
   channels         channel objects, JSON schema, worked examples
   regions          polytopes, supports, envelopes, Fourier-Motzkin
   dm_bounds        discrete inner/outer bounds and exact special cases
-  gaussian_bounds  Gaussian closed forms, exact cases, gap certificates
+  gaussian_bounds  Gaussian row functions, exact cases, gap certificates
   suites           seeded verification suites behind `confbc verify`
   cli              the `confbc` entry point
 """

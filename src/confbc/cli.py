@@ -339,7 +339,6 @@ def _build_parser():
     r.add_argument("--svg", help="write a boundary SVG here (2-d regions)")
     r.add_argument("--json", action="store_true",
                    help="print the envelope as JSON on stdout")
-    r.add_argument("--seed", type=int, default=0)
     r.set_defaults(fn=_cmd_region)
 
     v = sub.add_parser("verify", help="run a named verification suite")

@@ -488,16 +488,13 @@ def theorem4_envelope_multi(ch, configs, grid_step=0.02, v_card=None,
     arrays.  This is what makes the side-by-side region plots cheap:
     the grid walk dominates and is shared.
 
-    The per-config support over the whole grid only depends on each
-    point through (s, a) = (min of the sum rows, the common-rate cap),
-    so each chunk is collapsed to its Pareto frontier in that plane
-    before any direction work happens.
+    Each point's region is {R0 <= a, R0+R1 <= s} with a the common-rate
+    cap and s the min of the sum rows, so each chunk is collapsed to its
+    Pareto frontier in the (s, a) plane and the frontier is priced once.
     """
     _require_semi_det(ch, "theorem4_envelope")
     nv = v_card or ch.x_card + 2
     dirs = default_dirs_2d() if directions is None else np.atleast_2d(directions)
-    if np.any(dirs < 0):
-        raise ValueError("closed-form sweep assumes nonnegative directions")
     cells = nv * ch.x_card
     check_budget(simplex_grid_size(cells, grid_step))
     fronts = [None] * len(configs)
@@ -513,31 +510,31 @@ def theorem4_envelope_multi(ch, configs, grid_step=0.02, v_card=None,
                 s = np.minimum(s, m["xj_v"] + m["v_y2"] + c12)
             s = np.minimum(s, m["x_j"])
             fronts[i] = _pareto_2d(s, np.minimum(a, s), fronts[i])
-    out = []
-    for cfg, front in zip(configs, fronts):
-        s, acap = front
-        w0, w1 = dirs[:, 0], dirs[:, 1]
-        sup = (w1[:, None] * s[None, :] +
-               np.maximum(w0 - w1, 0.0)[:, None] * acap[None, :]).max(axis=1)
-        out.append(RegionEnvelope(("R0", "R1"), dirs, sup,
-                                  meta={"grid_step": grid_step, "v_card": nv,
-                                        **cfg}))
-    return out
+    return [RegionEnvelope(("R0", "R1"), dirs,
+                           batch_support(_T4_PAIR, front, dirs, reduce_max=True),
+                           meta={"grid_step": grid_step, "v_card": nv, **cfg})
+            for cfg, front in zip(configs, fronts)]
+
+
+# The rows a (common cap a, sum cap s) frontier row stands for.
+_T4_PAIR = np.array([(1, 0), (1, 1)], dtype=float)
+_T5_PAIR = np.array([(1, 0, 1), (1, 1, 1)], dtype=float)
 
 
 def _pareto_2d(s, a, acc):
     """Maximal points of {(s_i, a_i)} merged with an existing frontier,
-    sorted by decreasing s (so a comes out strictly increasing).  The
-    support formulas are monotone in both coordinates, which is why
-    only these survivors can ever attain the envelope."""
+    as (a, s) rhs rows sorted by decreasing s (so a comes out strictly
+    increasing).  A support never decreases in any rhs entry (its dual
+    multipliers are nonnegative), in every direction, so only these
+    survivors can ever attain the envelope."""
     if acc is not None:
-        s = np.concatenate([s, acc[0]])
-        a = np.concatenate([a, acc[1]])
+        a = np.concatenate([a, acc[:, 0]])
+        s = np.concatenate([s, acc[:, 1]])
     order = np.lexsort((-a, -s))          # s desc, ties broken by a desc
     s, a = s[order], a[order]
     prev = np.concatenate([[-np.inf], np.maximum.accumulate(a)[:-1]])
     keep = a > prev
-    return s[keep], a[keep]
+    return np.column_stack([a[keep], s[keep]])
 
 
 def theorem5_polytope(ch, pvx, warn_checks=True):
@@ -576,27 +573,21 @@ def _t5_rhs_batch(ch, pvx):
 
 def theorem5_envelope(ch, grid_step=0.05, v_card=None, directions=None,
                       chunk=200_000):
+    """Each point's region is {R0+R2 <= a, R0+R1+R2 <= s}, so the sweep
+    keeps the same (s, a) frontier as theorem4_envelope_multi."""
     _require_semi_det(ch, "theorem5_envelope")
     _warn_theorem5(ch)
     nv = v_card or ch.x_card + 2
     dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    if np.any(dirs < 0):
-        raise ValueError("closed-form sweep assumes nonnegative directions")
     cells = nv * ch.x_card
     check_budget(simplex_grid_size(cells, grid_step))
-    w0, w1, w2 = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-    wmax = np.maximum(w0, w2)
-    best = np.full(dirs.shape[0], -np.inf)
+    front = None
     for block in simplex_grid_chunks(cells, grid_step, chunk=chunk):
-        pvx = block.reshape(-1, nv, ch.x_card)
-        rhs = _t5_rhs_batch(ch, pvx)
+        rhs = _t5_rhs_batch(ch, block.reshape(-1, nv, ch.x_card))
         s = rhs[:, 1:].min(axis=1)
-        a = np.minimum(rhs[:, 0], s)
-        # region {r>=0: r0+r2 <= a, r0+r1+r2 <= s}
-        sup = (w1[:, None] * s[None, :] +
-               np.maximum(wmax - w1, 0.0)[:, None] * a[None, :]).max(axis=1)
-        best = np.maximum(best, sup)
-    return RegionEnvelope(_RATE_VARS, dirs, best,
+        front = _pareto_2d(s, np.minimum(rhs[:, 0], s), front)
+    return RegionEnvelope(_RATE_VARS, dirs,
+                          batch_support(_T5_PAIR, front, dirs, reduce_max=True),
                           meta={"grid_step": grid_step, "v_card": nv})
 
 

@@ -2,12 +2,13 @@
 decoders: Y1 = aX + Z1, Y2 = bX + Z2, unit-variance noises with
 correlation lam, input power P, receiver links c12/c21.
 
-Everything is a closed-form expression in the power-split parameters
-(alpha for receiver 1's side split, beta for the superposition split),
-so the evaluators just price rows and the envelopes sweep dense split
-grids.  The standing labeling convention is |a| >= |b| (receiver 1 is
-the stronger one); evaluators raise InapplicableBoundError and tell you
-to swap the receivers when it fails rather than silently relabeling.
+Each bound is one coefficient matrix plus one vectorised row function
+of the power-split parameters (alpha for receiver 1's side split, beta
+for the superposition split): *_polytope takes one row of its table and
+*_envelope prices the whole split grid with batch_support.  The
+standing labeling convention is |a| >= |b| (receiver 1 is the stronger
+one); evaluators raise InapplicableBoundError and tell you to swap the
+receivers when it fails rather than silently relabeling.
 
 kappa(a, b, lam) is the combined-output SNR slope; at |lam| = 1 and
 misaligned gains it is infinite, and every row that prices the combined
@@ -44,6 +45,17 @@ def _require_ordered(ch, who):
     if abs(ch.a) < abs(ch.b):
         raise InapplicableBoundError(
             "%s assumes |a| >= |b|; swap the receiver labels and retry" % who)
+
+
+def _stack_rows(*rows):
+    """Per-split row values (arrays or split-free scalars) -> (N, m)."""
+    return np.stack(np.broadcast_arrays(*rows), axis=-1)
+
+
+def _slice(variables, coeffs, rhs):
+    """The polytope of one rhs row of a bound's table: one split."""
+    return ConstraintPolytope(variables, [
+        LinearConstraint(dict(zip(variables, c)), r) for c, r in zip(coeffs, rhs)])
 
 
 def _kappa_psi(ch, frac, power):
@@ -101,9 +113,7 @@ def outer_polytope_g(ch, alpha, beta):
         if not 0.0 <= v <= 1.0:
             raise ValueError("%s must lie in [0, 1]" % nm)
     rhs = _outer_rhs_g(ch, np.array([alpha]), np.array([beta]))[0]
-    cons = [LinearConstraint(dict(zip(_RATE3, map(int, c))), r)
-            for c, r in zip(_OUTER_COEFFS_G, rhs)]
-    return ConstraintPolytope(_RATE3, cons)
+    return _slice(_RATE3, _OUTER_COEFFS_G, rhs)
 
 
 def outer_envelope_g(ch, param_step=0.01, directions=None):
@@ -139,12 +149,15 @@ def _require_separable(ch, who):
             "%s does not apply when b = lam * a (one output degrades the other)" % who)
 
 
-def _t7_caps(ch, betas):
+_T7_COEFFS = np.array([(1, 0), (1, 1), (1, 1)], dtype=float)
+
+
+def _t7_rhs(ch, betas):
     a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
-    acap = _residual(b2, p, betas) + ch.c12
-    s = np.minimum(psi(a2 * p) + ch.c21,
-                   psi(betas * a2 * p) + _residual(b2, p, betas) + ch.c12 + ch.c21)
-    return acap, s
+    resid = _residual(b2, p, betas)
+    return _stack_rows(resid + ch.c12,
+                       psi(a2 * p) + ch.c21,
+                       psi(betas * a2 * p) + resid + ch.c12 + ch.c21)
 
 
 def capacity_t7_polytope(ch, beta):
@@ -157,32 +170,24 @@ def capacity_t7_polytope(ch, beta):
         beta = 0.0
     elif not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    acap, s = _t7_caps(ch, np.array([beta]))
-    return ConstraintPolytope(_RATE2, [
-        LinearConstraint({"R0": 1}, float(acap[0])),
-        LinearConstraint({"R0": 1, "R1": 1}, float(psi(ch.a ** 2 * ch.power) + ch.c21)),
-        LinearConstraint({"R0": 1, "R1": 1},
-                         float(psi(beta * ch.a ** 2 * ch.power)
-                               + _residual(ch.b ** 2, ch.power, beta)
-                               + ch.c12 + ch.c21)),
-    ])
+    return _slice(_RATE2, _T7_COEFFS, _t7_rhs(ch, np.array([beta]))[0])
 
 
 def capacity_t7_envelope(ch, beta_step=1e-3, directions=None):
     _require_separable(ch, "capacity_t7_envelope")
     dirs = default_dirs_2d() if directions is None else np.atleast_2d(directions)
-    _nonneg_dirs(dirs)
     betas = np.array([0.0]) if abs(ch.a) < abs(ch.b) else _ticks(beta_step)
-    acap, s = _t7_caps(ch, betas)
-    sup = _support_common_private(dirs, s, np.minimum(acap, s))
+    sup = batch_support(_T7_COEFFS, _t7_rhs(ch, betas), dirs, reduce_max=True)
     return RegionEnvelope(_RATE2, dirs, sup, meta={"beta_step": beta_step})
 
 
-def _t8_caps(ch, betas):
+_T8_COEFFS = np.array([(1, 0, 1), (1, 1, 1)], dtype=float)
+
+
+def _t8_rhs(ch, betas):
     a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
-    acap = _residual(b2, p, betas)
-    s = psi(betas * a2 * p) + _residual(b2, p, betas) + ch.c21
-    return acap, s
+    resid = _residual(b2, p, betas)
+    return _stack_rows(resid, psi(betas * a2 * p) + resid + ch.c21)
 
 
 def capacity_t8_polytope(ch, beta):
@@ -195,11 +200,7 @@ def capacity_t8_polytope(ch, beta):
         raise InapplicableBoundError("capacity_t8_polytope needs c12 = 0")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    acap, s = _t8_caps(ch, np.array([beta]))
-    return ConstraintPolytope(_RATE3, [
-        LinearConstraint({"R0": 1, "R2": 1}, float(acap[0])),
-        LinearConstraint({"R0": 1, "R1": 1, "R2": 1}, float(s[0])),
-    ])
+    return _slice(_RATE3, _T8_COEFFS, _t8_rhs(ch, np.array([beta]))[0])
 
 
 def capacity_t8_envelope(ch, beta_step=1e-3, directions=None):
@@ -208,10 +209,8 @@ def capacity_t8_envelope(ch, beta_step=1e-3, directions=None):
     if ch.c12 != 0.0:
         raise InapplicableBoundError("capacity_t8_envelope needs c12 = 0")
     dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    _nonneg_dirs(dirs)
-    betas = _ticks(beta_step)
-    acap, s = _t8_caps(ch, betas)
-    sup = _support_two_groups(dirs, s, np.minimum(acap, s))
+    sup = batch_support(_T8_COEFFS, _t8_rhs(ch, _ticks(beta_step)), dirs,
+                        reduce_max=True)
     return RegionEnvelope(_RATE3, dirs, sup, meta={"beta_step": beta_step})
 
 
@@ -228,6 +227,21 @@ def _require_partial(ch, who):
         raise InapplicableBoundError("%s needs |lam| < 1" % who)
 
 
+_T9_COEFFS = np.array([(1, 0), (1, 1), (1, 1), (1, 1), (1, 1)], dtype=float)
+
+
+def _t9_rhs(ch, betas):
+    a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
+    qp = _q_slope(ch) * p
+    c21_eff = max(ch.c21 - 0.5, 0.0)
+    resid = _residual(b2, p, betas)
+    return _stack_rows(resid + ch.c12,
+                       psi(a2 * p) + c21_eff,
+                       psi(qp),
+                       psi(betas * a2 * p) + resid + c21_eff + ch.c12,
+                       psi(betas * qp) + resid + ch.c12)
+
+
 def approx_t9_polytope(ch, beta):
     """(R0, R1) region achievable within half a bit per row of the
     converse when the noises are only partially correlated.  The
@@ -237,39 +251,30 @@ def approx_t9_polytope(ch, beta):
     _require_ordered(ch, "approx_t9_polytope")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    a2, b2, p = ch.a ** 2, ch.b ** 2, ch.power
-    qp = _q_slope(ch) * p
-    c21_eff = max(ch.c21 - 0.5, 0.0)
-    resid = float(_residual(b2, p, beta))
-    rows = [
-        ({"R0": 1}, resid + ch.c12),
-        ({"R0": 1, "R1": 1}, float(psi(a2 * p)) + c21_eff),
-        ({"R0": 1, "R1": 1}, float(psi(qp))),
-        ({"R0": 1, "R1": 1}, float(psi(beta * a2 * p)) + resid + c21_eff + ch.c12),
-        ({"R0": 1, "R1": 1}, float(psi(beta * qp)) + resid + ch.c12),
-    ]
-    return ConstraintPolytope(_RATE2, [LinearConstraint(c, r) for c, r in rows])
+    return _slice(_RATE2, _T9_COEFFS, _t9_rhs(ch, np.array([beta]))[0])
 
 
 def approx_t9_envelope(ch, beta_step=1e-3, directions=None):
     _require_partial(ch, "approx_t9_envelope")
     _require_ordered(ch, "approx_t9_envelope")
     dirs = default_dirs_2d() if directions is None else np.atleast_2d(directions)
-    _nonneg_dirs(dirs)
-    betas = _ticks(beta_step)
-    a2, b2, p = ch.a ** 2, ch.b ** 2, ch.power
+    sup = batch_support(_T9_COEFFS, _t9_rhs(ch, _ticks(beta_step)), dirs,
+                        reduce_max=True)
+    return RegionEnvelope(_RATE2, dirs, sup, meta={"beta_step": beta_step})
+
+
+_T10_COEFFS = np.array([(1, 0, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1)], dtype=float)
+
+
+def _t10_rhs(ch, betas):
+    a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
     qp = _q_slope(ch) * p
     c21_eff = max(ch.c21 - 0.5, 0.0)
     resid = _residual(b2, p, betas)
-    acap = resid + ch.c12
-    s = np.minimum.reduce([
-        np.full(betas.shape, psi(a2 * p) + c21_eff),
-        np.full(betas.shape, float(psi(qp))),
-        psi(betas * a2 * p) + resid + c21_eff + ch.c12,
-        psi(betas * qp) + resid + ch.c12,
-    ])
-    sup = _support_common_private(dirs, s, np.minimum(acap, s))
-    return RegionEnvelope(_RATE2, dirs, sup, meta={"beta_step": beta_step})
+    return _stack_rows(resid,
+                       psi(qp),
+                       psi(betas * a2 * p) + resid + c21_eff,
+                       psi(betas * qp) + resid)
 
 
 def approx_t10_polytope(ch, beta):
@@ -281,17 +286,7 @@ def approx_t10_polytope(ch, beta):
         raise InapplicableBoundError("approx_t10_polytope needs c12 = 0")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    a2, b2, p = ch.a ** 2, ch.b ** 2, ch.power
-    qp = _q_slope(ch) * p
-    c21_eff = max(ch.c21 - 0.5, 0.0)
-    resid = float(_residual(b2, p, beta))
-    rows = [
-        ({"R0": 1, "R2": 1}, resid),
-        ({"R0": 1, "R1": 1, "R2": 1}, float(psi(qp))),
-        ({"R0": 1, "R1": 1, "R2": 1}, float(psi(beta * a2 * p)) + resid + c21_eff),
-        ({"R0": 1, "R1": 1, "R2": 1}, float(psi(beta * qp)) + resid),
-    ]
-    return ConstraintPolytope(_RATE3, [LinearConstraint(c, r) for c, r in rows])
+    return _slice(_RATE3, _T10_COEFFS, _t10_rhs(ch, np.array([beta]))[0])
 
 
 def approx_t10_envelope(ch, beta_step=1e-3, directions=None):
@@ -300,24 +295,25 @@ def approx_t10_envelope(ch, beta_step=1e-3, directions=None):
     if ch.c12 != 0.0:
         raise InapplicableBoundError("approx_t10_envelope needs c12 = 0")
     dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    _nonneg_dirs(dirs)
-    betas = _ticks(beta_step)
-    a2, b2, p = ch.a ** 2, ch.b ** 2, ch.power
-    qp = _q_slope(ch) * p
-    c21_eff = max(ch.c21 - 0.5, 0.0)
-    resid = _residual(b2, p, betas)
-    s = np.minimum.reduce([
-        np.full(betas.shape, float(psi(qp))),
-        psi(betas * a2 * p) + resid + c21_eff,
-        psi(betas * qp) + resid,
-    ])
-    sup = _support_two_groups(dirs, s, np.minimum(resid, s))
+    sup = batch_support(_T10_COEFFS, _t10_rhs(ch, _ticks(beta_step)), dirs,
+                        reduce_max=True)
     return RegionEnvelope(_RATE3, dirs, sup, meta={"beta_step": beta_step})
 
 
 # ---------------------------------------------------------------------------
 # decode-and-forward inner bound and its distance to the converse
 # ---------------------------------------------------------------------------
+
+_DF_COEFFS = np.array([(1, 0, 1), (1, 1, 1), (1, 1, 1)], dtype=float)
+
+
+def _df_rhs(ch, betas):
+    a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
+    resid = _residual(b2, p, betas)
+    return _stack_rows(resid + ch.c12,
+                       psi(a2 * p),
+                       psi(betas * a2 * p) + resid + ch.c12)
+
 
 def df_inner_polytope(ch, beta):
     """Plain decode-and-forward superposition region at one split: the
@@ -326,27 +322,14 @@ def df_inner_polytope(ch, beta):
     _require_ordered(ch, "df_inner_polytope")
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    a2, b2, p = ch.a ** 2, ch.b ** 2, ch.power
-    resid = float(_residual(b2, p, beta))
-    rows = [
-        ({"R0": 1, "R2": 1}, resid + ch.c12),
-        ({"R0": 1, "R1": 1, "R2": 1}, float(psi(a2 * p))),
-        ({"R0": 1, "R1": 1, "R2": 1}, float(psi(beta * a2 * p)) + resid + ch.c12),
-    ]
-    return ConstraintPolytope(_RATE3, [LinearConstraint(c, r) for c, r in rows])
+    return _slice(_RATE3, _DF_COEFFS, _df_rhs(ch, np.array([beta]))[0])
 
 
 def df_envelope(ch, beta_step=1e-2, directions=None):
     _require_ordered(ch, "df_envelope")
     dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    _nonneg_dirs(dirs)
-    betas = _ticks(beta_step)
-    a2, b2, p = ch.a ** 2, ch.b ** 2, ch.power
-    resid = _residual(b2, p, betas)
-    acap = resid + ch.c12
-    s = np.minimum(np.full(betas.shape, float(psi(a2 * p))),
-                   psi(betas * a2 * p) + resid + ch.c12)
-    sup = _support_two_groups(dirs, s, np.minimum(acap, s))
+    sup = batch_support(_DF_COEFFS, _df_rhs(ch, _ticks(beta_step)), dirs,
+                        reduce_max=True)
     return RegionEnvelope(_RATE3, dirs, sup, meta={"beta_step": beta_step})
 
 
@@ -436,29 +419,3 @@ def _close_section(name, required, pairs):
                            else required - gap)
     ok = all(q["slack_bits"] >= -1e-9 for q in pairs)
     return {"name": name, "required_bits": required, "pairs": pairs, "pass": ok}
-
-
-# ---------------------------------------------------------------------------
-# closed-form supports for the two row shapes the sweeps produce
-# ---------------------------------------------------------------------------
-
-def _nonneg_dirs(dirs):
-    if np.any(dirs < 0):
-        raise ValueError("closed-form sweep assumes nonnegative directions")
-
-
-def _support_common_private(dirs, s, acap):
-    """max over the family of {R0 <= acap, R0+R1 <= s} regions."""
-    w0, w1 = dirs[:, 0], dirs[:, 1]
-    vals = (w1[:, None] * s[None, :]
-            + np.maximum(w0 - w1, 0.0)[:, None] * acap[None, :])
-    return vals.max(axis=1)
-
-
-def _support_two_groups(dirs, s, acap):
-    """max over the family of {R0+R2 <= acap, R0+R1+R2 <= s} regions."""
-    w1 = dirs[:, 1]
-    wmax = np.maximum(dirs[:, 0], dirs[:, 2])
-    vals = (w1[:, None] * s[None, :]
-            + np.maximum(wmax - w1, 0.0)[:, None] * acap[None, :])
-    return vals.max(axis=1)

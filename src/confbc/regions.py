@@ -10,9 +10,9 @@ so batch_support enumerates the dual vertices of each direction once
 one matrix product and a min over each direction's vertices.  That
 is exact, not a relaxation: the optimal dual vertex is always a
 candidate and no candidate undercuts the optimum.  Primal vertex
-enumeration stays for the polytope's own vertices and general-sign
-systems, and an LP solver only appears in the test suite as an
-independent oracle.
+enumeration stays for the polytope's own vertices, for general-sign
+systems and as the oracle that envelopes are checked against; an LP
+solver only appears in the test suite as a second independent oracle.
 
 rhs = +inf encodes "this constraint is absent" (used by the Gaussian
 bounds when the combined-output term blows up).  rhs < 0 is legal and
@@ -258,6 +258,9 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if dirs.shape[1] != coeffs.shape[1]:
+        raise ValueError("directions have %d components but the polytopes "
+                         "have %d variables" % (dirs.shape[1], coeffs.shape[1]))
     n_poly, n_dirs = rhs.shape[0], dirs.shape[0]
     empty = np.any(rhs < -1e-12, axis=1)
     copies = {}

@@ -128,6 +128,14 @@ def test_region_unknown_bound_argparse(dm_channel):
         main(["region", "--channel", dm_channel, "--bound", "t99"])
 
 
+def test_region_rejects_seed(dm_channel):
+    # region sweeps fixed grids and draws nothing; only verify is seeded
+    with pytest.raises(SystemExit) as exc:
+        main(["region", "--channel", dm_channel, "--bound", "t4",
+              "--grid", "0.25", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_verify_pass(capsys, tmp_path):
     report = tmp_path / "rep.json"
     rc = main(["verify", "--suite", "relay-largest-rate",

@@ -19,6 +19,7 @@ import pytest
 
 from confbc.channels import DmBroadcastChannel, example_channel
 from confbc.errors import GridTooLargeError, InapplicableBoundError
+from confbc.gridding import simplex_grid
 from confbc.info_core import binary_entropy
 from confbc.regions import (
     CANONICAL_DIRS_3D,
@@ -85,9 +86,27 @@ def test_t4_needs_semi_deterministic():
         dmb.theorem4_envelope(_noisy())
 
 
-def test_t4_envelope_rejects_negative_directions():
-    with pytest.raises(ValueError):
-        dmb.theorem4_envelope(_ex1(), grid_step=0.25, directions=[(1, -1)])
+def test_t4_t5_envelopes_match_primal_vertices_in_any_direction():
+    # the sweeps keep only the Pareto frontier of their (sum cap, common
+    # cap) pairs; that is exact in every direction, negative components
+    # included, because a support never decreases in any rhs entry
+    step = 0.25
+    pvxs = simplex_grid(8, step).reshape(-1, 4, 2)
+    cases = [
+        (dmb.theorem4_envelope(_ex1(), grid_step=step,
+                               directions=[(1, -1), (-1, 1), (0.3, -2),
+                                           (-1, -1), (1, 1)]),
+         lambda p: dmb.theorem4_polytope(_ex1(), p)),
+        (dmb.theorem5_envelope(_ex1(c12=0.0), grid_step=step,
+                               directions=[(1, -0.5, 0.3), (-0.2, 1, -1),
+                                           (0.5, -1, 1), (-1, -1, -1),
+                                           (1, 1, 1)]),
+         lambda p: dmb.theorem5_polytope(_ex1(c12=0.0), p, warn_checks=False)),
+    ]
+    for env, polytope in cases:
+        want = np.max([(polytope(p).vertices() @ env.directions.T).max(axis=0)
+                       for p in pvxs], axis=0)
+        assert np.allclose(env.supports, want, rtol=0.0, atol=1e-9)
 
 
 def test_t4_grid_budget_guard():

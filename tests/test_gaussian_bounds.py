@@ -139,10 +139,10 @@ def test_t8_envelope_equals_union_of_slices():
     dirs = np.array([(1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0), (1.0, 1, 1)])
     env = gb.capacity_t8_envelope(ch, beta_step=0.25, directions=dirs)
     betas = np.linspace(0, 1, 5)
-    polys = [gb.capacity_t8_polytope(ch, b) for b in betas]
-    for j, d in enumerate(dirs):
-        want = max(p.support(d) for p in polys)
-        assert env.supports[j] == pytest.approx(want, abs=1e-12)
+    # primal vertices, so the oracle shares no code with batch_support
+    want = np.max([(gb.capacity_t8_polytope(ch, b).vertices() @ dirs.T).max(axis=0)
+                   for b in betas], axis=0)
+    assert np.allclose(env.supports, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +181,23 @@ def test_inner_envelopes_sit_inside_outer():
     ch = GaussianBc(1.2, 0.7, 0.3, 2.0, c12=0.2, c21=0.6)
     dirs = np.array([(1.0, 0, 0), (0, 1.0, 0), (1.0, 1, 1), (2.0, 1, 1)])
     outer = gb.outer_envelope_g(ch, param_step=0.05, directions=dirs)
-    t9 = gb.approx_t9_envelope(ch, beta_step=0.05, directions=dirs)
+    # t9 is a two-rate region: its R2 = 0 embedding is priced by the
+    # (d0, d1) part of each direction, since every d2 >= 0
+    t9 = gb.approx_t9_envelope(ch, beta_step=0.05, directions=dirs[:, :2])
     df = gb.df_envelope(ch, beta_step=0.05, directions=dirs)
     assert np.all(t9.supports <= outer.supports + 1e-9)
     assert np.all(df.supports <= outer.supports + 1e-9)
+
+
+def test_envelope_rejects_direction_width_mismatch():
+    sep = example_channel("g-noise-at-2", power=3.0, c12=0.25, c21=0.5)
+    part = GaussianBc(1.2, 0.7, 0.3, 2.0, c12=0.2, c21=0.6)
+    with pytest.raises(ValueError, match="3 components .* 2 variables"):
+        gb.capacity_t7_envelope(sep, beta_step=0.25, directions=[(1.0, 1.0, 0.0)])
+    with pytest.raises(ValueError, match="3 components .* 2 variables"):
+        gb.approx_t9_envelope(part, beta_step=0.25, directions=[(1.0, 1.0, 1.0)])
+    with pytest.raises(ValueError, match="2 components .* 3 variables"):
+        gb.df_envelope(part, beta_step=0.25, directions=[(1.0, 1.0)])
 
 
 def test_df_rows():
