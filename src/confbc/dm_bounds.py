@@ -18,6 +18,13 @@ variant="clipped" keeps the {.}^+ on the binning surpluses; "tilde"
 drops it, which never enlarges the region for the optimal split and is
 what the optimality checks use (a clipped row at alpha=0 can otherwise
 poke above the optimized region).
+
+The grid sweeps take their information terms from one batch kernel,
+_entropies.  Given X the outputs do not depend on the auxiliaries, so
+every entropy with X and an output splits as
+    H(A, X, Y) = H(A, X) + sum_x p(x) H(Y | X=x)
+for any auxiliary set A and output set Y, and the broadcast joint
+p(a, x, y1, y2) is never formed.
 """
 
 import warnings
@@ -25,7 +32,7 @@ import warnings
 import numpy as np
 
 from .errors import InapplicableBoundError
-from .gridding import simplex_grid_chunks, simplex_grid_size, check_budget
+from .gridding import _budgeted_chunks
 from .info_core import JointPmf, compose_joint, mutual_information, xlog2x
 from .regions import (ConstraintPolytope, LinearConstraint, LinearSystem,
                       RegionEnvelope, batch_support, default_dirs_2d,
@@ -301,6 +308,58 @@ def appendixB_system(ch, f, alpha1, variant="clipped"):
 
 
 # ---------------------------------------------------------------------------
+# batch information terms for the grid sweeps
+# ---------------------------------------------------------------------------
+
+def _entropies(ch, p, names):
+    """Marginal entropies (bits) of p(aux, x) T(y1, y2 | x) for a batch.
+
+    p     -- (N, *aux_cards, X), one auxiliary axis per entry of names
+    returns a dict of (N,) arrays keyed by an aux name ("" for none)
+    followed by the outputs, for the aux subsets {none, each single
+    name} and the output sets X, Y1, Y2, Y1Y2, XY1, XY2, XY1Y2 (and none
+    for a named aux): "V", "UXY1", "Y1Y2", ...  It also holds the
+    channel-only terms "Y1|X", "Y2|X", "Y1Y2|X" = sum_x p(x) H(Y | X=x).
+
+    One GEMM of p against kron(aux marginalizer, channel block) yields
+    every X-free marginal p(a), p(a,x), p(a,y1), p(a,y2), p(a,y1,y2);
+    one xlog2x over that block and one GEMM against a -1 segment matrix
+    turn them into entropies.  The terms with X and an output use
+    H(A,X,Y) = H(A,X) + H(Y|X).
+    """
+    t = ch.transition
+    nx = t.shape[0]
+    cards = p.shape[1:-1]
+    outs = {"": np.ones((nx, 1)), "X": np.eye(nx), "Y1": t.sum(axis=2),
+            "Y2": t.sum(axis=1), "Y1Y2": t.reshape(nx, -1)}
+    sels = {"": np.ones((int(np.prod(cards)), 1))}
+    for i, name in enumerate(names):
+        sel = np.ones((1, 1))
+        for j, c in enumerate(cards):
+            sel = np.kron(sel, np.eye(c) if j == i else np.ones((c, 1)))
+        sels[name] = sel
+    specs, blocks = [], []
+    for a, sel in sels.items():
+        for y, blk in outs.items():
+            if a + y:
+                specs.append(a + y)
+                blocks.append(np.kron(sel, blk))
+    widths = [b.shape[1] for b in blocks]
+    seg = np.zeros((sum(widths), len(specs)))
+    seg[np.arange(seg.shape[0]), np.repeat(np.arange(len(specs)), widths)] = -1.0
+    marg = p.reshape(p.shape[0], -1) @ np.hstack(blocks)
+    h = dict(zip(specs, seg.T @ xlog2x(marg).T))
+    # the first block is p(x); given X the outputs ignore the aux
+    ys = ("Y1", "Y2", "Y1Y2")
+    rows = -np.stack([xlog2x(outs[y]).sum(axis=1) for y in ys], axis=1)
+    for y, hy in zip(ys, (marg[:, :nx] @ rows).T):
+        h[y + "|X"] = hy
+        for a in sels:
+            h[a + "X" + y] = h[a + "X"] + hy
+    return h
+
+
+# ---------------------------------------------------------------------------
 # converse side
 # ---------------------------------------------------------------------------
 
@@ -321,22 +380,19 @@ def outer_polytope(ch, outer_aux):
 
 def _outer_rhs_batch(ch, puvx):
     """(N, U, V, X) auxiliary batch -> (N, 11) right-hand sides."""
-    t = ch.transition
     c12, c21 = ch.c12, ch.c21
-    # joint over (n, U, V, X, Y1, Y2)
-    j = puvx[..., None, None] * t[None, None, None, ...]
-    h = _entropy_memo(j)
-    iU_Y1 = h("U") + h("Y1") - h("UY1")
-    iV_Y2 = h("V") + h("Y2") - h("VY2")
-    iX_Y1 = h("X") + h("Y1") - h("XY1")
-    iX_Y2 = h("X") + h("Y2") - h("XY2")
-    iX_Y1_given_Y2V = h("VXY2") + h("VY1Y2") - h("VXY1Y2") - h("VY2")
-    iX_Y2_given_Y1V = h("VXY1") + h("VY1Y2") - h("VXY1Y2") - h("VY1")
-    iX_Y2_given_Y1U = h("UXY1") + h("UY1Y2") - h("UXY1Y2") - h("UY1")
-    iX_Y1_given_Y2U = h("UXY2") + h("UY1Y2") - h("UXY1Y2") - h("UY2")
-    iX_Y1_given_V = h("VX") + h("VY1") - h("VXY1") - h("V")
-    iX_Y2_given_U = h("UX") + h("UY2") - h("UXY2") - h("U")
-    iX_Y1Y2 = h("X") + h("Y1Y2") - h("XY1Y2")
+    h = _entropies(ch, puvx, ("U", "V"))
+    iU_Y1 = h["U"] + h["Y1"] - h["UY1"]
+    iV_Y2 = h["V"] + h["Y2"] - h["VY2"]
+    iX_Y1 = h["X"] + h["Y1"] - h["XY1"]
+    iX_Y2 = h["X"] + h["Y2"] - h["XY2"]
+    iX_Y1_given_Y2V = h["VXY2"] + h["VY1Y2"] - h["VXY1Y2"] - h["VY2"]
+    iX_Y2_given_Y1V = h["VXY1"] + h["VY1Y2"] - h["VXY1Y2"] - h["VY1"]
+    iX_Y2_given_Y1U = h["UXY1"] + h["UY1Y2"] - h["UXY1Y2"] - h["UY1"]
+    iX_Y1_given_Y2U = h["UXY2"] + h["UY1Y2"] - h["UXY1Y2"] - h["UY2"]
+    iX_Y1_given_V = h["VX"] + h["VY1"] - h["VXY1"] - h["V"]
+    iX_Y2_given_U = h["UX"] + h["UY2"] - h["UXY2"] - h["U"]
+    iX_Y1Y2 = h["X"] + h["Y1Y2"] - h["XY1Y2"]
     rows = [
         iU_Y1 + c21,
         iX_Y1_given_Y2V + iX_Y2,
@@ -353,39 +409,6 @@ def _outer_rhs_batch(ch, puvx):
     return np.stack(rows, axis=-1)
 
 
-def _entropy_memo(joint):
-    """joint: (N, U, V, X, Y1, Y2).  Returns h(subset-string) with
-    memoized marginal entropies; subset strings use axis letters
-    U, V, X, Y1, Y2 concatenated in that order (e.g. "UXY1")."""
-    axis_of = {"U": 1, "V": 2, "X": 3, "Y1": 4, "Y2": 5}
-    cache = {}
-
-    def h(spec):
-        if spec in cache:
-            return cache[spec]
-        names = _split_axes(spec)
-        drop = tuple(ax for nm, ax in axis_of.items() if nm not in names)
-        marg = joint.sum(axis=drop) if drop else joint
-        flat = marg.reshape(marg.shape[0], -1)
-        val = -xlog2x(flat).sum(axis=1)
-        cache[spec] = val
-        return val
-
-    return h
-
-
-def _split_axes(spec):
-    out, i = [], 0
-    while i < len(spec):
-        if spec[i] == "Y":
-            out.append(spec[i:i + 2])
-            i += 2
-        else:
-            out.append(spec[i])
-            i += 1
-    return set(out)
-
-
 def outer_envelope(ch, grid_step=0.25, u_card=None, v_card=None,
                    directions=None, chunk=65536):
     """Support record of the converse region over a full simplex grid
@@ -397,9 +420,8 @@ def outer_envelope(ch, grid_step=0.25, u_card=None, v_card=None,
         raise ValueError("auxiliary alphabets larger than |X|+2 are never needed")
     dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
     cells = nu * nv * ch.x_card
-    check_budget(simplex_grid_size(cells, grid_step))
     best = np.full(dirs.shape[0], -np.inf)
-    for block in simplex_grid_chunks(cells, grid_step, chunk=chunk):
+    for block in _budgeted_chunks(cells, grid_step, chunk):
         puvx = block.reshape(-1, nu, nv, ch.x_card)
         rhs = _outer_rhs_batch(ch, puvx)
         sup = batch_support(_OUTER_COEFFS, rhs, dirs, reduce_max=True)
@@ -437,28 +459,17 @@ def theorem4_polytope(ch, pvx, include_joint_row=True):
 
 
 def _t4_mi_batch(ch, pvx):
-    """Batch MI terms for the degraded-message-set rows.
+    """Batch MI terms for the degraded-message-set rows, plus
+    H(Y2 | X, Y1) for the substitution sweeps.
     pvx: (N, V, X) -> dict of (N,) arrays."""
-    t = ch.transition
-    j = pvx[..., None, None] * t[None, None, ...]     # (N, V, X, Y1, Y2)
-    ax = {"V": 1, "X": 2, "Y1": 3, "Y2": 4}
-    cache = {}
-
-    def h(*names):
-        key = frozenset(names)
-        if key in cache:
-            return cache[key]
-        drop = tuple(a for nm, a in ax.items() if nm not in key)
-        val = -xlog2x(j.sum(axis=drop)).reshape(j.shape[0], -1).sum(axis=1)
-        cache[key] = val
-        return val
-
+    h = _entropies(ch, pvx, ("V",))
     return {
-        "v_y2": h("V") + h("Y2") - h("V", "Y2"),
-        "x_y1": h("X") + h("Y1") - h("X", "Y1"),
-        "x_y1_v": h("V", "X") + h("V", "Y1") - h("V", "X", "Y1") - h("V"),
-        "xj_v": h("V", "X") + h("V", "Y1", "Y2") - h("V", "X", "Y1", "Y2") - h("V"),
-        "x_j": h("X") + h("Y1", "Y2") - h("X", "Y1", "Y2"),
+        "v_y2": h["V"] + h["Y2"] - h["VY2"],
+        "x_y1": h["X"] + h["Y1"] - h["XY1"],
+        "x_y1_v": h["VX"] + h["VY1"] - h["VXY1"] - h["V"],
+        "xj_v": h["VX"] + h["VY1Y2"] - h["VXY1Y2"] - h["V"],
+        "x_j": h["X"] + h["Y1Y2"] - h["XY1Y2"],
+        "y2_xy1": h["Y1Y2|X"] - h["Y1|X"],
     }
 
 
@@ -474,7 +485,7 @@ def _t4_rhs_batch(ch, pvx, c12, c21, include_joint_row):
 
 
 def theorem4_envelope(ch, grid_step=0.02, v_card=None, include_joint_row=True,
-                      directions=None, chunk=200_000):
+                      directions=None, chunk=65536):
     env, = theorem4_envelope_multi(
         ch, [{"c12": ch.c12, "c21": ch.c21, "include_joint_row": include_joint_row}],
         grid_step=grid_step, v_card=v_card, directions=directions, chunk=chunk)
@@ -482,7 +493,7 @@ def theorem4_envelope(ch, grid_step=0.02, v_card=None, include_joint_row=True,
 
 
 def theorem4_envelope_multi(ch, configs, grid_step=0.02, v_card=None,
-                            directions=None, chunk=200_000):
+                            directions=None, chunk=65536):
     """Sweep the P(v,x) grid once and price several (c12, c21,
     include_joint_row) configurations off the same mutual-information
     arrays.  This is what makes the side-by-side region plots cheap:
@@ -496,9 +507,8 @@ def theorem4_envelope_multi(ch, configs, grid_step=0.02, v_card=None,
     nv = v_card or ch.x_card + 2
     dirs = default_dirs_2d() if directions is None else np.atleast_2d(directions)
     cells = nv * ch.x_card
-    check_budget(simplex_grid_size(cells, grid_step))
     fronts = [None] * len(configs)
-    for block in simplex_grid_chunks(cells, grid_step, chunk=chunk):
+    for block in _budgeted_chunks(cells, grid_step, chunk):
         pvx = block.reshape(-1, nv, ch.x_card)
         m = _t4_mi_batch(ch, pvx)
         for i, cfg in enumerate(configs):
@@ -572,7 +582,7 @@ def _t5_rhs_batch(ch, pvx):
 
 
 def theorem5_envelope(ch, grid_step=0.05, v_card=None, directions=None,
-                      chunk=200_000):
+                      chunk=65536):
     """Each point's region is {R0+R2 <= a, R0+R1+R2 <= s}, so the sweep
     keeps the same (s, a) frontier as theorem4_envelope_multi."""
     _require_semi_det(ch, "theorem5_envelope")
@@ -580,9 +590,8 @@ def theorem5_envelope(ch, grid_step=0.05, v_card=None, directions=None,
     nv = v_card or ch.x_card + 2
     dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
     cells = nv * ch.x_card
-    check_budget(simplex_grid_size(cells, grid_step))
     front = None
-    for block in simplex_grid_chunks(cells, grid_step, chunk=chunk):
+    for block in _budgeted_chunks(cells, grid_step, chunk):
         rhs = _t5_rhs_batch(ch, block.reshape(-1, nv, ch.x_card))
         s = rhs[:, 1:].min(axis=1)
         front = _pareto_2d(s, np.minimum(rhs[:, 0], s), front)
@@ -620,16 +629,10 @@ def _substitution_envelope(ch, grid_step, v_card, directions, factorizations,
     nv = v_card or ch.x_card + 2
     dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
     cells = nv * ch.x_card
-    check_budget(simplex_grid_size(cells, grid_step))
     best = np.full(dirs.shape[0], -np.inf)
-    t = ch.transition
-    for block in simplex_grid_chunks(cells, grid_step, chunk=chunk):
-        pvx = block.reshape(-1, nv, ch.x_card)
-        m = _t4_mi_batch(ch, pvx)
-        j = pvx[..., None, None] * t[None, None, ...]
-        h_xy1y2 = -xlog2x(j.sum(axis=1)).reshape(j.shape[0], -1).sum(axis=1)
-        h_xy1 = -xlog2x(j.sum(axis=(1, 4))).reshape(j.shape[0], -1).sum(axis=1)
-        pen2 = h_xy1y2 - h_xy1                       # H(Y2 | X, Y1)
+    for block in _budgeted_chunks(cells, grid_step, chunk):
+        m = _t4_mi_batch(ch, block.reshape(-1, nv, ch.x_card))
+        pen2 = m["y2_xy1"]
         if family == 1:
             r1 = np.minimum(m["x_y1"] + ch.c21 - pen2, m["x_j"])
         else:

@@ -28,6 +28,25 @@ def check_budget(n_points, budget=EVAL_BUDGET):
             "sweep needs %d evaluations, over the %d budget" % (n_points, budget))
 
 
+def _budgeted_chunks(cells, step, chunk):
+    """simplex_grid_chunks after check_budget; a grid over the budget
+    fails naming the finest step 1/n that fits."""
+    try:
+        check_budget(simplex_grid_size(cells, step))
+    except GridTooLargeError as exc:
+        lo, hi = 1, EVAL_BUDGET         # C(n+k-1, k-1) >= n+1 rises with n
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if simplex_grid_size(cells, 1.0 / mid) <= EVAL_BUDGET:
+                lo = mid
+            else:
+                hi = mid - 1
+        raise GridTooLargeError(
+            "%s; the finest step that fits is 1/%d = %r (%d points)"
+            % (exc, lo, 1.0 / lo, simplex_grid_size(cells, 1.0 / lo))) from None
+    return simplex_grid_chunks(cells, step, chunk=chunk)
+
+
 def simplex_grid_chunks(cells, step, chunk=200_000):
     """Yield (m, cells) float arrays covering the whole grid, in order.
 

@@ -20,11 +20,12 @@ MAX_CELLS = 10 ** 7
 
 
 def xlog2x(p):
-    """Elementwise p*log2(p) with the 0*log0=0 convention."""
+    """Elementwise p*log2(p) with the 0*log0=0 convention (entries <= 0
+    give 0).  One temporary: log2 and the product run in place on it."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = p[mask] * np.log2(p[mask])
+    out = np.where(p > 0, p, 1.0)
+    np.log2(out, out=out)
+    np.multiply(out, p, out=out)
     return out
 
 

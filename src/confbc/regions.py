@@ -195,8 +195,12 @@ class LinearSystem:
 
 _BIG = 1e30
 _DUAL_TOL = 1e-12
-# Candidate values priced per GEMM block: 8 MiB of float64.
-_PRICE_CELLS = 1 << 20
+# Candidate values priced per GEMM block: 2 MiB of float64, plus a
+# same-sized +inf mask when a row is absent.  Whether malloc serves such
+# a pair from the heap or from mmap depends on the allocation history,
+# so a small pair keeps peak memory from depending on it; blocks below
+# 1 << 18 start to cost GEMM time.
+_PRICE_CELLS = 1 << 18
 
 
 def enumerate_vertices(a, b, nonneg=True, tol=_FEAS_TOL):

@@ -123,6 +123,15 @@ def test_region_budget_is_exit_4(dm_channel):
                  "--grid", "1e-6"]) == 4
 
 
+def test_region_budget_names_a_step_that_fits(dm_channel, capsys):
+    # t4's default step 0.02 over 8 P(v,x) cells is 264,385,836 points;
+    # 1/43 is the finest step within the 1e8 budget
+    assert main(["region", "--channel", dm_channel, "--bound", "t4"]) == 4
+    err = capsys.readouterr().err
+    assert "264385836 evaluations" in err
+    assert "1/43 = %r (99884400 points)" % (1 / 43) in err
+
+
 def test_region_unknown_bound_argparse(dm_channel):
     with pytest.raises(SystemExit):
         main(["region", "--channel", dm_channel, "--bound", "t99"])

@@ -16,11 +16,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confbc.channels import DmBroadcastChannel, example_channel
 from confbc.errors import GridTooLargeError, InapplicableBoundError
 from confbc.gridding import simplex_grid
-from confbc.info_core import binary_entropy
+from confbc.info_core import (JointPmf, binary_entropy, conditional_entropy,
+                              mutual_information)
 from confbc.regions import (
     CANONICAL_DIRS_3D,
     batch_support,
@@ -295,6 +297,84 @@ def test_outer_aux_card_guard():
 def test_outer_grid_budget_guard():
     with pytest.raises(GridTooLargeError):
         dmb.outer_envelope(_ex1(), grid_step=0.01)
+
+
+# ---------------------------------------------------------------------------
+# the batch information-term kernel against JointPmf
+# ---------------------------------------------------------------------------
+
+def _sparse_pmf(rng, shape, size=None):
+    """Dirichlet draws over shape with about a third of the cells zeroed
+    (each draw keeps at least one)."""
+    k = int(np.prod(shape))
+    p = rng.dirichlet(np.ones(k), size=size)
+    p = np.where(rng.random(p.shape) < 0.35, 0.0, p)
+    p[..., rng.integers(0, k)] += 0.1
+    p /= p.sum(axis=-1, keepdims=True)
+    return p.reshape(shape if size is None else (size,) + tuple(shape))
+
+
+def _random_dm(rng, nx, ny1, ny2):
+    t = np.stack([_sparse_pmf(rng, (ny1, ny2)) for _ in range(nx)])
+    return DmBroadcastChannel(t, c12=rng.uniform(0, 1), c21=rng.uniform(0, 1))
+
+
+_CARDS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+
+
+@given(seed=st.integers(0, 2 ** 31), cards=_CARDS, nv=st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_t4_terms_match_joint_pmf(seed, cards, nv):
+    rng = np.random.default_rng(seed)
+    ch = _random_dm(rng, *cards)
+    pvx = _sparse_pmf(rng, (nv, cards[0]), size=4)
+    got = dmb._t4_mi_batch(ch, pvx)
+    mi = mutual_information
+    for i, p in enumerate(pvx):
+        j = JointPmf(("V", "X", "Y1", "Y2"), p[:, :, None, None] * ch.transition)
+        want = {
+            "v_y2": mi(j, ("V",), ("Y2",)),
+            "x_y1": mi(j, ("X",), ("Y1",)),
+            "x_y1_v": mi(j, ("X",), ("Y1",), ("V",)),
+            "xj_v": mi(j, ("X",), ("Y1", "Y2"), ("V",)),
+            "x_j": mi(j, ("X",), ("Y1", "Y2")),
+            "y2_xy1": conditional_entropy(j, ("Y2",), ("X", "Y1")),
+        }
+        assert set(got) == set(want)
+        for k, v in want.items():
+            assert got[k][i] == pytest.approx(v, abs=1e-12), k
+
+
+@given(seed=st.integers(0, 2 ** 31), cards=_CARDS,
+       nu=st.integers(1, 3), nv=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_outer_rows_match_joint_pmf(seed, cards, nu, nv):
+    rng = np.random.default_rng(seed)
+    ch = _random_dm(rng, *cards)
+    puvx = _sparse_pmf(rng, (nu, nv, cards[0]), size=4)
+    got = dmb._outer_rhs_batch(ch, puvx)
+    c12, c21 = ch.c12, ch.c21
+    for i, p in enumerate(puvx):
+        j = JointPmf(("U", "V", "X", "Y1", "Y2"),
+                     p[:, :, :, None, None] * ch.transition)
+
+        def mi(a, b, g=()):
+            return mutual_information(j, tuple(a), tuple(b), tuple(g))
+
+        want = [
+            mi("U", ["Y1"]) + c21,
+            mi("X", ["Y1"], ["Y2", "V"]) + mi("X", ["Y2"]),
+            mi("X", ["Y2"], ["Y1", "V"]) + mi("X", ["Y1"]),
+            mi("V", ["Y2"]) + c12,
+            mi("X", ["Y2"], ["Y1", "U"]) + mi("X", ["Y1"]),
+            mi("X", ["Y1"], ["Y2", "U"]) + mi("X", ["Y2"]),
+            mi("X", ["Y1"], "V") + mi("V", ["Y2"]) + c12 + c21,
+            mi("X", ["Y2"], "U") + mi("U", ["Y1"]) + c12 + c21,
+            mi("X", ["Y1"], ["Y2", "V"]) + mi("X", ["Y2"]) + c12,
+            mi("X", ["Y2"], ["Y1", "U"]) + mi("X", ["Y1"]) + c21,
+            mi("X", ["Y1", "Y2"]),
+        ]
+        assert np.allclose(got[i], want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

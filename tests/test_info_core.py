@@ -40,6 +40,26 @@ def test_xlog2x_zero_convention():
     assert out[2] == 0.0
 
 
+@given(vals=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0),
+                               st.floats(5e-324, 1e-300)), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_xlog2x_matches_definition(vals):
+    p = np.array(vals, dtype=float)
+    out = xlog2x(p)
+    assert out.shape == p.shape
+    pos = p > 0
+    assert np.array_equal(out[pos], p[pos] * np.log2(p[pos]))
+    assert np.all(out[~pos] == 0.0)
+
+
+def test_xlog2x_scalars():
+    assert np.ndim(xlog2x(0.25)) == 0
+    assert xlog2x(0.25) == -0.5
+    assert xlog2x(0.0) == 0.0
+    assert xlog2x(-0.5) == 0.0
+    assert binary_entropy(0.25) == pytest.approx(0.8112781244591328, abs=1e-15)
+
+
 def test_pmf_entropy_uniform():
     p = Pmf(np.full(8, 1 / 8))
     assert p.entropy() == pytest.approx(3.0, abs=1e-12)

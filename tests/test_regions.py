@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
+import confbc.regions as regions
 from confbc.regions import (
     CANONICAL_DIRS_2D,
     CANONICAL_DIRS_3D,
@@ -183,6 +184,37 @@ def test_batch_support_reduce_max():
     per = batch_support(a, rhs, dirs, reduce_max=False)
     assert per.shape == (2, 3)
     assert np.allclose(per[0], [1.0, 3.0, 4.0])
+
+
+def test_batch_support_block_size_keeps_supports(monkeypatch):
+    # Pricing in blocks of one polytope must give what one block gives:
+    # the same +-inf pattern, reduce_max equal to the max of the rows, and
+    # finite supports equal up to the rounding of the candidate GEMM,
+    # whose kernel (and so its last bit) BLAS picks by the block width.
+    rng = np.random.default_rng(11)
+    dirs = np.vstack([octant_fibonacci(40), rng.uniform(-1.0, 1.0, size=(12, 3)),
+                      [(0.0, 0.0, 0.0), (1.0, 0.0, -1.0)]])
+    systems = [_DUP_ROWS, np.zeros((0, 3))]
+    systems += [rng.uniform(0.0, 1.0, size=(rng.integers(2, 7), 3)) for _ in range(6)]
+    for a in systems:
+        m = a.shape[0]
+        rhs = rng.uniform(0.0, 3.0, size=(300, m))
+        rhs[rng.random(rhs.shape) < 0.15] = np.inf     # absent rows
+        rhs[::37] = np.inf                               # no row at all
+        if m:
+            rhs[5::41, rng.integers(0, m)] = -0.5        # empty polytopes
+        want = [batch_support(a, rhs, dirs, reduce_max=r) for r in (False, True)]
+        with monkeypatch.context() as mp:
+            mp.setattr(regions, "_PRICE_CELLS", 64)
+            got = [batch_support(a, rhs, dirs, reduce_max=r) for r in (False, True)]
+        # each value is a min over sums of m nonnegative products
+        rtol = 2 * max(m, 1) * np.finfo(float).eps
+        for w, g in zip(want, got):
+            assert np.array_equal(np.isposinf(w), np.isposinf(g))
+            assert np.array_equal(np.isneginf(w), np.isneginf(g))
+            np.testing.assert_allclose(g, w, rtol=rtol, atol=0.0)
+        assert np.array_equal(got[1], got[0].max(axis=0))
+        assert np.array_equal(want[1], want[0].max(axis=0))
 
 
 def test_batch_support_unbounded_direction():
