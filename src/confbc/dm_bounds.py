@@ -185,12 +185,13 @@ def _rate_polytope(rows):
 # inner bounds, family 1  (quantize-bin-forward at receiver 2 first)
 # ---------------------------------------------------------------------------
 
-def inner1_alpha_polytope(ch, f, alpha1, variant="clipped"):
+def inner1_alpha_polytope(ch, f, alpha1, variant="clipped", terms=None):
     """Achievable (R0,R1,R2) polytope for one factorization and one
-    explicit link split alpha1 in [0,1]."""
+    explicit link split alpha1 in [0,1].  terms: factorization_terms(ch,
+    f) when the caller already has them."""
     if not 0.0 <= alpha1 <= 1.0:
         raise ValueError("alpha1 must lie in [0, 1]")
-    t = factorization_terms(ch, f)
+    t = terms or factorization_terms(ch, f)
     m1, m2, m3, m4, i0 = _caps1(t, ch.c12, ch.c21, alpha1, variant)
     return _rate_polytope([
         ((1, 1, 0), m2),
@@ -234,12 +235,12 @@ def inner1_polytope(ch, f):
 # inner bounds, family 2  (decode-and-forward share at receiver 2 first)
 # ---------------------------------------------------------------------------
 
-def inner2_alpha_polytope(ch, f, alpha2, variant="clipped"):
+def inner2_alpha_polytope(ch, f, alpha2, variant="clipped", terms=None):
     if not 0.0 <= alpha2 <= 1.0:
         raise ValueError("alpha2 must lie in [0, 1]")
     if not f.q2_on_w and f.q2 is not None:
         raise ValueError("family 2 wants q2 conditioned on (W, Y2)")
-    t = factorization_terms(ch, f)
+    t = terms or factorization_terms(ch, f)
     n1, n2, n3, n4, i0 = _caps2(t, ch.c12, ch.c21, alpha2, variant)
     return _rate_polytope([
         ((1, 1, 0), n1),
@@ -283,14 +284,14 @@ def inner2_polytope(ch, f):
 _SPLIT_VARS = ("R0", "R1", "R2", "R10", "R11", "R20", "R22", "B1", "B2")
 
 
-def appendixB_system(ch, f, alpha1, variant="clipped"):
+def appendixB_system(ch, f, alpha1, variant="clipped", terms=None):
     """The family-1 scheme before projection: split rates (private
     parts R11/R22, reassigned parts R10/R20), bin indices B1/B2, the
     four decoding caps, and the Marton price as a lower bound on
     B1+B2.  Eliminating everything but (R0,R1,R2) must land exactly on
     inner1_alpha_polytope whenever the bin budget m1+m3 covers the
     common-layer price."""
-    t = factorization_terms(ch, f)
+    t = terms or factorization_terms(ch, f)
     m1, m2, m3, m4, i0 = _caps1(t, ch.c12, ch.c21, alpha1, variant)
     rows = [
         ({"R1": 1, "R10": -1, "R11": -1}, 0.0),

@@ -7,7 +7,7 @@ order so sweeps are reproducible run to run.
 """
 
 import math
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -60,10 +60,10 @@ def simplex_grid_chunks(cells, step, chunk=200_000):
     slots = n + cells - 1
     it = combinations(range(slots), cells - 1)
     while True:
-        block = list(islice(it, chunk))
-        if not block:
+        d = np.fromiter(chain.from_iterable(islice(it, chunk)),
+                        np.int64).reshape(-1, cells - 1)
+        if d.shape[0] == 0:
             return
-        d = np.asarray(block, dtype=np.int64)
         parts = np.empty((d.shape[0], cells), dtype=np.int64)
         parts[:, 0] = d[:, 0]
         if cells > 2:

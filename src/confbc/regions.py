@@ -10,9 +10,18 @@ so batch_support enumerates the dual vertices of each direction once
 one matrix product and a min over each direction's vertices.  That
 is exact, not a relaxation: the optimal dual vertex is always a
 candidate and no candidate undercuts the optimum.  Primal vertex
-enumeration stays for the polytope's own vertices, for general-sign
-systems and as the oracle that envelopes are checked against; an LP
+enumeration stays for the polytope's own vertices, for the emptiness
+and row activity of the general-sign systems that Fourier-Motzkin
+emits, and as the oracle that envelopes are checked against; an LP
 solver only appears in the test suite as a second independent oracle.
+
+Whether such a system is bounded in a direction d is Farkas' lemma: a
+feasible max d.x s.t. a @ x <= b is bounded exactly when d is a
+nonnegative combination of the rows of a, which one vectorised pass
+over the nonsingular r-row bases of a decides (r = rank a; a d off the
+row span is unbounded).  support_of_system answers -inf for an empty
+system first, then +inf for a d outside the row cone, and otherwise
+the max of d over the vertices.
 
 rhs = +inf encodes "this constraint is absent" (used by the Gaussian
 bounds when the combined-output term blows up).  rhs < 0 is legal and
@@ -22,7 +31,7 @@ envelopes simply skip such members.
 
 import csv
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -215,14 +224,10 @@ def enumerate_vertices(a, b, nonneg=True, tol=_FEAS_TOL):
         a = np.vstack([a, -np.eye(k)])
         b = np.concatenate([b, np.zeros(k)])
     b_solve = np.where(np.isfinite(b), b, _BIG)
-    idx = np.array(list(combinations(range(a.shape[0]), k)))
-    mats = a[idx]                                   # (T, k, k)
-    dets = np.abs(np.linalg.det(mats))
-    scale = np.maximum(np.prod(np.linalg.norm(mats, axis=2), axis=1), 1e-30)
-    good = dets > 1e-9 * scale
-    if not np.any(good):
+    idx, mats = _bases(a, k)
+    if idx.shape[0] == 0:
         return np.empty((0, k))
-    verts = np.linalg.solve(mats[good], b_solve[idx[good]][..., None])[..., 0]
+    verts = np.linalg.solve(mats, b_solve[idx][..., None])[..., 0]
     margin = tol * (1.0 + np.abs(b_solve))
     feas = np.all(verts @ a.T <= b_solve[None, :] + margin[None, :], axis=1)
     verts = verts[feas]
@@ -231,6 +236,26 @@ def enumerate_vertices(a, b, nonneg=True, tol=_FEAS_TOL):
     # dedup at 1e-9 granularity but hand back full-precision points
     _, first = np.unique(np.round(verts, 9), axis=0, return_index=True)
     return verts[np.sort(first)]
+
+
+def _combos(n, k):
+    """Every k-subset of range(n) in lexicographic order, as a
+    (C(n, k), k) index array (no rows when n < k)."""
+    count = math.comb(n, k)
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp,
+                       count=count * k)
+    return flat.reshape(count, k)
+
+
+def _bases(a, k):
+    """The nonsingular k-row bases of a: (T, k) row indices and the
+    (T, k, k) matrices they pick."""
+    idx = _combos(a.shape[0], k)
+    mats = a[idx]
+    dets = np.abs(np.linalg.det(mats))
+    scale = np.maximum(np.prod(np.linalg.norm(mats, axis=2), axis=1), 1e-30)
+    good = dets > 1e-9 * scale
+    return idx[good], mats[good]
 
 
 def batch_support(coeffs, rhs, dirs, reduce_max=False):
@@ -310,17 +335,8 @@ def _dual_vertices(a, dirs):
     the rows each slot puts weight on.  A degenerate vertex reached
     from several bases fills one slot per basis."""
     m, k = a.shape
-    full = np.vstack([a, -np.eye(k)])
-    idx = np.array(list(combinations(range(m + k), k)))
-    mats = full[idx]
-    dets = np.abs(np.linalg.det(mats))
-    scale = np.maximum(np.prod(np.linalg.norm(mats, axis=2), axis=1), 1e-30)
-    idx = idx[dets > 1e-9 * scale]
-    inv = np.linalg.inv(full[idx])
-    y = dirs @ inv                                  # (T, D, k): basis^-T d
-    # a multiplier within rounding of zero is zero: the tolerance scales
-    # with the terms that make it up, so tiny direction components count
-    tol = _DUAL_TOL * (np.abs(dirs) @ np.abs(inv))
+    idx, mats = _bases(np.vstack([a, -np.eye(k)]), k)
+    y, tol = _multipliers(mats, dirs)
     feas = np.all(y >= -tol, axis=2)
     # scatter each basis' multipliers onto the coefficient rows; the -I
     # rows carry surplus with zero rhs, so they drop out of the price
@@ -338,9 +354,57 @@ def _dual_vertices(a, dirs):
     return lam[pick, col], used[pick, col], has
 
 
+def _multipliers(mats, dirs):
+    """Weights y with y @ basis = d for every basis and direction, as a
+    (T, D, k) array, and the rounding tolerance of each weight: a
+    multiplier within it of zero is zero.  The tolerance scales with the
+    terms that make the multiplier up, so tiny direction components
+    count."""
+    inv = np.linalg.inv(mats)
+    return dirs @ inv, _DUAL_TOL * (np.abs(dirs) @ np.abs(inv))
+
+
+def _bounded_along(a, dirs):
+    """For each direction d, is max d.x over a @ x <= b bounded whenever
+    it is feasible?
+
+    Farkas: exactly when d is a nonnegative combination of the rows of
+    a.  With r = rank a, a d off the row span is unbounded, and by
+    Caratheodory a d in the cone is a nonnegative combination of
+    independent rows, which extend to an r-row basis with zero weights;
+    so it suffices to try every nonsingular r-row basis (in coordinates
+    of the row span when r < k).
+    """
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    off = np.zeros(dirs.shape[0], dtype=bool)
+    span = _row_span(a)
+    if span is not None:
+        on = dirs @ span
+        off = np.linalg.norm(dirs - on @ span.T, axis=1) > _FEAS_TOL
+        a, dirs = a @ span, on
+    _, mats = _bases(a, a.shape[1])
+    y, tol = _multipliers(mats, dirs)
+    return ~off & np.any(np.all(y >= -tol, axis=2), axis=0)
+
+
+def _row_span(a):
+    """A (k, r) orthonormal basis of the span of a's rows when their
+    rank r is below the dimension k, else None."""
+    _, sv, vt = np.linalg.svd(a)
+    rank = int(np.count_nonzero(sv > sv.max(initial=0.0) * max(a.shape)
+                                * np.finfo(float).eps))
+    return vt[:rank].T if rank < a.shape[1] else None
+
+
 def support_of_system(system, direction, tol=_FEAS_TOL):
     """Support of a general-sign LinearSystem (no implicit nonnegativity;
-    put explicit -x <= 0 rows in if you want them)."""
+    put explicit -x <= 0 rows in if you want them).
+
+    -inf when the system is empty, which beats +inf when d leaves the
+    cone of the rows (Farkas), else the max of d over the vertices.  A
+    system whose rows do not span the space has no vertex, so it is
+    priced in coordinates of the row span, where it is pointed.
+    """
     a, b, d = system.matrix, system.rhs, np.asarray(direction, dtype=float)
     zero_rows = np.all(np.abs(a) <= 1e-12, axis=1)
     if np.any(b[zero_rows] < -1e-9):
@@ -348,37 +412,14 @@ def support_of_system(system, direction, tol=_FEAS_TOL):
     a, b = a[~zero_rows], b[~zero_rows]
     keep = np.isfinite(b)
     a, b = a[keep], b[keep]
-    if _system_unbounded_along(a, d, tol):
-        return INF
-    verts = enumerate_vertices(a, b, nonneg=False, tol=tol)
+    span = _row_span(a)
+    verts = enumerate_vertices(a if span is None else a @ span, b,
+                               nonneg=False, tol=tol)
     if verts.shape[0] == 0:
         return -INF
-    return float((verts @ d).max())
-
-
-def _system_unbounded_along(a, d, tol):
-    """Does the recession cone {r : a r <= 0} contain a ray with d.r > 0?
-    Candidate extreme rays come from pairs of facets (cross products in
-    3-d, edge normals in 2-d), plus the coordinate axes for safety."""
-    k = a.shape[1]
-    cands = [np.eye(k)[i] for i in range(k)] + [-np.eye(k)[i] for i in range(k)]
-    if k == 3:
-        for i, j in combinations(range(a.shape[0]), 2):
-            c = np.cross(a[i], a[j])
-            if np.linalg.norm(c) > 1e-12:
-                cands.append(c)
-                cands.append(-c)
-    elif k == 2:
-        for i in range(a.shape[0]):
-            c = np.array([a[i, 1], -a[i, 0]])
-            if np.linalg.norm(c) > 1e-12:
-                cands.append(c)
-                cands.append(-c)
-    for c in cands:
-        r = c / np.linalg.norm(c)
-        if np.all(a @ r <= tol) and d @ r > 1e-9:
-            return True
-    return False
+    if not _bounded_along(a, d)[0]:
+        return INF
+    return float((verts @ (d if span is None else d @ span)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +566,9 @@ def _vertex_prune(system):
     finite = np.isfinite(b)
     if not np.all(finite):
         return system
-    for axis in np.eye(a.shape[1]):
-        if _system_unbounded_along(a, axis, _FEAS_TOL) or \
-                _system_unbounded_along(a, -axis, _FEAS_TOL):
-            return system
+    axes = np.eye(a.shape[1])
+    if not np.all(_bounded_along(a, np.vstack([axes, -axes]))):
+        return system
     verts = enumerate_vertices(a, b, nonneg=False)
     if verts.shape[0] == 0:
         return system

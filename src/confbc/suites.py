@@ -154,10 +154,11 @@ def _suite_fm_equivalence(seed, trials=100, n_dirs=50):
         t = dmb.factorization_terms(ch, f)
         for alpha in (0.0, 0.5, 1.0):
             m1, _, m3, _, i0 = dmb._caps1(t, ch.c12, ch.c21, alpha, "clipped")
-            poly = dmb.inner1_alpha_polytope(ch, f, alpha)
+            poly = dmb.inner1_alpha_polytope(ch, f, alpha, terms=t)
             a, b = poly.coeff_matrix()
             sup_rows = batch_support(a, b[None, :], dirs)[0]
-            proj = fm_eliminate(dmb.appendixB_system(ch, f, alpha), eliminate)
+            proj = fm_eliminate(dmb.appendixB_system(ch, f, alpha, terms=t),
+                                eliminate)
             verts = enumerate_vertices(proj.matrix, proj.rhs, nonneg=False)
             sup_proj = ((verts @ dirs.T).max(axis=0) if verts.shape[0]
                         else np.full(dirs.shape[0], -np.inf))
@@ -199,21 +200,27 @@ def _suite_alpha_star(seed, trials=100, n_alpha=21):
 
     for _ in range(trials):
         f1 = dmb.random_factorization(rng, ch)
-        star1 = dmb.alpha1_star(ch, f1)
+        t1 = dmb.factorization_terms(ch, f1)
+        star1 = dmb.alpha1_star(ch, f1, terms=t1)
         star_in_range &= 0.0 <= star1 <= 1.0
-        best = sup_of(dmb.inner1_alpha_polytope(ch, f1, star1, variant="tilde"))
+        best = sup_of(dmb.inner1_alpha_polytope(ch, f1, star1, variant="tilde",
+                                                terms=t1))
         for al in alphas:
-            sup = sup_of(dmb.inner1_alpha_polytope(ch, f1, al, variant="tilde"))
+            sup = sup_of(dmb.inner1_alpha_polytope(ch, f1, al, variant="tilde",
+                                                   terms=t1))
             with np.errstate(invalid="ignore"):
                 excess = sup - best
             worst = max(worst, float(np.nanmax(np.where(np.isnan(excess),
                                                         -np.inf, excess))))
         f2 = dmb.random_factorization(rng, ch, q2_on_w=True)
-        star2 = dmb.alpha2_star(ch, f2)
+        t2 = dmb.factorization_terms(ch, f2)
+        star2 = dmb.alpha2_star(ch, f2, terms=t2)
         star_in_range &= 0.0 <= star2 <= 1.0
-        best = sup_of(dmb.inner2_alpha_polytope(ch, f2, star2, variant="tilde"))
+        best = sup_of(dmb.inner2_alpha_polytope(ch, f2, star2, variant="tilde",
+                                                terms=t2))
         for al in alphas:
-            sup = sup_of(dmb.inner2_alpha_polytope(ch, f2, al, variant="tilde"))
+            sup = sup_of(dmb.inner2_alpha_polytope(ch, f2, al, variant="tilde",
+                                                   terms=t2))
             with np.errstate(invalid="ignore"):
                 excess = sup - best
             worst = max(worst, float(np.nanmax(np.where(np.isnan(excess),

@@ -192,6 +192,27 @@ def test_inner1_alpha_validation():
         dmb.inner1_alpha_polytope(_ex1(), f, 0.5, variant="banana")
 
 
+def test_builders_take_precomputed_terms(monkeypatch):
+    # the polytope and split-system builders reuse the caller's terms
+    # and give exactly what they build when left to compute them
+    ch = _ex1()
+    f1 = _factorization()
+    f2 = dmb.random_factorization(np.random.default_rng(3), ch, q2_on_w=True)
+    t1, t2 = dmb.factorization_terms(ch, f1), dmb.factorization_terms(ch, f2)
+    built = [dmb.inner1_alpha_polytope(ch, f1, 0.4).coeff_matrix(),
+             dmb.inner2_alpha_polytope(ch, f2, 0.4, variant="tilde").coeff_matrix(),
+             dmb.appendixB_system(ch, f1, 0.4)]
+    monkeypatch.setattr(dmb, "factorization_terms", None)   # must not be called
+    reused = [dmb.inner1_alpha_polytope(ch, f1, 0.4, terms=t1).coeff_matrix(),
+              dmb.inner2_alpha_polytope(ch, f2, 0.4, variant="tilde",
+                                        terms=t2).coeff_matrix(),
+              dmb.appendixB_system(ch, f1, 0.4, terms=t1)]
+    for (a, b), (a2, b2) in zip(built[:2], reused[:2]):
+        assert np.array_equal(a, a2) and np.array_equal(b, b2)
+    assert np.array_equal(built[2].matrix, reused[2].matrix)
+    assert np.array_equal(built[2].rhs, reused[2].rhs)
+
+
 def test_inner2_wants_w_conditioned_quantizer():
     rng = np.random.default_rng(0)
     f = dmb.random_factorization(rng, _ex1())          # q2 on Y2 alone

@@ -1,6 +1,7 @@
 """Simplex grids: counts, exactness, chunking, the evaluation budget."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -38,6 +39,18 @@ def test_chunking_matches_whole_grid():
     parts = np.concatenate(list(simplex_grid_chunks(4, 0.25, chunk=7)), axis=0)
     assert whole.shape == parts.shape == (35, 4)
     assert np.array_equal(whole, parts)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10_000])
+def test_chunks_match_stars_and_bars(chunk):
+    # every composition of n = 5 into 4 parts, from the bar positions
+    n, cells = 5, 4
+    want = [[hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (n + cells - 1,))]
+            for bars in combinations(range(n + cells - 1), cells - 1)]
+    blocks = list(simplex_grid_chunks(cells, 1.0 / n, chunk=chunk))
+    assert [len(b) for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+    got = np.concatenate(blocks, axis=0)
+    assert np.array_equal(got, np.array(want) / float(n))
 
 
 def test_single_cell_grid():

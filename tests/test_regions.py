@@ -328,6 +328,60 @@ def test_support_of_system_unbounded():
     assert support_of_system(sys, (1.0, 0.0)) == math.inf
 
 
+def _lp_system_support(a, b, d):
+    """max d.x s.t. a @ x <= b, x free, from HiGHS.  A zero-objective
+    feasibility solve comes first: on a feasible system with an unbounded
+    objective HiGHS may answer "infeasible or unbounded" (status 2)."""
+    k = a.shape[1]
+    rows = {"A_ub": a, "b_ub": b} if a.shape[0] else {}
+    free = [(None, None)] * k
+    res = linprog(np.zeros(k), bounds=free, method="highs", **rows)
+    if res.status == 2:
+        return -math.inf
+    assert res.status == 0, res.message
+    res = linprog(-np.asarray(d, dtype=float), bounds=free, method="highs", **rows)
+    if res.status in (2, 3):
+        return math.inf
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@st.composite
+def _small_systems(draw):
+    """Integer systems in 1-3 free variables: unbounded, empty, and
+    non-pointed (rank-deficient) ones all come up."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 7))
+    a = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(-2, 3), min_size=m, max_size=m))
+    d = draw(st.lists(st.integers(-4, 4).map(lambda v: v / 2.0), min_size=k, max_size=k))
+    return a, b, d
+
+
+@given(system=_small_systems())
+@example(system=([[1, 1, 1]], [1], (1, 1, 0.9)))               # off the row cone
+@example(system=([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]],
+                 [1, 1, 1, 1], (1, 1, 0)))                      # box in x, y; z free
+@example(system=([[1, 1, 1], [-1, -1, -1]], [1, -2], (1, 0, 0)))  # empty slab
+@settings(max_examples=200, deadline=None)
+def test_support_of_system_matches_linprog(system):
+    a, b, d = (np.asarray(v, dtype=float) for v in system)
+    a = np.atleast_2d(a)
+    got = support_of_system(LinearSystem(("x", "y", "z")[:a.shape[1]], a, b), d)
+    want = _lp_system_support(a, b, d)
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, abs=1e-7)
+
+
+def test_enumerate_vertices_fewer_rows_than_variables():
+    verts = enumerate_vertices(np.array([[1.0, 1.0, 1.0]]), np.array([1.0]),
+                               nonneg=False)
+    assert verts.shape == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # envelopes and projections
 # ---------------------------------------------------------------------------
