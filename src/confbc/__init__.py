@@ -25,7 +25,7 @@ from .gridding import (simplex_grid, simplex_grid_chunks, simplex_grid_size,
 from .channels import (DmBroadcastChannel, GaussianBc, load_channel,
                        dump_channel, example_channel, is_semi_deterministic,
                        more_capable_evidence, kappa)
-from .regions import (RateVector, LinearConstraint, ConstraintPolytope,
+from .regions import (LinearConstraint, ConstraintPolytope,
                       RegionEnvelope, LinearSystem, enumerate_vertices,
                       batch_support, support_of_system, envelope_of_union,
                       envelope_dominates, project_r2_zero, fm_eliminate,

@@ -30,62 +30,35 @@ from .regions import (RegionEnvelope, default_dirs_2d, default_dirs_3d,
                       envelope_boundary_2d, write_support_csv)
 from .suites import run_suite, suite_names
 
-_BOUNDS_2D = ("t4", "cutset-fig3", "t7", "t9")
-_ALL_BOUNDS = ("outer", "inner1", "inner2", "t4", "t5", "t7", "t8",
-               "t9", "t10", "df", "cutset-fig3")
+_TABLES = {"dm": dmb.BOUNDS, "gaussian": gb.BOUNDS}
+_BOUND_NAMES = tuple(dict.fromkeys([*dmb.BOUNDS, *gb.BOUNDS]))
+# sweep --metric sumrate-gap: the converse and its inner bound, per kind
+_GAP_BOUNDS = {"dm": ("outer", "inner1"), "gaussian": ("outer", "df")}
 
 
 # ---------------------------------------------------------------------------
 # region evaluation
 # ---------------------------------------------------------------------------
 
+def _bound(ch, name):
+    table = _TABLES[ch.kind]
+    if name not in table:
+        raise InapplicableBoundError("bound %r needs a %s channel" % (
+            name, "gaussian" if ch.kind == "dm" else "discrete"))
+    return table[name]
+
+
 def _pick_dirs(bound, n, r2_slice):
-    if bound in _BOUNDS_2D:
-        return default_dirs_2d(n or 181), None
-    dirs2 = None
-    if r2_slice:
-        dirs2 = default_dirs_2d(n or 181)
-        return np.column_stack([dirs2, np.zeros(dirs2.shape[0])]), dirs2
-    return default_dirs_3d(n or 512), None
+    if len(bound.variables) == 3 and not r2_slice:
+        return default_dirs_3d(n or 512), None
+    dirs2 = default_dirs_2d(n or 181)
+    return (np.column_stack([dirs2, np.zeros(dirs2.shape[0])]) if r2_slice
+            else dirs2), dirs2
 
 
-def _region_envelope(ch, bound, grid, dirs, args):
-    if ch.kind == "dm":
-        if bound == "outer":
-            return dmb.outer_envelope(ch, grid_step=grid or 0.25,
-                                      u_card=args.u_card, v_card=args.v_card,
-                                      directions=dirs)
-        if bound == "inner1":
-            return dmb.inner1_envelope(ch, grid_step=grid or 0.1,
-                                       v_card=args.v_card, directions=dirs)
-        if bound == "inner2":
-            return dmb.inner2_envelope(ch, grid_step=grid or 0.1,
-                                       v_card=args.v_card, directions=dirs)
-        if bound == "t4":
-            return dmb.theorem4_envelope(ch, grid_step=grid or 0.02,
-                                         v_card=args.v_card, directions=dirs)
-        if bound == "cutset-fig3":
-            return dmb.theorem4_envelope(ch, grid_step=grid or 0.02,
-                                         v_card=args.v_card, directions=dirs,
-                                         include_joint_row=False)
-        if bound == "t5":
-            return dmb.theorem5_envelope(ch, grid_step=grid or 0.05,
-                                         v_card=args.v_card, directions=dirs)
-        raise InapplicableBoundError(
-            "bound %r needs a gaussian channel" % bound)
-    if bound == "outer":
-        return gb.outer_envelope_g(ch, param_step=grid or 0.01, directions=dirs)
-    if bound == "t7":
-        return gb.capacity_t7_envelope(ch, beta_step=grid or 1e-3, directions=dirs)
-    if bound == "t8":
-        return gb.capacity_t8_envelope(ch, beta_step=grid or 1e-3, directions=dirs)
-    if bound == "t9":
-        return gb.approx_t9_envelope(ch, beta_step=grid or 1e-3, directions=dirs)
-    if bound == "t10":
-        return gb.approx_t10_envelope(ch, beta_step=grid or 1e-3, directions=dirs)
-    if bound == "df":
-        return gb.df_envelope(ch, beta_step=grid or 1e-2, directions=dirs)
-    raise InapplicableBoundError("bound %r needs a discrete channel" % bound)
+def _envelope(ch, bound, dirs, args):
+    return bound.envelope(ch, args.grid, dirs,
+                          u_card=args.u_card, v_card=args.v_card)
 
 
 def _jsonable(x):
@@ -98,9 +71,10 @@ def _cmd_region(args):
     ch = load_channel(args.channel)
     if args.r2 is not None and args.r2 != 0.0:
         raise InapplicableBoundError("only the R2 = 0 slice is supported")
-    slicing = args.r2 is not None and args.bound not in _BOUNDS_2D
-    dirs, dirs2 = _pick_dirs(args.bound, args.dirs, slicing)
-    env = _region_envelope(ch, args.bound, args.grid, dirs, args)
+    bound = _bound(ch, args.bound)
+    slicing = args.r2 is not None and len(bound.variables) == 3
+    dirs, dirs2 = _pick_dirs(bound, args.dirs, slicing)
+    env = _envelope(ch, bound, dirs, args)
     if slicing:
         env = RegionEnvelope(("R0", "R1"), dirs2, env.supports,
                              meta={**env.meta, "slice": "R2=0"})
@@ -163,25 +137,17 @@ def _with_param(ch, name, value):
 
 def _sweep_metric(ch, args):
     if args.metric == "sumrate-gap":
-        if ch.kind == "gaussian":
-            d = np.array([(1.0, 1.0, 1.0)])
-            outer = gb.outer_envelope_g(ch, param_step=args.grid or 0.01,
-                                        directions=d)
-            inner = gb.df_envelope(ch, beta_step=args.grid or 0.01,
-                                   directions=d)
-        else:
-            d = np.array([(1.0, 1.0, 1.0)])
-            outer = dmb.outer_envelope(ch, grid_step=args.grid or 0.25,
-                                       directions=d)
-            inner = dmb.inner1_envelope(ch, grid_step=args.grid or 0.1,
-                                        directions=d)
-        return float(outer.supports[0] - inner.supports[0])
+        d = np.array([(1.0, 1.0, 1.0)])
+        outer, inner = (_envelope(ch, _bound(ch, name), d, args).supports[0]
+                        for name in _GAP_BOUNDS[ch.kind])
+        return float(outer - inner)
+    bound = _bound(ch, args.bound)
     direction = np.array([float(t) for t in args.dir.split(",")])
-    want = 2 if args.bound in _BOUNDS_2D else 3
+    want = len(bound.variables)
     if direction.shape[0] != want:
         raise InapplicableBoundError(
             "bound %r expects a %d-component --dir" % (args.bound, want))
-    env = _region_envelope(ch, args.bound, args.grid, direction[None, :], args)
+    env = _envelope(ch, bound, direction[None, :], args)
     return float(env.supports[0])
 
 
@@ -326,7 +292,7 @@ def _build_parser():
     r = sub.add_parser("region", help="evaluate a bound's support envelope")
     r.add_argument("--channel", required=True,
                    help="channel JSON file (or inline JSON)")
-    r.add_argument("--bound", required=True, choices=_ALL_BOUNDS)
+    r.add_argument("--bound", required=True, choices=_BOUND_NAMES)
     r.add_argument("--grid", type=float, default=None,
                    help="parameter grid step (bound-specific default)")
     r.add_argument("--dirs", type=int, default=None,
@@ -356,7 +322,7 @@ def _build_parser():
     s.add_argument("--count", type=int, default=9)
     s.add_argument("--metric", required=True,
                    choices=("sumrate-gap", "dir-support"))
-    s.add_argument("--bound", default="outer", choices=_ALL_BOUNDS)
+    s.add_argument("--bound", default="outer", choices=_BOUND_NAMES)
     s.add_argument("--dir", default="1,1,1",
                    help="comma direction for dir-support")
     s.add_argument("--grid", type=float, default=None)

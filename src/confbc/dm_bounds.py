@@ -7,6 +7,14 @@ degraded-message-set results); the *_envelope functions sweep a simplex
 grid of auxiliaries and return the pointwise-max support record, i.e.
 the computable face of the union region.
 
+BOUNDS is the table of the swept bounds (outer, inner1, inner2, t4,
+cutset-fig3, t5), one regions.Bound each: a coefficient matrix, a grid
+of P(aux..., x), the batch information terms of a grid block, a row
+function of those terms, a default step and the applicability check.
+*_polytope and *_envelope are thin calls into it.  inner1_polytope and
+inner2_polytope price full factorizations instead and stay the
+independent oracle for the substitution sweeps.
+
 Two cooperation orders appear throughout:
   * inner1_*: receiver 2 quantizes first, receiver 1 then splits its
     link between decode-and-forward and quantize-bin-and-forward
@@ -28,15 +36,16 @@ p(a, x, y1, y2) is never formed.
 """
 
 import warnings
+from functools import partial
 
 import numpy as np
 
+from .channels import (DmBroadcastChannel, is_semi_deterministic,
+                       more_capable_evidence)
 from .errors import InapplicableBoundError
 from .gridding import _budgeted_chunks
 from .info_core import JointPmf, compose_joint, mutual_information, xlog2x
-from .regions import (ConstraintPolytope, LinearConstraint, LinearSystem,
-                      RegionEnvelope, batch_support, default_dirs_2d,
-                      default_dirs_3d)
+from .regions import Bound, ConstraintPolytope, LinearSystem, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +183,16 @@ def _caps2(t, c12, c21, alpha2, variant):
 
 _RATE_VARS = ("R0", "R1", "R2")
 
+# The rows of every inner-bound region, family 1 or 2, split or resolved.
+_INNER_COEFFS = np.array([
+    (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 1, 1), (2, 1, 1)], dtype=float)
 
-def _rate_polytope(rows):
-    """rows: list of ((c0, c1, c2), rhs)."""
-    cons = [LinearConstraint(dict(zip(_RATE_VARS, c)), r) for c, r in rows]
-    return ConstraintPolytope(_RATE_VARS, cons)
+
+def _inner_polytope(row1, row2, sum1, sum2, i0):
+    """The inner region with caps row1 (R0+R1), row2 (R0+R2), and the
+    two sum-row partners, less the Marton price i0."""
+    return ConstraintPolytope.from_matrix(_RATE_VARS, _INNER_COEFFS, [
+        row1, row2, sum1 + row2 - i0, row1 + sum2 - i0, row1 + row2 - i0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +207,7 @@ def inner1_alpha_polytope(ch, f, alpha1, variant="clipped", terms=None):
         raise ValueError("alpha1 must lie in [0, 1]")
     t = terms or factorization_terms(ch, f)
     m1, m2, m3, m4, i0 = _caps1(t, ch.c12, ch.c21, alpha1, variant)
-    return _rate_polytope([
-        ((1, 1, 0), m2),
-        ((1, 0, 1), m4),
-        ((1, 1, 1), m1 + m4 - i0),
-        ((1, 1, 1), m2 + m3 - i0),
-        ((2, 1, 1), m2 + m4 - i0),
-    ])
+    return _inner_polytope(m2, m4, m1, m3, i0)
 
 
 def alpha1_star(ch, f, terms=None):
@@ -221,14 +229,7 @@ def inner1_polytope(ch, f):
     row2 = t["vw_y2"] + c12 - t["h1_uy1_vwy2"]
     mid3 = min(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
     mid4 = min(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
-    i0 = t["u_v_w"]
-    return _rate_polytope([
-        ((1, 1, 0), row1),
-        ((1, 0, 1), row2),
-        ((1, 1, 1), mid3 + row2 - i0),
-        ((1, 1, 1), row1 + mid4 - i0),
-        ((2, 1, 1), row1 + row2 - i0),
-    ])
+    return _inner_polytope(row1, row2, mid3, mid4, t["u_v_w"])
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +243,7 @@ def inner2_alpha_polytope(ch, f, alpha2, variant="clipped", terms=None):
         raise ValueError("family 2 wants q2 conditioned on (W, Y2)")
     t = terms or factorization_terms(ch, f)
     n1, n2, n3, n4, i0 = _caps2(t, ch.c12, ch.c21, alpha2, variant)
-    return _rate_polytope([
-        ((1, 1, 0), n1),
-        ((1, 0, 1), n2),
-        ((1, 1, 1), n3 + n2 - i0),
-        ((1, 1, 1), n1 + n4 - i0),
-        ((2, 1, 1), n1 + n2 - i0),
-    ])
+    return _inner_polytope(n1, n2, n3, n4, i0)
 
 
 def alpha2_star(ch, f, terms=None):
@@ -267,14 +262,7 @@ def inner2_polytope(ch, f):
     row2 = t["vw_y2"]
     mid3 = min(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
     mid4 = min(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
-    i0 = t["u_v_w"]
-    return _rate_polytope([
-        ((1, 1, 0), row1),
-        ((1, 0, 1), row2),
-        ((1, 1, 1), mid3 + row2 - i0),
-        ((1, 1, 1), row1 + mid4 - i0),
-        ((2, 1, 1), row1 + row2 - i0),
-    ])
+    return _inner_polytope(row1, row2, mid3, mid4, t["u_v_w"])
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +349,31 @@ def _entropies(ch, p, names):
 
 
 # ---------------------------------------------------------------------------
-# converse side
+# the bound table
 # ---------------------------------------------------------------------------
+
+class _AuxGrid:
+    """Simplex grid of P(aux..., x), one axis per auxiliary, each
+    alphabet |X| + 2 unless the caller sizes it.  capped refuses larger
+    alphabets (the converse never needs them)."""
+
+    step_key = "grid_step"
+
+    def __init__(self, *aux, capped=False):
+        self.cards = tuple(a + "_card" for a in aux)
+        self.capped = capped
+
+    def blocks(self, ch, step, cards):
+        shape = tuple(cards.get(c) or ch.x_card + 2 for c in self.cards)
+        if self.capped and max(shape) > ch.x_card + 2:
+            raise ValueError("auxiliary alphabets larger than |X|+2 are never needed")
+        chunks = _budgeted_chunks(int(np.prod(shape)) * ch.x_card, step)
+        return ((c.reshape(-1, *shape, ch.x_card) for c in chunks),
+                dict(zip(self.cards, shape)))
+
+    def point(self, ch, p):
+        return np.asarray(p, dtype=float)[None, ...]
+
 
 _OUTER_COEFFS = np.array([
     (1, 1, 0),
@@ -373,16 +384,9 @@ _OUTER_COEFFS = np.array([
 ], dtype=float)
 
 
-def outer_polytope(ch, outer_aux):
-    """Converse polytope for one P(u,v,x)."""
-    rhs = _outer_rhs_batch(ch, np.asarray(outer_aux.puvx)[None, ...])[0]
-    return _rate_polytope(list(zip(map(tuple, _OUTER_COEFFS.astype(int)), rhs)))
-
-
-def _outer_rhs_batch(ch, puvx):
-    """(N, U, V, X) auxiliary batch -> (N, 11) right-hand sides."""
+def _outer_rows(h, ch):
+    """Entropies of an (N, U, V, X) block -> (N, 11) converse rows."""
     c12, c21 = ch.c12, ch.c21
-    h = _entropies(ch, puvx, ("U", "V"))
     iU_Y1 = h["U"] + h["Y1"] - h["UY1"]
     iV_Y2 = h["V"] + h["Y2"] - h["VY2"]
     iX_Y1 = h["X"] + h["Y1"] - h["XY1"]
@@ -394,7 +398,7 @@ def _outer_rhs_batch(ch, puvx):
     iX_Y1_given_V = h["VX"] + h["VY1"] - h["VXY1"] - h["V"]
     iX_Y2_given_U = h["UX"] + h["UY2"] - h["UXY2"] - h["U"]
     iX_Y1Y2 = h["X"] + h["Y1Y2"] - h["XY1Y2"]
-    rows = [
+    return np.stack([
         iU_Y1 + c21,
         iX_Y1_given_Y2V + iX_Y2,
         iX_Y2_given_Y1V + iX_Y1,
@@ -406,57 +410,13 @@ def _outer_rhs_batch(ch, puvx):
         iX_Y1_given_Y2V + iX_Y2 + c12,
         iX_Y2_given_Y1U + iX_Y1 + c21,
         iX_Y1Y2,
-    ]
-    return np.stack(rows, axis=-1)
+    ], axis=-1)
 
-
-def outer_envelope(ch, grid_step=0.25, u_card=None, v_card=None,
-                   directions=None, chunk=65536):
-    """Support record of the converse region over a full simplex grid
-    of P(u,v,x).  Grid size explodes fast; the evaluation budget guard
-    throws rather than letting a sweep run for days."""
-    nu = u_card or ch.x_card + 2
-    nv = v_card or ch.x_card + 2
-    if nu > ch.x_card + 2 or nv > ch.x_card + 2:
-        raise ValueError("auxiliary alphabets larger than |X|+2 are never needed")
-    dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    cells = nu * nv * ch.x_card
-    best = np.full(dirs.shape[0], -np.inf)
-    for block in _budgeted_chunks(cells, grid_step, chunk):
-        puvx = block.reshape(-1, nu, nv, ch.x_card)
-        rhs = _outer_rhs_batch(ch, puvx)
-        sup = batch_support(_OUTER_COEFFS, rhs, dirs, reduce_max=True)
-        best = np.maximum(best, sup)
-    return RegionEnvelope(_RATE_VARS, dirs, best,
-                          meta={"grid_step": grid_step, "u_card": nu, "v_card": nv})
-
-
-# ---------------------------------------------------------------------------
-# semi-deterministic capacity results (degraded message sets / more capable)
-# ---------------------------------------------------------------------------
 
 def _require_semi_det(ch, who):
-    from .channels import is_semi_deterministic
-    ok, f = is_semi_deterministic(ch)
-    if not ok:
+    if not is_semi_deterministic(ch)[0]:
         raise InapplicableBoundError(
             "%s needs Y2 to be a function of (X, Y1) for this channel" % who)
-    return f
-
-
-def theorem4_polytope(ch, pvx, include_joint_row=True):
-    """Exact (R0, R1) region evaluator for semi-deterministic channels
-    where only receiver 1 has a private message.  include_joint_row
-    drops the one constraint that sees the two outputs jointly; what is
-    left is the cut-set comparator that the region plots are judged
-    against."""
-    _require_semi_det(ch, "theorem4_polytope")
-    rhs = _t4_rhs_batch(ch, np.asarray(pvx, dtype=float)[None, ...],
-                        ch.c12, ch.c21, include_joint_row)[0]
-    coeffs = [(1, 0)] + [(1, 1)] * (rhs.shape[0] - 1)
-    cons = [LinearConstraint(dict(zip(("R0", "R1"), c)), r)
-            for c, r in zip(coeffs, rhs)]
-    return ConstraintPolytope(("R0", "R1"), cons)
 
 
 def _t4_mi_batch(ch, pvx):
@@ -474,94 +434,40 @@ def _t4_mi_batch(ch, pvx):
     }
 
 
-def _t4_rhs_batch(ch, pvx, c12, c21, include_joint_row):
-    m = _t4_mi_batch(ch, pvx)
-    rows = [m["v_y2"] + c12,
-            m["x_y1"] + c21,
-            m["x_y1_v"] + m["v_y2"] + c12 + c21]
-    if include_joint_row:
-        rows.append(m["xj_v"] + m["v_y2"] + c12)
-    rows.append(m["x_j"])
-    return np.stack(rows, axis=-1)
+_T4_COEFFS = np.array([(1, 0)] + [(1, 1)] * 4, dtype=float)
 
 
-def theorem4_envelope(ch, grid_step=0.02, v_card=None, include_joint_row=True,
-                      directions=None, chunk=65536):
-    env, = theorem4_envelope_multi(
-        ch, [{"c12": ch.c12, "c21": ch.c21, "include_joint_row": include_joint_row}],
-        grid_step=grid_step, v_card=v_card, directions=directions, chunk=chunk)
-    return env
+def _t4_rows(joint_row):
+    """Theorem 4's rows, with or without the joint-outputs row."""
+    def rows(m, ch):
+        c12, c21 = ch.c12, ch.c21
+        out = [m["v_y2"] + c12,
+               m["x_y1"] + c21,
+               m["x_y1_v"] + m["v_y2"] + c12 + c21]
+        if joint_row:
+            out.append(m["xj_v"] + m["v_y2"] + c12)
+        out.append(m["x_j"])
+        return np.stack(out, axis=-1)
+    return rows
 
 
-def theorem4_envelope_multi(ch, configs, grid_step=0.02, v_card=None,
-                            directions=None, chunk=65536):
-    """Sweep the P(v,x) grid once and price several (c12, c21,
-    include_joint_row) configurations off the same mutual-information
-    arrays.  This is what makes the side-by-side region plots cheap:
-    the grid walk dominates and is shared.
-
-    Each point's region is {R0 <= a, R0+R1 <= s} with a the common-rate
-    cap and s the min of the sum rows, so each chunk is collapsed to its
-    Pareto frontier in the (s, a) plane and the frontier is priced once.
-    """
-    _require_semi_det(ch, "theorem4_envelope")
-    nv = v_card or ch.x_card + 2
-    dirs = default_dirs_2d() if directions is None else np.atleast_2d(directions)
-    cells = nv * ch.x_card
-    fronts = [None] * len(configs)
-    for block in _budgeted_chunks(cells, grid_step, chunk):
-        pvx = block.reshape(-1, nv, ch.x_card)
-        m = _t4_mi_batch(ch, pvx)
-        for i, cfg in enumerate(configs):
-            c12, c21 = cfg["c12"], cfg["c21"]
-            a = m["v_y2"] + c12
-            s = np.minimum(m["x_y1"] + c21,
-                           m["x_y1_v"] + m["v_y2"] + c12 + c21)
-            if cfg.get("include_joint_row", True):
-                s = np.minimum(s, m["xj_v"] + m["v_y2"] + c12)
-            s = np.minimum(s, m["x_j"])
-            fronts[i] = _pareto_2d(s, np.minimum(a, s), fronts[i])
-    return [RegionEnvelope(("R0", "R1"), dirs,
-                           batch_support(_T4_PAIR, front, dirs, reduce_max=True),
-                           meta={"grid_step": grid_step, "v_card": nv, **cfg})
-            for cfg, front in zip(configs, fronts)]
+def _t4_meta(joint_row):
+    return lambda ch: {"c12": ch.c12, "c21": ch.c21, "include_joint_row": joint_row}
 
 
-# The rows a (common cap a, sum cap s) frontier row stands for.
-_T4_PAIR = np.array([(1, 0), (1, 1)], dtype=float)
-_T5_PAIR = np.array([(1, 0, 1), (1, 1, 1)], dtype=float)
+_T5_COEFFS = np.array([(1, 0, 1)] + [(1, 1, 1)] * 4, dtype=float)
 
 
-def _pareto_2d(s, a, acc):
-    """Maximal points of {(s_i, a_i)} merged with an existing frontier,
-    as (a, s) rhs rows sorted by decreasing s (so a comes out strictly
-    increasing).  A support never decreases in any rhs entry (its dual
-    multipliers are nonnegative), in every direction, so only these
-    survivors can ever attain the envelope."""
-    if acc is not None:
-        a = np.concatenate([a, acc[:, 0]])
-        s = np.concatenate([s, acc[:, 1]])
-    order = np.lexsort((-a, -s))          # s desc, ties broken by a desc
-    s, a = s[order], a[order]
-    prev = np.concatenate([[-np.inf], np.maximum.accumulate(a)[:-1]])
-    keep = a > prev
-    return np.column_stack([a[keep], s[keep]])
-
-
-def theorem5_polytope(ch, pvx, warn_checks=True):
-    """Exact (R0,R1,R2) evaluator for one-sided cooperation (link to
-    receiver 1 only) on semi-deterministic channels whose first output
-    is the stronger one.  Any c12 on the channel is ignored."""
-    _require_semi_det(ch, "theorem5_polytope")
-    if warn_checks:
-        _warn_theorem5(ch)
-    rhs = _t5_rhs_batch(ch, np.asarray(pvx, dtype=float)[None, ...])[0]
-    coeffs = [(1, 0, 1)] + [(1, 1, 1)] * 4
-    return _rate_polytope(list(zip(coeffs, rhs)))
+def _t5_rows(m, ch):
+    """Theorem 5's rows; the one-sided bound ignores c12."""
+    return np.stack([m["v_y2"],
+                     m["x_y1"] + ch.c21,
+                     m["x_y1_v"] + m["v_y2"] + ch.c21,
+                     m["xj_v"] + m["v_y2"],
+                     m["x_j"]], axis=-1)
 
 
 def _warn_theorem5(ch):
-    from .channels import more_capable_evidence
     if ch.c12 > 0:
         warnings.warn("one-sided bound: the channel's c12 is ignored")
     ev = more_capable_evidence(ch, grid_step=0.05)
@@ -571,85 +477,105 @@ def _warn_theorem5(ch):
                       % (ev["argmin_px"], ev["min_gap"]))
 
 
-def _t5_rhs_batch(ch, pvx):
-    m = _t4_mi_batch(ch, pvx)
-    c21 = ch.c21
-    rows = [m["v_y2"],
-            m["x_y1"] + c21,
-            m["x_y1_v"] + m["v_y2"] + c21,
-            m["xj_v"] + m["v_y2"],
-            m["x_j"]]
-    return np.stack(rows, axis=-1)
-
-
-def theorem5_envelope(ch, grid_step=0.05, v_card=None, directions=None,
-                      chunk=65536):
-    """Each point's region is {R0+R2 <= a, R0+R1+R2 <= s}, so the sweep
-    keeps the same (s, a) frontier as theorem4_envelope_multi."""
-    _require_semi_det(ch, "theorem5_envelope")
-    _warn_theorem5(ch)
-    nv = v_card or ch.x_card + 2
-    dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    cells = nv * ch.x_card
-    front = None
-    for block in _budgeted_chunks(cells, grid_step, chunk):
-        rhs = _t5_rhs_batch(ch, block.reshape(-1, nv, ch.x_card))
-        s = rhs[:, 1:].min(axis=1)
-        front = _pareto_2d(s, np.minimum(rhs[:, 0], s), front)
-    return RegionEnvelope(_RATE_VARS, dirs,
-                          batch_support(_T5_PAIR, front, dirs, reduce_max=True),
-                          meta={"grid_step": grid_step, "v_card": nv})
-
-
-# ---------------------------------------------------------------------------
-# default inner-bound sweeps (substitution family)
-# ---------------------------------------------------------------------------
-
-def inner1_envelope(ch, grid_step=0.1, v_card=None, directions=None,
-                    factorizations=(), chunk=100_000):
-    """Default search space for the family-1 inner bound: the
-    substitution that is exact in the semi-deterministic case, swept
-    over a P(v,x) grid, with any extra user factorizations unioned in.
-    Works (as a plain inner bound) for any discrete channel."""
-    return _substitution_envelope(ch, grid_step, v_card, directions,
-                                  factorizations, chunk, family=1)
-
-
-def inner2_envelope(ch, grid_step=0.1, v_card=None, directions=None,
-                    factorizations=(), chunk=100_000):
-    return _substitution_envelope(ch, grid_step, v_card, directions,
-                                  factorizations, chunk, family=2)
-
-
-_INNER_SUB_COEFFS = np.array([
-    (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 1, 1), (2, 1, 1)], dtype=float)
-
-
-def _substitution_envelope(ch, grid_step, v_card, directions, factorizations,
-                           chunk, family):
-    nv = v_card or ch.x_card + 2
-    dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    cells = nv * ch.x_card
-    best = np.full(dirs.shape[0], -np.inf)
-    for block in _budgeted_chunks(cells, grid_step, chunk):
-        m = _t4_mi_batch(ch, block.reshape(-1, nv, ch.x_card))
+def _inner_rows(family):
+    """The t4_substitution plug-in (exact in the semi-deterministic
+    case) priced by the family's region."""
+    def rows(m, ch):
         pen2 = m["y2_xy1"]
+        r1 = m["x_y1"] + ch.c21 - pen2
         if family == 1:
-            r1 = np.minimum(m["x_y1"] + ch.c21 - pen2, m["x_j"])
-        else:
-            r1 = m["x_y1"] + ch.c21 - pen2
+            r1 = np.minimum(r1, m["x_j"])
         r2 = m["v_y2"] + (ch.c12 if family == 1 else 0.0)
         r3 = np.minimum(m["x_y1_v"] + ch.c21 - pen2, m["xj_v"]) + r2
-        rhs = np.stack([r1, r2, r3, r1, r1 + r2], axis=-1)
-        best = np.maximum(best, batch_support(_INNER_SUB_COEFFS, rhs, dirs,
-                                              reduce_max=True))
-    for f in factorizations:
-        poly = inner1_polytope(ch, f) if family == 1 else inner2_polytope(ch, f)
-        a, b = poly.coeff_matrix()
-        best = np.maximum(best, batch_support(a, b[None, :], dirs)[0])
-    return RegionEnvelope(_RATE_VARS, dirs, best,
-                          meta={"grid_step": grid_step, "v_card": nv,
-                                "family": family})
+        return np.stack([r1, r2, r3, r1, r1 + r2], axis=-1)
+    return rows
+
+
+_PVX = _AuxGrid("v")
+
+BOUNDS = {b.name: b for b in (
+    Bound("outer", _RATE_VARS, _OUTER_COEFFS, _AuxGrid("u", "v", capped=True),
+          _outer_rows, 0.25, terms=partial(_entropies, names=("U", "V"))),
+    Bound("inner1", _RATE_VARS, _INNER_COEFFS, _PVX, _inner_rows(1), 0.1,
+          terms=_t4_mi_batch, meta=lambda ch: {"family": 1}),
+    Bound("inner2", _RATE_VARS, _INNER_COEFFS, _PVX, _inner_rows(2), 0.1,
+          terms=_t4_mi_batch, meta=lambda ch: {"family": 2}),
+    Bound("t4", ("R0", "R1"), _T4_COEFFS, _PVX, _t4_rows(True), 0.02,
+          terms=_t4_mi_batch, checks=(_require_semi_det,), meta=_t4_meta(True)),
+    Bound("cutset-fig3", ("R0", "R1"), _T4_COEFFS[:-1], _PVX, _t4_rows(False),
+          0.02, terms=_t4_mi_batch, checks=(_require_semi_det,),
+          meta=_t4_meta(False)),
+    Bound("t5", _RATE_VARS, _T5_COEFFS, _PVX, _t5_rows, 0.05,
+          terms=_t4_mi_batch, checks=(_require_semi_det,), warn=_warn_theorem5),
+)}
+
+
+# ---------------------------------------------------------------------------
+# single-point evaluators and grid sweeps
+# ---------------------------------------------------------------------------
+
+def outer_polytope(ch, outer_aux):
+    """Converse polytope for one P(u,v,x)."""
+    return BOUNDS["outer"].polytope(ch, outer_aux.puvx)
+
+
+def outer_envelope(ch, grid_step=None, u_card=None, v_card=None,
+                   directions=None):
+    """Support record of the converse region over a full simplex grid
+    of P(u,v,x).  Grid size explodes fast; the evaluation budget guard
+    throws rather than letting a sweep run for days."""
+    return BOUNDS["outer"].envelope(ch, grid_step, directions,
+                                    u_card=u_card, v_card=v_card)
+
+
+def theorem4_polytope(ch, pvx, include_joint_row=True):
+    """Exact (R0, R1) region evaluator for semi-deterministic channels
+    where only receiver 1 has a private message.  include_joint_row
+    drops the one constraint that sees the two outputs jointly; what is
+    left is the cut-set comparator that the region plots are judged
+    against."""
+    return BOUNDS["t4" if include_joint_row else "cutset-fig3"].polytope(ch, pvx)
+
+
+def theorem4_envelope(ch, grid_step=None, v_card=None, include_joint_row=True,
+                      directions=None):
+    return BOUNDS["t4" if include_joint_row else "cutset-fig3"].envelope(
+        ch, grid_step, directions, v_card=v_card)
+
+
+def theorem4_envelope_multi(ch, configs, grid_step=None, v_card=None,
+                            directions=None):
+    """Sweep the P(v,x) grid once and price several (c12, c21,
+    include_joint_row) configurations off the same mutual-information
+    arrays.  This is what makes the side-by-side region plots cheap:
+    the grid walk dominates and is shared."""
+    return sweep([(BOUNDS["t4" if cfg.get("include_joint_row", True)
+                         else "cutset-fig3"],
+                   DmBroadcastChannel(ch.transition, cfg["c12"], cfg["c21"]))
+                  for cfg in configs], grid_step, directions, v_card=v_card)
+
+
+def theorem5_polytope(ch, pvx, warn_checks=True):
+    """Exact (R0,R1,R2) evaluator for one-sided cooperation (link to
+    receiver 1 only) on semi-deterministic channels whose first output
+    is the stronger one.  Any c12 on the channel is ignored."""
+    return BOUNDS["t5"].polytope(ch, pvx, warn=warn_checks)
+
+
+def theorem5_envelope(ch, grid_step=None, v_card=None, directions=None):
+    return BOUNDS["t5"].envelope(ch, grid_step, directions, v_card=v_card)
+
+
+def inner1_envelope(ch, grid_step=None, v_card=None, directions=None):
+    """Default search space for the family-1 inner bound: the
+    substitution that is exact in the semi-deterministic case, swept
+    over a P(v,x) grid.  Works (as a plain inner bound) for any
+    discrete channel."""
+    return BOUNDS["inner1"].envelope(ch, grid_step, directions, v_card=v_card)
+
+
+def inner2_envelope(ch, grid_step=None, v_card=None, directions=None):
+    return BOUNDS["inner2"].envelope(ch, grid_step, directions, v_card=v_card)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 decoders: Y1 = aX + Z1, Y2 = bX + Z2, unit-variance noises with
 correlation lam, input power P, receiver links c12/c21.
 
-Each bound is one coefficient matrix plus one vectorised row function
-of the power-split parameters (alpha for receiver 1's side split, beta
-for the superposition split): *_polytope takes one row of its table and
-*_envelope prices the whole split grid with batch_support.  The
-standing labeling convention is |a| >= |b| (receiver 1 is the stronger
-one); evaluators raise InapplicableBoundError and tell you to swap the
+BOUNDS is the table of the swept bounds.  Each entry is a
+regions.Bound: a coefficient matrix, a vectorised row function of the
+power splits (alpha for receiver 1's side split, beta for the
+superposition split) on a grid of split ticks 0, 1/n, ..., 1, a default
+step and its applicability checks.  *_polytope prices one split and
+*_envelope sweeps the ticks through regions.sweep.  The standing
+labeling convention is |a| >= |b| (receiver 1 is the stronger one);
+evaluators raise InapplicableBoundError and tell you to swap the
 receivers when it fails rather than silently relabeling.
 
 kappa(a, b, lam) is the combined-output SNR slope; at |lam| = 1 and
@@ -22,8 +24,7 @@ import numpy as np
 
 from .channels import kappa
 from .errors import InapplicableBoundError
-from .regions import (ConstraintPolytope, LinearConstraint, RegionEnvelope,
-                      batch_support, default_dirs_2d, default_dirs_3d)
+from .regions import Bound
 
 _RATE3 = ("R0", "R1", "R2")
 _RATE2 = ("R0", "R1")
@@ -47,15 +48,14 @@ def _require_ordered(ch, who):
             "%s assumes |a| >= |b|; swap the receiver labels and retry" % who)
 
 
+def _require_no_forward_link(ch, who):
+    if ch.c12 != 0.0:
+        raise InapplicableBoundError("%s needs c12 = 0" % who)
+
+
 def _stack_rows(*rows):
     """Per-split row values (arrays or split-free scalars) -> (N, m)."""
     return np.stack(np.broadcast_arrays(*rows), axis=-1)
-
-
-def _slice(variables, coeffs, rhs):
-    """The polytope of one rhs row of a bound's table: one split."""
-    return ConstraintPolytope(variables, [
-        LinearConstraint(dict(zip(variables, c)), r) for c, r in zip(coeffs, rhs)])
 
 
 def _kappa_psi(ch, frac, power):
@@ -65,6 +65,41 @@ def _kappa_psi(ch, frac, power):
     if math.isinf(k):
         return np.full(np.shape(frac) or (), np.inf) if np.ndim(frac) else math.inf
     return psi(np.asarray(frac) * k * power)
+
+
+class _Splits:
+    """Every combination of ticks 0, 1/n, ..., 1 of the named splits, as
+    (N, len(names)) blocks.  weak_at_zero: when |a| < |b| the region is
+    its beta = 0 slice, so the grid is that one point."""
+
+    cards = ()
+
+    def __init__(self, *names, step_key="beta_step", weak_at_zero=False):
+        self.names = names
+        self.step_key = step_key
+        self.weak_at_zero = weak_at_zero
+
+    def blocks(self, ch, step, cards):
+        if self.weak_at_zero and abs(ch.a) < abs(ch.b):
+            return [np.zeros((1, 1))], {}
+        grid = np.meshgrid(*[_ticks(step)] * len(self.names), indexing="ij")
+        return [np.column_stack([g.ravel() for g in grid])], {}
+
+    def point(self, ch, p):
+        if self.weak_at_zero and abs(ch.a) < abs(ch.b):
+            return np.zeros((1, 1))
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        for name, v in zip(self.names, p):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError("%s must lie in [0, 1]" % name)
+        return p[None, :]
+
+
+def _ticks(step):
+    n = int(round(1.0 / step))
+    if n < 1 or abs(n * step - 1.0) > 1e-9 * n:
+        raise ValueError("step must be 1/n for a positive integer n")
+    return np.linspace(0.0, 1.0, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -83,17 +118,16 @@ _OUTER_COEFFS_G = np.array([
 ], dtype=float)
 
 
-def _outer_rhs_g(ch, alpha, beta):
-    """(len(alpha),) grids -> (N, 8) right-hand sides."""
+def _outer_rows_g(split, ch):
+    """(N, 2) (alpha, beta) splits -> (N, 8) right-hand sides."""
     a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
     c12, c21 = ch.c12, ch.c21
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    alpha, beta = split[:, 0], split[:, 1]
     k = kappa(ch.a, ch.b, ch.lam)
     kpsi_a = _kappa_psi(ch, alpha, p)
     kpsi_b = _kappa_psi(ch, beta, p)
     kcut = math.inf if math.isinf(k) else float(psi(k * p))
-    rows = [
+    return np.stack([
         _residual(a2, p, alpha) + c21,
         kpsi_b + _residual(b2, p, beta),
         _residual(b2, p, beta) + c12,
@@ -102,36 +136,7 @@ def _outer_rhs_g(ch, alpha, beta):
         kpsi_b + _residual(b2, p, beta) + c12,
         kpsi_a + _residual(a2, p, alpha) + c21,
         np.full(alpha.shape, kcut),
-    ]
-    return np.stack(rows, axis=-1)
-
-
-def outer_polytope_g(ch, alpha, beta):
-    """Converse polytope at one (alpha, beta) split pair."""
-    _require_ordered(ch, "outer_polytope_g")
-    for nm, v in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("%s must lie in [0, 1]" % nm)
-    rhs = _outer_rhs_g(ch, np.array([alpha]), np.array([beta]))[0]
-    return _slice(_RATE3, _OUTER_COEFFS_G, rhs)
-
-
-def outer_envelope_g(ch, param_step=0.01, directions=None):
-    """Support record of the converse over the full (alpha, beta) grid."""
-    _require_ordered(ch, "outer_envelope_g")
-    dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    ticks = _ticks(param_step)
-    al, be = np.meshgrid(ticks, ticks, indexing="ij")
-    rhs = _outer_rhs_g(ch, al.ravel(), be.ravel())
-    sup = batch_support(_OUTER_COEFFS_G, rhs, dirs, reduce_max=True)
-    return RegionEnvelope(_RATE3, dirs, sup, meta={"param_step": param_step})
-
-
-def _ticks(step):
-    n = int(round(1.0 / step))
-    if n < 1 or abs(n * step - 1.0) > 1e-9 * n:
-        raise ValueError("step must be 1/n for a positive integer n")
-    return np.linspace(0.0, 1.0, n + 1)
+    ], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,69 +154,29 @@ def _require_separable(ch, who):
             "%s does not apply when b = lam * a (one output degrades the other)" % who)
 
 
+def _beta_terms(ch, split):
+    """The terms of an (N, 1) block of superposition splits beta that
+    every single-split bound prices: the weaker receiver's residual
+    layer, receiver 1's direct rate and its rate for the top layer."""
+    a2, p, beta = ch.a * ch.a, ch.power, split[:, 0]
+    return {"beta": beta, "resid": _residual(ch.b * ch.b, p, beta),
+            "direct": psi(a2 * p), "layered": psi(beta * a2 * p)}
+
+
 _T7_COEFFS = np.array([(1, 0), (1, 1), (1, 1)], dtype=float)
 
 
-def _t7_rhs(ch, betas):
-    a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
-    resid = _residual(b2, p, betas)
-    return _stack_rows(resid + ch.c12,
-                       psi(a2 * p) + ch.c21,
-                       psi(betas * a2 * p) + resid + ch.c12 + ch.c21)
-
-
-def capacity_t7_polytope(ch, beta):
-    """Exact (R0, R1) region slice at one superposition split, for the
-    degraded-message-set channel with perfectly correlated noises.  The
-    weaker-first-receiver case collapses to the beta = 0 slice (the
-    cut-set shape), and the evaluator does that for you."""
-    _require_separable(ch, "capacity_t7_polytope")
-    if abs(ch.a) < abs(ch.b):
-        beta = 0.0
-    elif not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    return _slice(_RATE2, _T7_COEFFS, _t7_rhs(ch, np.array([beta]))[0])
-
-
-def capacity_t7_envelope(ch, beta_step=1e-3, directions=None):
-    _require_separable(ch, "capacity_t7_envelope")
-    dirs = default_dirs_2d() if directions is None else np.atleast_2d(directions)
-    betas = np.array([0.0]) if abs(ch.a) < abs(ch.b) else _ticks(beta_step)
-    sup = batch_support(_T7_COEFFS, _t7_rhs(ch, betas), dirs, reduce_max=True)
-    return RegionEnvelope(_RATE2, dirs, sup, meta={"beta_step": beta_step})
+def _t7_rows(t, ch):
+    return _stack_rows(t["resid"] + ch.c12,
+                       t["direct"] + ch.c21,
+                       t["layered"] + t["resid"] + ch.c12 + ch.c21)
 
 
 _T8_COEFFS = np.array([(1, 0, 1), (1, 1, 1)], dtype=float)
 
 
-def _t8_rhs(ch, betas):
-    a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
-    resid = _residual(b2, p, betas)
-    return _stack_rows(resid, psi(betas * a2 * p) + resid + ch.c21)
-
-
-def capacity_t8_polytope(ch, beta):
-    """Exact (R0, R1, R2) region slice for one-sided cooperation toward
-    the stronger receiver (c12 must be zero) at perfectly correlated
-    noises."""
-    _require_separable(ch, "capacity_t8_polytope")
-    _require_ordered(ch, "capacity_t8_polytope")
-    if ch.c12 != 0.0:
-        raise InapplicableBoundError("capacity_t8_polytope needs c12 = 0")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    return _slice(_RATE3, _T8_COEFFS, _t8_rhs(ch, np.array([beta]))[0])
-
-
-def capacity_t8_envelope(ch, beta_step=1e-3, directions=None):
-    _require_separable(ch, "capacity_t8_envelope")
-    _require_ordered(ch, "capacity_t8_envelope")
-    if ch.c12 != 0.0:
-        raise InapplicableBoundError("capacity_t8_envelope needs c12 = 0")
-    dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    sup = batch_support(_T8_COEFFS, _t8_rhs(ch, _ticks(beta_step)), dirs,
-                        reduce_max=True)
-    return RegionEnvelope(_RATE3, dirs, sup, meta={"beta_step": beta_step})
+def _t8_rows(t, ch):
+    return _stack_rows(t["resid"], t["layered"] + t["resid"] + ch.c21)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +195,95 @@ def _require_partial(ch, who):
 _T9_COEFFS = np.array([(1, 0), (1, 1), (1, 1), (1, 1), (1, 1)], dtype=float)
 
 
-def _t9_rhs(ch, betas):
-    a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
-    qp = _q_slope(ch) * p
+def _t9_rows(t, ch):
+    qp = _q_slope(ch) * ch.power
     c21_eff = max(ch.c21 - 0.5, 0.0)
-    resid = _residual(b2, p, betas)
-    return _stack_rows(resid + ch.c12,
-                       psi(a2 * p) + c21_eff,
+    return _stack_rows(t["resid"] + ch.c12,
+                       t["direct"] + c21_eff,
                        psi(qp),
-                       psi(betas * a2 * p) + resid + c21_eff + ch.c12,
-                       psi(betas * qp) + resid + ch.c12)
+                       t["layered"] + t["resid"] + c21_eff + ch.c12,
+                       psi(t["beta"] * qp) + t["resid"] + ch.c12)
+
+
+_T10_COEFFS = np.array([(1, 0, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1)], dtype=float)
+
+
+def _t10_rows(t, ch):
+    qp = _q_slope(ch) * ch.power
+    c21_eff = max(ch.c21 - 0.5, 0.0)
+    return _stack_rows(t["resid"],
+                       psi(qp),
+                       t["layered"] + t["resid"] + c21_eff,
+                       psi(t["beta"] * qp) + t["resid"])
+
+
+# ---------------------------------------------------------------------------
+# decode-and-forward inner bound
+# ---------------------------------------------------------------------------
+
+_DF_COEFFS = np.array([(1, 0, 1), (1, 1, 1), (1, 1, 1)], dtype=float)
+
+
+def _df_rows(t, ch):
+    return _stack_rows(t["resid"] + ch.c12,
+                       t["direct"],
+                       t["layered"] + t["resid"] + ch.c12)
+
+
+_BETA = _Splits("beta")
+
+BOUNDS = {b.name: b for b in (
+    Bound("outer", _RATE3, _OUTER_COEFFS_G,
+          _Splits("alpha", "beta", step_key="param_step"), _outer_rows_g, 0.01,
+          checks=(_require_ordered,)),
+    Bound("t7", _RATE2, _T7_COEFFS, _Splits("beta", weak_at_zero=True),
+          _t7_rows, 1e-3, terms=_beta_terms, checks=(_require_separable,)),
+    Bound("t8", _RATE3, _T8_COEFFS, _BETA, _t8_rows, 1e-3, terms=_beta_terms,
+          checks=(_require_separable, _require_ordered, _require_no_forward_link)),
+    Bound("t9", _RATE2, _T9_COEFFS, _BETA, _t9_rows, 1e-3, terms=_beta_terms,
+          checks=(_require_partial, _require_ordered)),
+    Bound("t10", _RATE3, _T10_COEFFS, _BETA, _t10_rows, 1e-3, terms=_beta_terms,
+          checks=(_require_partial, _require_ordered, _require_no_forward_link)),
+    Bound("df", _RATE3, _DF_COEFFS, _BETA, _df_rows, 1e-2, terms=_beta_terms,
+          checks=(_require_ordered,)),
+)}
+
+
+# ---------------------------------------------------------------------------
+# single-split polytopes and swept envelopes
+# ---------------------------------------------------------------------------
+
+def outer_polytope_g(ch, alpha, beta):
+    """Converse polytope at one (alpha, beta) split pair."""
+    return BOUNDS["outer"].polytope(ch, (alpha, beta))
+
+
+def outer_envelope_g(ch, param_step=None, directions=None):
+    """Support record of the converse over the full (alpha, beta) grid."""
+    return BOUNDS["outer"].envelope(ch, param_step, directions)
+
+
+def capacity_t7_polytope(ch, beta):
+    """Exact (R0, R1) region slice at one superposition split, for the
+    degraded-message-set channel with perfectly correlated noises.  The
+    weaker-first-receiver case collapses to the beta = 0 slice (the
+    cut-set shape), and the evaluator does that for you."""
+    return BOUNDS["t7"].polytope(ch, beta)
+
+
+def capacity_t7_envelope(ch, beta_step=None, directions=None):
+    return BOUNDS["t7"].envelope(ch, beta_step, directions)
+
+
+def capacity_t8_polytope(ch, beta):
+    """Exact (R0, R1, R2) region slice for one-sided cooperation toward
+    the stronger receiver (c12 must be zero) at perfectly correlated
+    noises."""
+    return BOUNDS["t8"].polytope(ch, beta)
+
+
+def capacity_t8_envelope(ch, beta_step=None, directions=None):
+    return BOUNDS["t8"].envelope(ch, beta_step, directions)
 
 
 def approx_t9_polytope(ch, beta):
@@ -247,90 +291,37 @@ def approx_t9_polytope(ch, beta):
     converse when the noises are only partially correlated.  The
     backhaul toward the weaker receiver pays a half-bit quantization
     toll: c21 enters as {c21 - 1/2}^+."""
-    _require_partial(ch, "approx_t9_polytope")
-    _require_ordered(ch, "approx_t9_polytope")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    return _slice(_RATE2, _T9_COEFFS, _t9_rhs(ch, np.array([beta]))[0])
+    return BOUNDS["t9"].polytope(ch, beta)
 
 
-def approx_t9_envelope(ch, beta_step=1e-3, directions=None):
-    _require_partial(ch, "approx_t9_envelope")
-    _require_ordered(ch, "approx_t9_envelope")
-    dirs = default_dirs_2d() if directions is None else np.atleast_2d(directions)
-    sup = batch_support(_T9_COEFFS, _t9_rhs(ch, _ticks(beta_step)), dirs,
-                        reduce_max=True)
-    return RegionEnvelope(_RATE2, dirs, sup, meta={"beta_step": beta_step})
-
-
-_T10_COEFFS = np.array([(1, 0, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1)], dtype=float)
-
-
-def _t10_rhs(ch, betas):
-    a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
-    qp = _q_slope(ch) * p
-    c21_eff = max(ch.c21 - 0.5, 0.0)
-    resid = _residual(b2, p, betas)
-    return _stack_rows(resid,
-                       psi(qp),
-                       psi(betas * a2 * p) + resid + c21_eff,
-                       psi(betas * qp) + resid)
+def approx_t9_envelope(ch, beta_step=None, directions=None):
+    return BOUNDS["t9"].envelope(ch, beta_step, directions)
 
 
 def approx_t10_polytope(ch, beta):
     """Triple-rate analogue of the half-bit result for one-sided
     cooperation (c12 must be zero)."""
-    _require_partial(ch, "approx_t10_polytope")
-    _require_ordered(ch, "approx_t10_polytope")
-    if ch.c12 != 0.0:
-        raise InapplicableBoundError("approx_t10_polytope needs c12 = 0")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    return _slice(_RATE3, _T10_COEFFS, _t10_rhs(ch, np.array([beta]))[0])
+    return BOUNDS["t10"].polytope(ch, beta)
 
 
-def approx_t10_envelope(ch, beta_step=1e-3, directions=None):
-    _require_partial(ch, "approx_t10_envelope")
-    _require_ordered(ch, "approx_t10_envelope")
-    if ch.c12 != 0.0:
-        raise InapplicableBoundError("approx_t10_envelope needs c12 = 0")
-    dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    sup = batch_support(_T10_COEFFS, _t10_rhs(ch, _ticks(beta_step)), dirs,
-                        reduce_max=True)
-    return RegionEnvelope(_RATE3, dirs, sup, meta={"beta_step": beta_step})
-
-
-# ---------------------------------------------------------------------------
-# decode-and-forward inner bound and its distance to the converse
-# ---------------------------------------------------------------------------
-
-_DF_COEFFS = np.array([(1, 0, 1), (1, 1, 1), (1, 1, 1)], dtype=float)
-
-
-def _df_rhs(ch, betas):
-    a2, b2, p = ch.a * ch.a, ch.b * ch.b, ch.power
-    resid = _residual(b2, p, betas)
-    return _stack_rows(resid + ch.c12,
-                       psi(a2 * p),
-                       psi(betas * a2 * p) + resid + ch.c12)
+def approx_t10_envelope(ch, beta_step=None, directions=None):
+    return BOUNDS["t10"].envelope(ch, beta_step, directions)
 
 
 def df_inner_polytope(ch, beta):
     """Plain decode-and-forward superposition region at one split: the
     stronger receiver decodes everything, so no combined-output term
     ever appears.  Valid for every noise correlation."""
-    _require_ordered(ch, "df_inner_polytope")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    return _slice(_RATE3, _DF_COEFFS, _df_rhs(ch, np.array([beta]))[0])
+    return BOUNDS["df"].polytope(ch, beta)
 
 
-def df_envelope(ch, beta_step=1e-2, directions=None):
-    _require_ordered(ch, "df_envelope")
-    dirs = default_dirs_3d() if directions is None else np.atleast_2d(directions)
-    sup = batch_support(_DF_COEFFS, _df_rhs(ch, _ticks(beta_step)), dirs,
-                        reduce_max=True)
-    return RegionEnvelope(_RATE3, dirs, sup, meta={"beta_step": beta_step})
+def df_envelope(ch, beta_step=None, directions=None):
+    return BOUNDS["df"].envelope(ch, beta_step, directions)
+
+
+# ---------------------------------------------------------------------------
+# distance between decode-and-forward and the converse
+# ---------------------------------------------------------------------------
 
 
 def gap_bound_t11(ch_or_lam):

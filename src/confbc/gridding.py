@@ -14,6 +14,7 @@ import numpy as np
 from .errors import GridTooLargeError
 
 EVAL_BUDGET = 10 ** 8
+_SWEEP_CHUNK = 65536    # grid points per block of a bound sweep
 
 
 def simplex_grid_size(cells, step):
@@ -28,9 +29,9 @@ def check_budget(n_points, budget=EVAL_BUDGET):
             "sweep needs %d evaluations, over the %d budget" % (n_points, budget))
 
 
-def _budgeted_chunks(cells, step, chunk):
-    """simplex_grid_chunks after check_budget; a grid over the budget
-    fails naming the finest step 1/n that fits."""
+def _budgeted_chunks(cells, step):
+    """simplex_grid_chunks in _SWEEP_CHUNK blocks after check_budget; a
+    grid over the budget fails naming the finest step 1/n that fits."""
     try:
         check_budget(simplex_grid_size(cells, step))
     except GridTooLargeError as exc:
@@ -44,7 +45,7 @@ def _budgeted_chunks(cells, step, chunk):
         raise GridTooLargeError(
             "%s; the finest step that fits is 1/%d = %r (%d points)"
             % (exc, lo, 1.0 / lo, simplex_grid_size(cells, 1.0 / lo))) from None
-    return simplex_grid_chunks(cells, step, chunk=chunk)
+    return simplex_grid_chunks(cells, step, chunk=_SWEEP_CHUNK)
 
 
 def simplex_grid_chunks(cells, step, chunk=200_000):

@@ -27,32 +27,24 @@ rhs = +inf encodes "this constraint is absent" (used by the Gaussian
 bounds when the combined-output term blows up).  rhs < 0 is legal and
 makes the polytope empty; the support of an empty region is -inf and
 envelopes simply skip such members.
+
+Every bound the CLI evaluates is a Bound record in its module's BOUNDS
+table: a fixed coefficient matrix and a row function of a parameter
+point (an auxiliary pmf or a power split).  sweep walks the parameter
+grid once for any number of them and prices each as its matrix allows.
 """
 
 import csv
 import math
+from collections import namedtuple
 from itertools import chain, combinations
 
 import numpy as np
 
+from .errors import InapplicableBoundError
+
 INF = math.inf
 _FEAS_TOL = 1e-9
-
-
-class RateVector:
-    """A point (r0, r1, r2); degraded-message-set regions use r2 = 0."""
-
-    def __init__(self, r0, r1, r2=0.0):
-        if min(r0, r1, r2) < -1e-12:
-            raise ValueError("rates must be nonnegative")
-        self.r0, self.r1, self.r2 = float(r0), float(r1), float(r2)
-
-    def as_array(self, variables=("R0", "R1", "R2")):
-        lookup = {"R0": self.r0, "R1": self.r1, "R2": self.r2}
-        return np.array([lookup[v] for v in variables])
-
-    def __repr__(self):
-        return "RateVector(%g, %g, %g)" % (self.r0, self.r1, self.r2)
 
 
 class LinearConstraint:
@@ -88,6 +80,12 @@ class ConstraintPolytope:
                 raise ValueError("constraint mentions unknown variables %s" % sorted(unknown))
         self._verts = None
 
+    @classmethod
+    def from_matrix(cls, variables, coeffs, rhs):
+        """The polytope coeffs @ R <= rhs, R >= 0; coeff_matrix's inverse."""
+        return cls(variables, [LinearConstraint(dict(zip(variables, c)), r)
+                               for c, r in zip(coeffs, rhs)])
+
     def coeff_matrix(self):
         """(m, k) float matrix of the finite AND infinite rows, plus rhs."""
         m = len(self.constraints)
@@ -121,8 +119,7 @@ class ConstraintPolytope:
         return float(out[0, 0])
 
     def contains(self, point, tol=_FEAS_TOL):
-        pt = point.as_array(self.variables) if isinstance(point, RateVector) \
-            else np.asarray(point, dtype=float)
+        pt = np.asarray(point, dtype=float)
         if np.any(pt < -tol):
             return False
         a, b = self.coeff_matrix()
@@ -384,7 +381,14 @@ def _bounded_along(a, dirs):
         a, dirs = a @ span, on
     _, mats = _bases(a, a.shape[1])
     y, tol = _multipliers(mats, dirs)
-    return ~off & np.any(np.all(y >= -tol, axis=2), axis=0)
+    bounded = np.any(np.all(y >= -tol, axis=2), axis=0)
+    if not np.all(bounded):
+        # a weight that is zero in exact arithmetic can come out as rounding
+        # noise of the inverse, far above its term-scaled tolerance
+        y, tol = y[:, ~bounded], tol[:, ~bounded]
+        tol = tol + _DUAL_TOL * np.abs(y).max(axis=2, keepdims=True, initial=0.0)
+        bounded[~bounded] = np.any(np.all(y >= -tol, axis=2), axis=0)
+    return ~off & bounded
 
 
 def _row_span(a):
@@ -482,6 +486,122 @@ def project_r2_zero(poly):
         if coeffs:
             rows.append(LinearConstraint(coeffs, con.rhs))
     return ConstraintPolytope(keep_vars, rows)
+
+
+# ---------------------------------------------------------------------------
+# bound tables and the one sweep
+# ---------------------------------------------------------------------------
+
+class Bound(namedtuple("Bound", ("name", "variables", "coeffs", "space", "rows",
+                                 "step", "terms", "checks", "warn", "meta"),
+                       defaults=(lambda ch, block: block, (), None,
+                                 lambda ch: {}))):
+    """One entry of a bound table: at every point p of its parameter
+    space, the region {R >= 0 : coeffs @ R <= rows(terms(ch, p), ch)}.
+
+    space  -- .cards: the auxiliary alphabet sizes a caller may set
+              ("v_card", ...); .step_key: the step's meta key;
+              .blocks(ch, step, cards) -> (point blocks, meta);
+              .point(ch, p) -> one point as a block of one
+    rows   -- rows(terms, ch) -> (N, m) right-hand sides of a block
+    step   -- the default step
+    terms  -- terms(ch, block): a block's information terms, computed
+              once per block for all bounds swept together
+    checks -- check(ch, who) raising InapplicableBoundError when the
+              bound does not cover ch
+    warn   -- warn(ch) for channels the bound may not be tight on
+    meta   -- meta(ch): extra envelope meta
+    """
+
+    def admit(self, ch, warn=True):
+        for check in self.checks:
+            check(ch, "bound %r" % self.name)
+        if warn and self.warn is not None:
+            self.warn(ch)
+
+    def polytope(self, ch, point, warn=True):
+        """The region at one parameter point."""
+        self.admit(ch, warn)
+        rhs = self.rows(self.terms(ch, self.space.point(ch, point)), ch)[0]
+        return ConstraintPolytope.from_matrix(self.variables, self.coeffs, rhs)
+
+    def envelope(self, ch, step=None, directions=None, **cards):
+        """Support record of the union over the whole parameter grid."""
+        return sweep([(self, ch)], step, directions, **cards)[0]
+
+
+def sweep(entries, step=None, directions=None, **cards):
+    """Envelopes of (bound, channel) entries in one walk of one grid.
+
+    The entries share the first one's space, terms stage, step (default:
+    its bound's) and directions (default: the fan of its dimension);
+    each block's terms come from the first channel, once.  cards
+    (u_card=..., v_card=...) size the auxiliaries; one the space lacks
+    raises InapplicableBoundError.
+
+    Two distinct coefficient rows, a cap row <= a total row, make each
+    region {cap.R <= a, total.R <= s} (a, s the row-wise mins), and as
+    R >= 0, a may drop to min(a, s): such a bound keeps the Pareto
+    frontier of its (s, min(a, s)) pairs and prices it once at the end.
+    Any other bound is priced block by block with reduce_max.
+    """
+    bound, ch = entries[0]
+    for b, c in entries:
+        if b.space is not bound.space or b.terms is not bound.terms:
+            raise ValueError("swept bounds must share a space and a terms stage")
+        for key, val in cards.items():
+            if val is not None and key not in b.space.cards:
+                raise InapplicableBoundError(
+                    "bound %r has no auxiliary to size with %s" % (b.name, key))
+        b.admit(c)
+    step = bound.step if step is None else step
+    dirs = np.atleast_2d(directions) if directions is not None else \
+        default_dirs_2d() if len(bound.variables) == 2 else default_dirs_3d()
+    blocks, meta = bound.space.blocks(ch, step, cards)
+    pairs = [_cap_total(b.coeffs) for b, _ in entries]
+    acc = [np.full(dirs.shape[0], -np.inf) if p is None else None for p in pairs]
+    for block in blocks:
+        terms = bound.terms(ch, block)
+        acc = [_fold(b.coeffs, b.rows(terms, c), pair, dirs, a)
+               for (b, c), pair, a in zip(entries, pairs, acc)]
+    return [RegionEnvelope(b.variables, dirs,
+                           a if pair is None else
+                           batch_support(pair, a, dirs, reduce_max=True),
+                           meta={bound.space.step_key: step, **meta, **b.meta(c)})
+            for (b, c), pair, a in zip(entries, pairs, acc)]
+
+
+def _fold(coeffs, rhs, pair, dirs, acc):
+    """One block's rows folded into an entry's running max of supports,
+    or (with a cap/total pair) into its running frontier."""
+    if pair is None:
+        return np.maximum(acc, batch_support(coeffs, rhs, dirs, reduce_max=True))
+    cap = np.all(coeffs == pair[0], axis=1)
+    s = rhs[:, ~cap].min(axis=1)
+    return _pareto_2d(s, np.minimum(rhs[:, cap].min(axis=1), s), acc)
+
+
+def _cap_total(coeffs):
+    """(cap, total) rows when coeffs has exactly two distinct rows and
+    one is <= the other componentwise, else None."""
+    rows = np.array(sorted(set(map(tuple, coeffs))))    # a cap sorts first
+    return rows if rows.shape[0] == 2 and np.all(rows[0] <= rows[1]) else None
+
+
+def _pareto_2d(s, a, acc):
+    """Maximal points of {(s_i, a_i)} merged with an existing frontier,
+    as (a, s) rhs rows sorted by decreasing s (so a comes out strictly
+    increasing).  A support never decreases in any rhs entry (its dual
+    multipliers are nonnegative), in every direction, so only these
+    survivors can ever attain the envelope."""
+    if acc is not None:
+        a = np.concatenate([a, acc[:, 0]])
+        s = np.concatenate([s, acc[:, 1]])
+    order = np.lexsort((-a, -s))          # s desc, ties broken by a desc
+    s, a = s[order], a[order]
+    prev = np.concatenate([[-np.inf], np.maximum.accumulate(a)[:-1]])
+    keep = a > prev
+    return np.column_stack([a[keep], s[keep]])
 
 
 # ---------------------------------------------------------------------------

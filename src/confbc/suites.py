@@ -22,8 +22,8 @@ from .errors import ConfbcError
 from .info_core import (JointPmf, binary_entropy, compose_joint,
                         mutual_information)
 from .regions import (CANONICAL_DIRS_3D, batch_support, default_dirs_2d,
-                      enumerate_vertices, envelope_dominates,
-                      fm_eliminate, support_of_system)
+                      default_dirs_3d, enumerate_vertices,
+                      envelope_dominates, fm_eliminate)
 
 
 class SuiteReport:
@@ -194,37 +194,28 @@ def _suite_alpha_star(seed, trials=100, n_alpha=21):
     worst = -math.inf
     star_in_range = True
 
-    def sup_of(poly):
-        a, b = poly.coeff_matrix()
-        return batch_support(a, b[None, :], dirs)[0]
+    def excess(split_polytope, star):
+        # the star split and the swept ones share a matrix: one pricing
+        polys = [split_polytope(al) for al in (star, *alphas)]
+        a = polys[0].coeff_matrix()[0]
+        sup = batch_support(a, [p.coeff_matrix()[1] for p in polys], dirs)
+        with np.errstate(invalid="ignore"):
+            gain = sup[1:] - sup[0]
+        return float(np.max(np.where(np.isnan(gain), -np.inf, gain)))
 
     for _ in range(trials):
         f1 = dmb.random_factorization(rng, ch)
         t1 = dmb.factorization_terms(ch, f1)
         star1 = dmb.alpha1_star(ch, f1, terms=t1)
         star_in_range &= 0.0 <= star1 <= 1.0
-        best = sup_of(dmb.inner1_alpha_polytope(ch, f1, star1, variant="tilde",
-                                                terms=t1))
-        for al in alphas:
-            sup = sup_of(dmb.inner1_alpha_polytope(ch, f1, al, variant="tilde",
-                                                   terms=t1))
-            with np.errstate(invalid="ignore"):
-                excess = sup - best
-            worst = max(worst, float(np.nanmax(np.where(np.isnan(excess),
-                                                        -np.inf, excess))))
+        worst = max(worst, excess(lambda al: dmb.inner1_alpha_polytope(
+            ch, f1, al, variant="tilde", terms=t1), star1))
         f2 = dmb.random_factorization(rng, ch, q2_on_w=True)
         t2 = dmb.factorization_terms(ch, f2)
         star2 = dmb.alpha2_star(ch, f2, terms=t2)
         star_in_range &= 0.0 <= star2 <= 1.0
-        best = sup_of(dmb.inner2_alpha_polytope(ch, f2, star2, variant="tilde",
-                                                terms=t2))
-        for al in alphas:
-            sup = sup_of(dmb.inner2_alpha_polytope(ch, f2, al, variant="tilde",
-                                                   terms=t2))
-            with np.errstate(invalid="ignore"):
-                excess = sup - best
-            worst = max(worst, float(np.nanmax(np.where(np.isnan(excess),
-                                                        -np.inf, excess))))
+        worst = max(worst, excess(lambda al: dmb.inner2_alpha_polytope(
+            ch, f2, al, variant="tilde", terms=t2), star2))
     return [
         _check("star-split-dominates", worst <= 1e-9, max_excess_bits=worst,
                trials=trials, alphas_per_trial=n_alpha),
@@ -376,7 +367,7 @@ def _suite_gauss_t7(seed, beta_step=1e-3, param_step=1e-2,
 def _suite_gauss_t8(seed, beta_step=1e-2):
     del seed
     ch = GaussianBc(1.0, 0.5, 1.0, 4.0, c12=0.0, c21=0.3)
-    dirs = gb.default_dirs_3d()[:72]      # canonical eight + a fibonacci slice
+    dirs = default_dirs_3d()[:72]      # canonical eight + a fibonacci slice
     env = gb.capacity_t8_envelope(ch, beta_step=beta_step, directions=dirs)
     betas = np.linspace(0.0, 1.0, int(round(1 / beta_step)) + 1)
     # primal vertices, so the oracle shares no code with batch_support

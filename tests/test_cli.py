@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 import confbc
+import confbc.dm_bounds as dmb
+import confbc.gaussian_bounds as gb
 from confbc.channels import GaussianBc, dump_channel, example_channel
-from confbc.cli import main
+from confbc.cli import _build_parser, main
 from confbc.regions import LinearSystem, support_of_system
 
 
@@ -130,6 +132,38 @@ def test_region_budget_names_a_step_that_fits(dm_channel, capsys):
     err = capsys.readouterr().err
     assert "264385836 evaluations" in err
     assert "1/43 = %r (99884400 points)" % (1 / 43) in err
+
+
+def test_bound_choices_and_default_steps_come_from_the_tables(g_channel,
+                                                             tmp_path):
+    names = list(dict.fromkeys([*dmb.BOUNDS, *gb.BOUNDS]))
+    verbs = next(a for a in _build_parser()._actions if a.dest == "verb")
+    for verb in ("region", "sweep"):
+        bound = next(a for a in verbs.choices[verb]._actions
+                     if a.dest == "bound")
+        assert list(bound.choices) == names
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["region", "--channel", g_channel, "--bound", "df", "--dirs", "9"]
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--grid", repr(gb.BOUNDS["df"].step),
+                        "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_cards_a_bound_lacks_are_exit_2(dm_channel, g_channel, capsys):
+    # t4 sweeps P(v,x) and the Gaussian bounds sweep power splits, so an
+    # alphabet size they have no auxiliary for is refused, not ignored
+    for chan, bound, flag in ((dm_channel, "t4", "--u-card"),
+                              (g_channel, "t7", "--v-card")):
+        assert main(["region", "--channel", chan, "--bound", bound,
+                     "--grid", "0.25", flag, "2"]) == 2
+        assert "bound %r" % bound in capsys.readouterr().err
+    assert main(["sweep", "--channel", g_channel, "--vary", "c21",
+                 "--start", "0", "--stop", "1", "--count", "2",
+                 "--metric", "dir-support", "--bound", "df",
+                 "--grid", "0.5", "--u-card", "2"]) == 2
+    assert main(["region", "--channel", dm_channel, "--bound", "t4",
+                 "--grid", "0.25", "--v-card", "2"]) == 0
 
 
 def test_region_unknown_bound_argparse(dm_channel):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confbc.channels import DmBroadcastChannel, example_channel
+from confbc.channels import DmBroadcastChannel, GaussianBc, example_channel
 from confbc.errors import GridTooLargeError, InapplicableBoundError
 from confbc.gridding import simplex_grid
 from confbc.info_core import (JointPmf, binary_entropy, conditional_entropy,
@@ -31,6 +31,7 @@ from confbc.regions import (
     fm_eliminate,
 )
 import confbc.dm_bounds as dmb
+import confbc.gaussian_bounds as gb
 
 MI_BSC = 1.0 - binary_entropy(0.2)          # 0.2780719051126377
 
@@ -88,27 +89,101 @@ def test_t4_needs_semi_deterministic():
         dmb.theorem4_envelope(_noisy())
 
 
-def test_t4_t5_envelopes_match_primal_vertices_in_any_direction():
-    # the sweeps keep only the Pareto frontier of their (sum cap, common
-    # cap) pairs; that is exact in every direction, negative components
-    # included, because a support never decreases in any rhs entry
-    step = 0.25
-    pvxs = simplex_grid(8, step).reshape(-1, 4, 2)
-    cases = [
-        (dmb.theorem4_envelope(_ex1(), grid_step=step,
-                               directions=[(1, -1), (-1, 1), (0.3, -2),
-                                           (-1, -1), (1, 1)]),
-         lambda p: dmb.theorem4_polytope(_ex1(), p)),
-        (dmb.theorem5_envelope(_ex1(c12=0.0), grid_step=step,
-                               directions=[(1, -0.5, 0.3), (-0.2, 1, -1),
-                                           (0.5, -1, 1), (-1, -1, -1),
-                                           (1, 1, 1)]),
-         lambda p: dmb.theorem5_polytope(_ex1(c12=0.0), p, warn_checks=False)),
-    ]
-    for env, polytope in cases:
-        want = np.max([(polytope(p).vertices() @ env.directions.T).max(axis=0)
-                       for p in pvxs], axis=0)
-        assert np.allclose(env.supports, want, rtol=0.0, atol=1e-9)
+def _primal_support(poly, dirs):
+    """Support by vertex enumeration: -inf when a row is negative (the
+    region is empty), +inf along a direction with weight on a rate that
+    no finite row bounds."""
+    a, b = poly.coeff_matrix()
+    if np.any(b < -1e-12):
+        return np.full(dirs.shape[0], -np.inf)
+    sup = (poly.vertices() @ dirs.T).max(axis=0)
+    covered = np.any(a[np.isfinite(b)] > 0, axis=0)
+    sup[np.any(dirs[:, ~covered] > 0, axis=1)] = np.inf
+    return sup
+
+
+def _pvx_grid(shape, step):
+    return simplex_grid(int(np.prod(shape)), step).reshape(-1, *shape)
+
+
+def _substitution_w(ch, pvx):
+    """t4_substitution with receiver 2's identity quantizer read as
+    conditioned on (W, Y2), the form family 2 takes."""
+    f = dmb.t4_substitution(ch, pvx)
+    q2 = np.broadcast_to(f.q2, (pvx.shape[0],) + f.q2.shape)
+    return dmb.AuxFactorization(f.aux, q2=q2, q2_on_w=True)
+
+
+def _ticks(n):
+    return np.linspace(0.0, 1.0, n + 1)
+
+
+_G_SEP = GaussianBc(1.0, 0.5, 1.0, 4.0, c12=0.2, c21=0.7)
+_G_PART = GaussianBc(1.0, 0.5, 0.3, 2.0, c12=0.2, c21=0.9)
+
+# table entry -> (channel, step, cards, every grid point, its polytope
+# from the single-point evaluator or, for the inner bounds, from the
+# independent factorization path)
+_TABLE_CASES = {
+    "dm-outer": (_ex1(), 1 / 3, {"u_card": 2, "v_card": 2},
+                 _pvx_grid((2, 2, 2), 1 / 3),
+                 lambda ch, p: dmb.outer_polytope(ch, dmb.OuterAux(p))),
+    "dm-inner1": (_ex1(c21=0.9), 0.25, {"v_card": 2}, _pvx_grid((2, 2), 0.25),
+                  lambda ch, p: dmb.inner1_polytope(ch, dmb.t4_substitution(ch, p))),
+    "dm-inner2": (_ex1(), 0.25, {"v_card": 2}, _pvx_grid((2, 2), 0.25),
+                  lambda ch, p: dmb.inner2_polytope(ch, _substitution_w(ch, p))),
+    "dm-t4": (_ex1(), 0.25, {}, _pvx_grid((4, 2), 0.25),
+              dmb.theorem4_polytope),
+    "dm-cutset-fig3": (_ex1(), 0.25, {}, _pvx_grid((4, 2), 0.25),
+                       lambda ch, p: dmb.theorem4_polytope(
+                           ch, p, include_joint_row=False)),
+    "dm-t5": (_ex1(c12=0.0), 0.25, {}, _pvx_grid((4, 2), 0.25),
+              lambda ch, p: dmb.theorem5_polytope(ch, p, warn_checks=False)),
+    "g-outer": (GaussianBc(1.0, 0.5, 0.2, 2.0, c12=0.1, c21=0.3), 0.25, {},
+                [(a, b) for a in _ticks(4) for b in _ticks(4)],
+                lambda ch, p: gb.outer_polytope_g(ch, *p)),
+    "g-t7": (_G_SEP, 0.125, {}, _ticks(8), gb.capacity_t7_polytope),
+    "g-t8": (GaussianBc(1.0, 0.5, 1.0, 4.0, c21=0.3), 0.125, {}, _ticks(8),
+             gb.capacity_t8_polytope),
+    "g-t9": (_G_PART, 0.125, {}, _ticks(8), gb.approx_t9_polytope),
+    "g-t10": (GaussianBc(1.0, 0.5, 0.3, 2.0, c21=0.9), 0.125, {}, _ticks(8),
+              gb.approx_t10_polytope),
+    "g-df": (_G_PART, 0.125, {}, _ticks(8), gb.df_inner_polytope),
+}
+# the same entries where the +-inf conventions show: every inner region
+# of a useless receiver 1 is empty, the mirror channel's combined-output
+# rows are absent, and a weaker receiver 1 collapses t7 onto beta = 0
+_EDGE_CASES = {
+    "dm-inner1-empty": ("dm-inner1", _noisy()),
+    "dm-inner2-empty": ("dm-inner2", _noisy()),
+    "g-outer-absent-rows": ("g-outer", example_channel(
+        "g-mirror", power=2.0, c12=0.5, c21=0.5)),
+    "g-t7-weak-receiver-1": ("g-t7", GaussianBc(0.5, 1.0, 1.0, 4.0,
+                                                 c12=0.2, c21=0.7)),
+}
+
+
+@pytest.mark.parametrize("case", ["dm-" + n for n in dmb.BOUNDS]
+                         + ["g-" + n for n in gb.BOUNDS] + list(_EDGE_CASES))
+def test_table_envelopes_match_primal_vertices(case):
+    # every table entry's sweep, frontier-priced or not, equals the max
+    # of its single-point polytopes' vertex supports over the whole grid,
+    # in directions with negative components too, +-inf included
+    entry, ch = _EDGE_CASES.get(case, (case, None))
+    ch0, step, cards, points, polytope = _TABLE_CASES[entry]
+    ch = ch or ch0
+    kind, name = entry.split("-", 1)
+    bound = (dmb.BOUNDS if kind == "dm" else gb.BOUNDS)[name]
+    dirs = np.array([(1, -1), (-1, 1), (0.3, -2), (-1, -1), (1, 1), (1, 0)]
+                    if len(bound.variables) == 2 else
+                    [(1, -0.5, 0.3), (-0.2, 1, -1), (0.5, -1, 1), (-1, -1, -1),
+                     (1, 1, 1), (0, 0, 1)], dtype=float)
+    env = bound.envelope(ch, step, dirs, **cards)
+    want = np.max([_primal_support(polytope(ch, p), dirs) for p in points], axis=0)
+    assert np.array_equal(np.isposinf(env.supports), np.isposinf(want))
+    assert np.array_equal(np.isneginf(env.supports), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.allclose(env.supports[fin], want[fin], rtol=0.0, atol=1e-9)
 
 
 def test_t4_grid_budget_guard():
@@ -373,7 +448,8 @@ def test_outer_rows_match_joint_pmf(seed, cards, nu, nv):
     rng = np.random.default_rng(seed)
     ch = _random_dm(rng, *cards)
     puvx = _sparse_pmf(rng, (nu, nv, cards[0]), size=4)
-    got = dmb._outer_rhs_batch(ch, puvx)
+    outer = dmb.BOUNDS["outer"]
+    got = outer.rows(outer.terms(ch, puvx), ch)
     c12, c21 = ch.c12, ch.c21
     for i, p in enumerate(puvx):
         j = JointPmf(("U", "V", "X", "Y1", "Y2"),

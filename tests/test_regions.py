@@ -364,6 +364,8 @@ def _small_systems(draw):
 @example(system=([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]],
                  [1, 1, 1, 1], (1, 1, 0)))                      # box in x, y; z free
 @example(system=([[1, 1, 1], [-1, -1, -1]], [1, -2], (1, 0, 0)))  # empty slab
+@example(system=([[0, -2, 1], [-1, -1, -1], [1, 2, -1]], [0, 0, 0],
+                 (0.5, 0, 0)))        # d = (row 1 + row 3) / 2: rounding-zero weight
 @settings(max_examples=200, deadline=None)
 def test_support_of_system_matches_linprog(system):
     a, b, d = (np.asarray(v, dtype=float) for v in system)
