@@ -25,11 +25,10 @@ from .gridding import (simplex_grid, simplex_grid_chunks, simplex_grid_size,
 from .channels import (DmBroadcastChannel, GaussianBc, load_channel,
                        dump_channel, example_channel, is_semi_deterministic,
                        more_capable_evidence, kappa)
-from .regions import (LinearConstraint, ConstraintPolytope,
-                      RegionEnvelope, LinearSystem, enumerate_vertices,
-                      batch_support, support_of_system, envelope_of_union,
-                      envelope_dominates, project_r2_zero, fm_eliminate,
-                      fan_2d, octant_fibonacci, default_dirs_2d,
+from .regions import (ConstraintPolytope, RegionEnvelope, LinearSystem,
+                      enumerate_vertices, batch_support, support_of_system,
+                      envelope_of_union, envelope_dominates, project_r2_zero,
+                      fm_eliminate, fan_2d, octant_fibonacci, default_dirs_2d,
                       default_dirs_3d, CANONICAL_DIRS_2D, CANONICAL_DIRS_3D,
                       write_support_csv, write_boundary_csv,
                       envelope_boundary_2d)

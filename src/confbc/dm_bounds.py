@@ -3,9 +3,11 @@ with bidirectional conferencing decoders.
 
 The evaluators here turn one choice of auxiliary distribution into a
 ConstraintPolytope over (R0, R1, R2) (or (R0, R1) for the
-degraded-message-set results); the *_envelope functions sweep a simplex
-grid of auxiliaries and return the pointwise-max support record, i.e.
-the computable face of the union region.
+degraded-message-set results): the bound's fixed coefficient matrix and
+one row of right-hand sides, stored as arrays.  The *_envelope
+functions sweep a simplex grid of auxiliaries and return the
+pointwise-max support record, i.e. the computable face of the union
+region.  appendixB_system is the one general-sign LinearSystem.
 
 BOUNDS is the table of the swept bounds (outer, inner1, inner2, t4,
 cutset-fig3, t5), one regions.Bound each: a coefficient matrix, a grid
@@ -191,7 +193,7 @@ _INNER_COEFFS = np.array([
 def _inner_polytope(row1, row2, sum1, sum2, i0):
     """The inner region with caps row1 (R0+R1), row2 (R0+R2), and the
     two sum-row partners, less the Marton price i0."""
-    return ConstraintPolytope.from_matrix(_RATE_VARS, _INNER_COEFFS, [
+    return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS, [
         row1, row2, sum1 + row2 - i0, row1 + sum2 - i0, row1 + row2 - i0])
 
 

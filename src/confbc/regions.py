@@ -1,32 +1,30 @@
 """Geometry for rate regions in (R0, R1, R2) space.
 
-All regions handled here are intersections of halfspaces
-    sum_i c_i * R_i <= rhs        (c_i >= 0 for ConstraintPolytope rows)
-together with R_i >= 0, so they are downward closed ("comprehensive"):
-shrinking any coordinate keeps you inside.  Supports come from the LP
-dual: a sweep shares one coefficient matrix and varies only the rhs,
-so batch_support enumerates the dual vertices of each direction once
-(from the k-row bases of the tiny matrix) and prices every rhs with
-one matrix product and a min over each direction's vertices.  That
-is exact, not a relaxation: the optimal dual vertex is always a
-candidate and no candidate undercuts the optimum.  Primal vertex
-enumeration stays for the polytope's own vertices, for the emptiness
-and row activity of the general-sign systems that Fourier-Motzkin
-emits, and as the oracle that envelopes are checked against; an LP
-solver only appears in the test suite as a second independent oracle.
+Every region here is one (variables, A, b) form: a tuple of names, an
+(m, k) float matrix and an (m,) float rhs, for the rows A @ x <= b.
+The form has two meanings, kept as two classes that share only the
+arrays' shape check:
 
-Whether such a system is bounded in a direction d is Farkas' lemma: a
-feasible max d.x s.t. a @ x <= b is bounded exactly when d is a
-nonnegative combination of the rows of a, which one vectorised pass
-over the nonsingular r-row bases of a decides (r = rank a; a d off the
-row span is unbounded).  support_of_system answers -inf for an empty
-system first, then +inf for a d outside the row cone, and otherwise
-the max of d over the vertices.
+* ConstraintPolytope is a rate region: nonnegative integer rows plus
+  the implicit R >= 0, so it is downward closed ("comprehensive").
+  batch_support prices it.
+* LinearSystem is a general-sign system without implicit bounds, what
+  Fourier-Motzkin elimination consumes and emits.  support_of_system
+  prices it; handed a rate region it would drop R >= 0.
 
-rhs = +inf encodes "this constraint is absent" (used by the Gaussian
-bounds when the combined-output term blows up).  rhs < 0 is legal and
-makes the polytope empty; the support of an empty region is -inf and
-envelopes simply skip such members.
+Dicts appear only at the edges, LinearSystem.from_rows and the system
+JSON.  rhs = +inf marks an absent row (the Gaussian bounds use it when
+the combined-output term blows up); a negative rhs in a rate region,
+or a -inf one in a general system, makes the region empty.  The
+support of an empty region is -inf and envelopes skip such members.
+
+Supports come from the LP dual: a sweep shares one coefficient matrix
+and varies only the rhs, so batch_support enumerates each direction's
+dual vertices once and prices every rhs with one matrix product.
+Primal vertex enumeration stays for a polytope's own vertices, for the
+general-sign systems (whose boundedness is Farkas' lemma, decided in
+one vectorised pass by _bounded_along), and as the oracle envelopes
+are checked against; an LP solver only appears in the test suite.
 
 Every bound the CLI evaluates is a Bound record in its module's BOUNDS
 table: a fixed coefficient matrix and a row function of a parameter
@@ -41,90 +39,63 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import InapplicableBoundError
+from .errors import ChannelFormatError, InapplicableBoundError
 
 INF = math.inf
 _FEAS_TOL = 1e-9
+# the rhs strings system JSON accepts
+_INF_TOKENS = {"inf": INF, "Infinity": INF, "-inf": -INF, "-Infinity": -INF}
 
 
-class LinearConstraint:
-    """coeffs: variable name -> small nonnegative integer weight.
-    rhs: float, +inf to disable the row; negative values are allowed
-    and simply make the region empty."""
-
-    def __init__(self, coeffs, rhs):
-        clean = {}
-        for name, c in coeffs.items():
-            if int(c) != c or c < 0:
-                raise ValueError("coefficients must be nonnegative integers")
-            if c:
-                clean[name] = int(c)
-        if not clean:
-            raise ValueError("constraint needs at least one nonzero coefficient")
-        self.coeffs = clean
-        self.rhs = float(rhs)
-
-    def __repr__(self):
-        lhs = " + ".join("%d*%s" % (c, n) if c != 1 else n
-                         for n, c in sorted(self.coeffs.items()))
-        return "%s <= %g" % (lhs, self.rhs)
+def _system_arrays(variables, matrix, rhs):
+    """The (variables, A, b) form both region classes store: a name
+    tuple, an (m, k) float matrix and an (m,) float rhs, copied and
+    read-only, as every reader shares them."""
+    variables = tuple(variables)
+    matrix = np.array(matrix, dtype=float, ndmin=2)
+    rhs = np.array(rhs, dtype=float)
+    if rhs.ndim != 1 or matrix.shape != (rhs.shape[0], len(variables)):
+        raise ValueError("system shape mismatch")
+    matrix.flags.writeable = rhs.flags.writeable = False
+    return variables, matrix, rhs
 
 
 class ConstraintPolytope:
-    def __init__(self, variables, constraints):
-        self.variables = tuple(variables)
-        self.constraints = list(constraints)
-        for con in self.constraints:
-            unknown = set(con.coeffs) - set(self.variables)
-            if unknown:
-                raise ValueError("constraint mentions unknown variables %s" % sorted(unknown))
+    """The rate region {R >= 0 : matrix @ R <= rhs}.  Coefficients are
+    nonnegative integers and every row has a nonzero one; rhs = +inf
+    disables a row, a negative rhs makes the region empty."""
+
+    def __init__(self, variables, matrix, rhs):
+        self.variables, self.matrix, self.rhs = _system_arrays(variables, matrix, rhs)
+        if np.any((self.matrix < 0) | (self.matrix % 1 != 0)):
+            raise ValueError("coefficients must be nonnegative integers")
+        if not np.all(np.any(self.matrix, axis=1)):
+            raise ValueError("every row needs at least one nonzero coefficient")
         self._verts = None
 
-    @classmethod
-    def from_matrix(cls, variables, coeffs, rhs):
-        """The polytope coeffs @ R <= rhs, R >= 0; coeff_matrix's inverse."""
-        return cls(variables, [LinearConstraint(dict(zip(variables, c)), r)
-                               for c, r in zip(coeffs, rhs)])
-
     def coeff_matrix(self):
-        """(m, k) float matrix of the finite AND infinite rows, plus rhs."""
-        m = len(self.constraints)
-        k = len(self.variables)
-        a = np.zeros((m, k))
-        b = np.empty(m)
-        col = {v: j for j, v in enumerate(self.variables)}
-        for i, con in enumerate(self.constraints):
-            for name, c in con.coeffs.items():
-                a[i, col[name]] = c
-            b[i] = con.rhs
-        return a, b
+        """(matrix, rhs), absent +inf rows included."""
+        return self.matrix, self.rhs
 
     @property
     def is_empty(self):
         # with nonnegative row coefficients and x >= 0 the only way to
         # have no feasible point is a negative right-hand side
-        _, b = self.coeff_matrix()
-        return bool(np.any(b < -1e-12))
+        return bool(np.any(self.rhs < -1e-12))
 
     def vertices(self):
         if self._verts is None:
-            a, b = self.coeff_matrix()
-            keep = np.isfinite(b)
-            self._verts = enumerate_vertices(a[keep], b[keep], nonneg=True)
+            keep = np.isfinite(self.rhs)
+            self._verts = enumerate_vertices(self.matrix[keep], self.rhs[keep])
         return self._verts
 
     def support(self, direction):
-        a, b = self.coeff_matrix()
-        out = batch_support(a, b[None, :], np.atleast_2d(np.asarray(direction, float)))
-        return float(out[0, 0])
+        return float(batch_support(self.matrix, self.rhs, direction)[0, 0])
 
     def contains(self, point, tol=_FEAS_TOL):
-        pt = np.asarray(point, dtype=float)
-        if np.any(pt < -tol):
-            return False
-        a, b = self.coeff_matrix()
-        lhs = a @ pt
-        return bool(np.all(lhs <= b + tol * (1.0 + np.abs(np.where(np.isfinite(b), b, 0.0)))))
+        pt, b = np.asarray(point, dtype=float), self.rhs
+        slack = tol * (1.0 + np.abs(np.where(np.isfinite(b), b, 0.0)))
+        return bool(np.all(pt >= -tol) and np.all(self.matrix @ pt <= b + slack))
 
 
 class RegionEnvelope:
@@ -153,14 +124,11 @@ class RegionEnvelope:
 class LinearSystem:
     """General-sign inequality system  matrix @ x <= rhs  over named
     variables; what Fourier-Motzkin elimination consumes and emits.
-    Lower bounds are rows with negative coefficients."""
+    Lower bounds are rows with negative coefficients; rhs = +inf marks
+    an absent row and -inf an unsatisfiable one."""
 
     def __init__(self, variables, matrix, rhs):
-        self.variables = tuple(variables)
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        self.rhs = np.asarray(rhs, dtype=float)
-        if self.matrix.shape != (self.rhs.shape[0], len(self.variables)):
-            raise ValueError("system shape mismatch")
+        self.variables, self.matrix, self.rhs = _system_arrays(variables, matrix, rhs)
 
     @classmethod
     def from_rows(cls, variables, rows):
@@ -181,18 +149,30 @@ class LinearSystem:
             coeffs = {v: self.matrix[i, j] for j, v in enumerate(self.variables)
                       if self.matrix[i, j] != 0.0}
             rows.append({"coeffs": coeffs,
-                         "rhs": "inf" if math.isinf(self.rhs[i]) else self.rhs[i]})
+                         "rhs": {INF: "inf", -INF: "-inf"}.get(self.rhs[i], self.rhs[i])})
         return {"variables": list(self.variables), "rows": rows}
 
     @classmethod
     def from_json_dict(cls, doc):
-        variables = tuple(doc["variables"])
-        rows = []
-        for row in doc["rows"]:
-            rhs = row["rhs"]
-            rhs = math.inf if rhs in ("inf", "Infinity") else float(rhs)
-            rows.append((row["coeffs"], rhs))
-        return cls.from_rows(variables, rows)
+        """The system-JSON edge: anything off the documented schema
+        raises ChannelFormatError naming the offending row."""
+        if not (isinstance(doc, dict) and isinstance(doc.get("variables"), list)
+                and isinstance(doc.get("rows"), list)):
+            raise ChannelFormatError("system JSON needs a 'variables' list and a 'rows' list")
+        names, rows = doc["variables"], []
+        for i, row in enumerate(doc["rows"]):
+            fields = row if isinstance(row, dict) else {}
+            coeffs, rhs = fields.get("coeffs"), fields.get("rhs")
+            rhs = _INF_TOKENS.get(rhs, rhs) if isinstance(rhs, str) else rhs
+            if not (isinstance(coeffs, dict) and type(rhs) in (int, float)
+                    and not math.isnan(rhs)
+                    and all(n in names and type(c) in (int, float) and math.isfinite(c)
+                            for n, c in coeffs.items())):
+                raise ChannelFormatError(
+                    "rows[%d] = %r: coeffs must map declared variables %s to finite "
+                    "numbers, rhs must be a number, \"inf\" or \"-inf\"" % (i, row, names))
+            rows.append((coeffs, rhs))
+        return cls.from_rows(names, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +391,8 @@ def support_of_system(system, direction, tol=_FEAS_TOL):
     """
     a, b, d = system.matrix, system.rhs, np.asarray(direction, dtype=float)
     zero_rows = np.all(np.abs(a) <= 1e-12, axis=1)
-    if np.any(b[zero_rows] < -1e-9):
-        return -INF          # carries an inconsistent 0 <= negative row
+    if np.any(b[zero_rows] < -1e-9) or np.any(b == -INF):
+        return -INF          # carries an inconsistent 0 <= negative row or a -inf row
     a, b = a[~zero_rows], b[~zero_rows]
     keep = np.isfinite(b)
     a, b = a[keep], b[keep]
@@ -443,9 +423,8 @@ def envelope_of_union(polytopes, directions, meta=None):
     for p in polys:
         if p.variables != variables:
             raise ValueError("mixed variable sets in union")
-        a, b = p.coeff_matrix()
-        key = (a.shape, a.tobytes())
-        groups.setdefault(key, (a, []))[1].append(b)
+        key = (p.matrix.shape, p.matrix.tobytes())
+        groups.setdefault(key, (p.matrix, []))[1].append(p.rhs)
     sups = np.full(directions.shape[0], -np.inf)
     for a, rhs in groups.values():
         sups = np.maximum(sups, batch_support(a, np.array(rhs), directions,
@@ -476,16 +455,15 @@ def envelope_dominates(cover, inner, slack=0.0):
 def project_r2_zero(poly):
     """Drop R2 from a downward-closed 3-d polytope.  Because the region
     is comprehensive, projecting onto the R2 = 0 plane is the same as
-    slicing, so the rows keep their right-hand sides."""
+    slicing, so the rows keep their right-hand sides; a row on R2 alone
+    drops out."""
     if "R2" not in poly.variables:
         raise ValueError("nothing to project: no R2 variable")
-    keep_vars = tuple(v for v in poly.variables if v != "R2")
-    rows = []
-    for con in poly.constraints:
-        coeffs = {n: c for n, c in con.coeffs.items() if n != "R2"}
-        if coeffs:
-            rows.append(LinearConstraint(coeffs, con.rhs))
-    return ConstraintPolytope(keep_vars, rows)
+    j = poly.variables.index("R2")
+    a = np.delete(poly.matrix, j, axis=1)
+    keep = np.any(a, axis=1)
+    return ConstraintPolytope(poly.variables[:j] + poly.variables[j + 1:],
+                              a[keep], poly.rhs[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +501,7 @@ class Bound(namedtuple("Bound", ("name", "variables", "coeffs", "space", "rows",
         """The region at one parameter point."""
         self.admit(ch, warn)
         rhs = self.rows(self.terms(ch, self.space.point(ch, point)), ch)[0]
-        return ConstraintPolytope.from_matrix(self.variables, self.coeffs, rhs)
+        return ConstraintPolytope(self.variables, self.coeffs, rhs)
 
     def envelope(self, ch, step=None, directions=None, **cards):
         """Support record of the union over the whole parameter grid."""

@@ -155,8 +155,7 @@ def _suite_fm_equivalence(seed, trials=100, n_dirs=50):
         for alpha in (0.0, 0.5, 1.0):
             m1, _, m3, _, i0 = dmb._caps1(t, ch.c12, ch.c21, alpha, "clipped")
             poly = dmb.inner1_alpha_polytope(ch, f, alpha, terms=t)
-            a, b = poly.coeff_matrix()
-            sup_rows = batch_support(a, b[None, :], dirs)[0]
+            sup_rows = batch_support(poly.matrix, poly.rhs[None, :], dirs)[0]
             proj = fm_eliminate(dmb.appendixB_system(ch, f, alpha, terms=t),
                                 eliminate)
             verts = enumerate_vertices(proj.matrix, proj.rhs, nonneg=False)
@@ -197,8 +196,7 @@ def _suite_alpha_star(seed, trials=100, n_alpha=21):
     def excess(split_polytope, star):
         # the star split and the swept ones share a matrix: one pricing
         polys = [split_polytope(al) for al in (star, *alphas)]
-        a = polys[0].coeff_matrix()[0]
-        sup = batch_support(a, [p.coeff_matrix()[1] for p in polys], dirs)
+        sup = batch_support(polys[0].matrix, [p.rhs for p in polys], dirs)
         with np.errstate(invalid="ignore"):
             gain = sup[1:] - sup[0]
         return float(np.max(np.where(np.isnan(gain), -np.inf, gain)))
@@ -241,7 +239,7 @@ def _suite_dm_example1(seed, grid_step=1e-3):
                                     directions=dirs)
     r01_hot = env_hot.support_at((1, 1))
     poly = dmb.theorem4_polytope(ch, np.array([[0.5, 0.5]]))
-    rhs = sorted(c.rhs for c in poly.constraints)
+    rhs = sorted(poly.rhs.tolist())
     mi = 1.0 - binary_entropy(0.2)
     want_rows = sorted([0.3, mi + 0.5, mi + 0.8, 1.0 + 0.3, 1.0])
     return [
@@ -335,8 +333,8 @@ def _suite_gauss_t7(seed, beta_step=1e-3, param_step=1e-2,
     for beta in (0.0, 0.25, 0.5, 1.0):
         t7 = gb.capacity_t7_polytope(ch, beta)
         out = gb.outer_polytope_g(ch, 0.0, beta)
-        orhs = [c.rhs for c in out.constraints]
-        trhs = [c.rhs for c in t7.constraints]
+        orhs = out.rhs.tolist()
+        trhs = t7.rhs.tolist()
         row_dev = max(row_dev,
                       abs(trhs[0] - orhs[2]),     # common cap
                       abs(trhs[1] - orhs[0]),     # direct sum row at full side split

@@ -7,6 +7,7 @@ runs the installed `confbc` script whenever one is on PATH.
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -248,6 +249,32 @@ def test_fm_round_trip(tmp_path, capsys):
     rc2 = main(["fm", "--system", str(sys_path), "--eliminate", "B1"])
     assert rc2 == 0
     json.loads(capsys.readouterr().out)
+
+
+_FM_ROWS = [{"coeffs": {"R": 1, "B1": 1}, "rhs": 2.0},
+            {"coeffs": {"B1": -1}, "rhs": 0.0}]
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"rows": _FM_ROWS}, "'variables'"),
+    ({"variables": ["R", "B1"]}, "'rows'"),
+    ({"variables": ["R", "B1"], "rows": [_FM_ROWS[0], {"coeffs": {"Q": 1}, "rhs": 0.0}]},
+     "rows[1]"),
+    ({"variables": ["R", "B1"], "rows": [_FM_ROWS[0], {"coeffs": {"B1": "x"}, "rhs": 0.0}]},
+     "rows[1]"),
+    ({"variables": ["R", "B1"], "rows": [_FM_ROWS[0], {"coeffs": {"B1": -1}, "rhs": "abc"}]},
+     "rows[1]"),
+    ({"variables": ["R", "B1"], "rows": [_FM_ROWS[0], {"coeffs": {"B1": -1}, "rhs": math.nan}]},
+     "rows[1]"),
+], ids=["no-variables", "no-rows", "undeclared-variable", "text-coefficient",
+        "text-rhs", "nan-rhs"])
+def test_fm_malformed_system_is_exit_3(tmp_path, capsys, doc, where):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps(doc))        # NaN goes out as the NaN literal
+    assert main(["fm", "--system", str(sys_path), "--eliminate", "B1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert where in captured.err
 
 
 def test_region_csv_byte_stable(g_channel, tmp_path):

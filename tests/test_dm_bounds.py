@@ -179,6 +179,12 @@ def test_table_envelopes_match_primal_vertices(case):
                     [(1, -0.5, 0.3), (-0.2, 1, -1), (0.5, -1, 1), (-1, -1, -1),
                      (1, 1, 1), (0, 0, 1)], dtype=float)
     env = bound.envelope(ch, step, dirs, **cards)
+    for p in points:
+        # the single-point polytope stores the record's arrays as they are
+        a, b = bound.polytope(ch, p, warn=False).coeff_matrix()
+        rows = bound.rows(bound.terms(ch, bound.space.point(ch, p)), ch)[0]
+        assert a.dtype == b.dtype == rows.dtype == bound.coeffs.dtype
+        assert a.tobytes() == bound.coeffs.tobytes() and b.tobytes() == rows.tobytes()
     want = np.max([_primal_support(polytope(ch, p), dirs) for p in points], axis=0)
     assert np.array_equal(np.isposinf(env.supports), np.isposinf(want))
     assert np.array_equal(np.isneginf(env.supports), np.isneginf(want))

@@ -5,6 +5,7 @@ cross-checked against scipy's LP solver on random instances.
 """
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from confbc.regions import (
     CANONICAL_DIRS_2D,
     CANONICAL_DIRS_3D,
     ConstraintPolytope,
-    LinearConstraint,
     LinearSystem,
     RegionEnvelope,
     batch_support,
@@ -40,25 +40,35 @@ VARS3 = ("R0", "R1", "R2")
 
 
 def _box(r0=1.0, r1=2.0, r2=3.0, extra=()):
-    rows = [LinearConstraint({"R0": 1}, r0),
-            LinearConstraint({"R1": 1}, r1),
-            LinearConstraint({"R2": 1}, r2)]
-    rows.extend(extra)
-    return ConstraintPolytope(VARS3, rows)
+    """R <= (r0, r1, r2) plus extra (coefficient row, rhs) pairs."""
+    a = np.vstack([np.eye(3)] + [c for c, _ in extra])
+    return ConstraintPolytope(VARS3, a, [r0, r1, r2] + [r for _, r in extra])
 
 
 # ---------------------------------------------------------------------------
 # constraints and polytopes
 # ---------------------------------------------------------------------------
 
-def test_linear_constraint_validation():
-    c = LinearConstraint({"R0": 1, "R1": 0, "R2": 2}, 1.5)
-    assert c.coeffs == {"R0": 1, "R2": 2}        # zero coefficient dropped
-    with pytest.raises(ValueError):
-        LinearConstraint({"R0": -1}, 1.0)        # upper bounds only
-    with pytest.raises(ValueError):
-        LinearConstraint({"R0": 0}, 1.0)         # nothing left
-    LinearConstraint({"R0": 1}, math.inf)        # inf rhs = absent row, fine
+def test_constraint_polytope_validation():
+    p = ConstraintPolytope(VARS3, [[1, 0, 2]], [1.5])
+    assert p.matrix.dtype == float and p.matrix.tolist() == [[1.0, 0.0, 2.0]]
+    a, b = p.coeff_matrix()
+    assert a is p.matrix and b is p.rhs
+    with pytest.raises(ValueError, match="read-only"):
+        p.rhs[0] = 0.0                                       # every reader shares it
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        ConstraintPolytope(VARS3, [[-1, 0, 0]], [1.0])       # upper bounds only
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        ConstraintPolytope(VARS3, [[1, 0.5, 0]], [1.0])      # small integer weights
+    with pytest.raises(ValueError, match="nonzero"):
+        ConstraintPolytope(VARS3, [[1, 0, 0], [0, 0, 0]], [1.0, 1.0])   # nothing left
+    for cls in (ConstraintPolytope, LinearSystem):           # one shared shape check
+        with pytest.raises(ValueError, match="shape"):
+            cls(VARS3, [[1, 0]], [1.0])
+        with pytest.raises(ValueError, match="shape"):
+            cls(VARS3, [[1, 0, 0]], [1.0, 2.0])
+    ConstraintPolytope(VARS3, [[1, 0, 0]], [math.inf])      # inf rhs = absent row, fine
+    LinearSystem(VARS3, [[-1, 0.5, 0]], [1.0])               # general sign is the system's
 
 
 def test_box_supports():
@@ -71,22 +81,19 @@ def test_box_supports():
 
 
 def test_sum_row_cuts_corner():
-    p = _box(extra=[LinearConstraint({"R0": 1, "R1": 1, "R2": 1}, 4.0)])
+    p = _box(extra=[((1, 1, 1), 4.0)])
     assert p.support((1, 1, 1)) == pytest.approx(4.0)
     assert p.support((1, 0, 0)) == pytest.approx(1.0)
 
 
 def test_negative_rhs_means_empty():
-    p = _box(extra=[LinearConstraint({"R0": 1}, -0.5)])
+    p = _box(extra=[((1, 0, 0), -0.5)])
     assert p.is_empty
     assert p.support((1, 1, 1)) == -math.inf
 
 
 def test_inf_rhs_means_unbounded():
-    rows = [LinearConstraint({"R0": 1}, math.inf),
-            LinearConstraint({"R1": 1}, 1.0),
-            LinearConstraint({"R2": 1}, 1.0)]
-    p = ConstraintPolytope(VARS3, rows)
+    p = ConstraintPolytope(VARS3, np.eye(3), [math.inf, 1.0, 1.0])
     assert p.support((1, 0, 0)) == math.inf
     assert p.support((0, 1, 1)) == pytest.approx(2.0)
 
@@ -313,19 +320,28 @@ def test_fm_dedup_keeps_tightest():
 def test_system_json_round_trip():
     sys = LinearSystem.from_rows(
         ("R0", "R1"),
-        [({"R0": 1.0, "R1": 2.0}, 1.5), ({"R1": 1.0}, math.inf)])
+        [({"R0": 1.0, "R1": 2.0}, 1.5), ({"R1": 1.0}, math.inf),
+         ({"R0": 1.0}, -math.inf)])
     doc = sys.to_json_dict()
     assert doc["rows"][1]["rhs"] == "inf"
-    back = LinearSystem.from_json_dict(doc)
+    assert doc["rows"][2]["rhs"] == "-inf"      # empty stays empty, not absent
+    back = LinearSystem.from_json_dict(json.loads(json.dumps(doc)))
     assert back.variables == sys.variables
     assert np.allclose(back.matrix, sys.matrix)
     assert back.rhs[1] == math.inf and back.rhs[0] == 1.5
+    assert back.rhs[2] == -math.inf
+    assert support_of_system(back, (1.0, 1.0)) == -math.inf
 
 
 def test_support_of_system_unbounded():
     # R - B <= 0 with B free: max R unbounded
     sys = LinearSystem.from_rows(("R", "B"), [({"R": 1, "B": -1}, 0.0)])
     assert support_of_system(sys, (1.0, 0.0)) == math.inf
+    # a -inf row is unsatisfiable: the system is empty, and empty beats
+    # unbounded, as for an inconsistent 0 <= negative row
+    assert support_of_system(LinearSystem(("R",), [[1.0]], [-math.inf]), (1.0,)) == -math.inf
+    with_empty_row = LinearSystem(("R", "B"), [[1.0, -1.0], [0.0, 1.0]], [0.0, -math.inf])
+    assert support_of_system(with_empty_row, (1.0, 0.0)) == -math.inf
 
 
 def _lp_system_support(a, b, d):
@@ -425,10 +441,12 @@ def test_support_at_exact_lookup():
 
 
 def test_project_r2_zero():
-    p = _box(1.0, 2.0, 3.0,
-             extra=[LinearConstraint({"R0": 1, "R2": 1}, 1.5)])
+    p = _box(1.0, 2.0, 3.0, extra=[((1, 0, 1), 1.5)])
     q = project_r2_zero(p)
     assert q.variables == ("R0", "R1")
+    # the R2 column goes, and with it the row on R2 alone
+    assert q.matrix.tolist() == [[1, 0], [0, 1], [1, 0]]
+    assert q.rhs.tolist() == [1.0, 2.0, 1.5]
     assert q.support((1, 0)) == pytest.approx(1.0)   # R0+R2 row becomes R0 <= 1.5
     assert q.support((0, 1)) == pytest.approx(2.0)
     with pytest.raises(ValueError):
