@@ -78,13 +78,6 @@ class JointPmf:
         self.table = table
         self._axis = {n: i for i, n in enumerate(names)}
 
-    @property
-    def alphabet_sizes(self):
-        return self.table.shape
-
-    def axes_of(self, names):
-        return tuple(self._axis[n] for n in names)
-
     def marginal(self, names):
         """Marginal JointPmf over the given subset, in the subset's order."""
         keep = tuple(names)

@@ -33,6 +33,7 @@ grid once for any number of them and prices each as its matrix allows.
 """
 
 import csv
+import functools
 import math
 from collections import namedtuple
 from itertools import chain, combinations
@@ -200,10 +201,15 @@ def enumerate_vertices(a, b, nonneg=True, tol=_FEAS_TOL):
     if nonneg:
         a = np.vstack([a, -np.eye(k)])
         b = np.concatenate([b, np.zeros(k)])
+    return _feasible_vertices(a, b, *_bases(a, k), tol)
+
+
+def _feasible_vertices(a, b, idx, mats, tol=_FEAS_TOL):
+    """The distinct feasible basic solutions of a @ x <= b at the given
+    bases of a (as _bases returns them), in basis order."""
     b_solve = np.where(np.isfinite(b), b, _BIG)
-    idx, mats = _bases(a, k)
     if idx.shape[0] == 0:
-        return np.empty((0, k))
+        return np.empty((0, a.shape[1]))
     verts = np.linalg.solve(mats, b_solve[idx][..., None])[..., 0]
     margin = tol * (1.0 + np.abs(b_solve))
     feas = np.all(verts @ a.T <= b_solve[None, :] + margin[None, :], axis=1)
@@ -360,6 +366,12 @@ def _bounded_along(a, dirs):
         off = np.linalg.norm(dirs - on @ span.T, axis=1) > _FEAS_TOL
         a, dirs = a @ span, on
     _, mats = _bases(a, a.shape[1])
+    return ~off & _in_cone(mats, dirs)
+
+
+def _in_cone(mats, dirs):
+    """For each direction d, is d a nonnegative combination of the rows
+    of one of the (T, k, k) bases?"""
     y, tol = _multipliers(mats, dirs)
     bounded = np.any(np.all(y >= -tol, axis=2), axis=0)
     if not np.all(bounded):
@@ -368,7 +380,7 @@ def _bounded_along(a, dirs):
         y, tol = y[:, ~bounded], tol[:, ~bounded]
         tol = tol + _DUAL_TOL * np.abs(y).max(axis=2, keepdims=True, initial=0.0)
         bounded[~bounded] = np.any(np.all(y >= -tol, axis=2), axis=0)
-    return ~off & bounded
+    return bounded
 
 
 def _row_span(a):
@@ -593,81 +605,103 @@ def fm_eliminate(system, names, prune=True):
     tautology removal, proportional-row dedup (keep the tightest rhs),
     and -- once the dimension is small -- a vertex-activity sweep that
     is exact for bounded systems.
+
+    Infinite right-hand sides never enter the pairing: before each
+    step a -inf row makes the system empty, and a +inf (absent) row is
+    dropped, as the system without it is the same one.
+
+    An empty projection returns as soon as it shows: when a step meets
+    a -inf row, or its dedup leaves a 0 <= negative witness, no later
+    step can make the system satisfiable, so the result is that one
+    witness row over the variables every name leaves.  Every name is
+    checked first, so an unknown one raises even then.
+
+    The vertex sweep's basis pass -- is any row zero, is the system
+    bounded along every axis both ways (Farkas' lemma), which k-row
+    bases are nonsingular -- depends on the matrix alone, not on the
+    rhs, the same argument as batch_support's rhs-free dual vertices.
+    It is memoised per matrix, so systems that differ only in their rhs
+    (every appendix-B draw) share it.
     """
-    mat = system.matrix.copy()
-    rhs = system.rhs.copy()
-    variables = list(system.variables)
+    variables, left = list(system.variables), list(system.variables)
     for name in names:
-        if name not in variables:
+        if name not in left:
             raise ValueError("cannot eliminate unknown variable %r" % name)
+        left.remove(name)
+    mat, rhs = system.matrix, system.rhs
+    for name in names:
+        if np.any(rhs == -INF):
+            return _witness(left, -INF)
+        live = rhs != INF
+        mat, rhs = mat[live], rhs[live]
         j = variables.index(name)
         col = mat[:, j]
         pos = np.nonzero(col > 1e-12)[0]
         neg = np.nonzero(col < -1e-12)[0]
         zero = np.nonzero(np.abs(col) <= 1e-12)[0]
-        new_rows = [mat[zero]]
-        new_rhs = [rhs[zero]]
-        for p in pos:
-            # scale so the eliminated column cancels exactly
-            combo = mat[neg] * col[p] + mat[p][None, :] * (-col[neg])[:, None]
-            combo[:, j] = 0.0
-            new_rows.append(combo)
-            new_rhs.append(rhs[neg] * col[p] + rhs[p] * (-col[neg]))
-        mat = np.concatenate(new_rows, axis=0) if new_rows else np.empty((0, mat.shape[1]))
-        rhs = np.concatenate(new_rhs) if new_rhs else np.empty(0)
-        mat = np.delete(mat, j, axis=1)
+        # every (pos, neg) pair, pos-major, scaled so column j cancels exactly
+        combo = (mat[None, neg] * col[pos, None, None]
+                 + mat[pos, None] * -col[None, neg, None]).reshape(-1, mat.shape[1])
+        combo[:, j] = 0.0
+        mat = np.delete(np.concatenate([mat[zero], combo]), j, axis=1)
+        rhs = np.concatenate([rhs[zero], (rhs[None, neg] * col[pos, None]
+                                          + rhs[pos, None] * -col[None, neg]).ravel()])
         variables.pop(j)
         mat, rhs = _dedup_rows(mat, rhs)
+        if rhs.size and not np.any(mat[-1]):
+            return _witness(left, rhs[-1])
     out = LinearSystem(tuple(variables), mat, rhs)
     if prune and len(variables) <= 3:
         out = _vertex_prune(out)
     return out
 
 
+def _witness(variables, value):
+    """The empty system over variables: the one row 0 <= value, with
+    value negative."""
+    return LinearSystem(variables, np.zeros((1, len(variables))), [value])
+
+
 def _dedup_rows(mat, rhs):
     """Drop tautologies, collapse proportional rows to the tightest one,
-    and keep at most one witness of infeasibility."""
-    keep_mat, keep_rhs = [], []
-    seen = {}
-    worst_zero = None
-    for i in range(mat.shape[0]):
-        row = mat[i]
-        scale = np.max(np.abs(row))
-        if scale <= 1e-12:
-            if rhs[i] < -1e-12:
-                worst_zero = min(worst_zero, rhs[i]) if worst_zero is not None else rhs[i]
-            continue                     # 0 <= nonneg rhs: tautology
-        key = tuple(np.round(row / scale, 9))
-        val = rhs[i] / scale
-        if key in seen:
-            slot = seen[key]
-            keep_rhs[slot] = min(keep_rhs[slot], val)
-        else:
-            seen[key] = len(keep_mat)
-            keep_mat.append(row / scale)
-            keep_rhs.append(val)
-    if worst_zero is not None:
-        keep_mat.append(np.zeros(mat.shape[1]))
-        keep_rhs.append(worst_zero)
-    if not keep_mat:
-        return np.empty((0, mat.shape[1])), np.empty(0)
-    return np.array(keep_mat), np.array(keep_rhs)
+    and keep at most one witness of infeasibility.
+
+    Rows are scaled to a max-norm of 1 and grouped on their 9-digit
+    rounding; each group keeps its first row, in first-occurrence
+    order, with the group's least rhs.  The witness, the least rhs of
+    the zero rows when that is negative, comes last as 0 <= rhs."""
+    scale = np.abs(mat).max(axis=1, initial=0.0)
+    zero = scale <= 1e-12
+    bad = rhs[zero][rhs[zero] < -1e-12]
+    live = np.nonzero(~zero)[0]
+    rows = mat[live] / scale[live, None]
+    vals = rhs[live] / scale[live]
+    if live.size:
+        key = np.round(rows, 9)
+        # sorted by key, then rhs; the stable sort leaves equal rhs in row order
+        order = np.lexsort(np.vstack([vals, key.T[::-1]]))
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(
+            [[True], np.any(key[1:] != key[:-1], axis=1)]))
+        first = np.minimum.reduceat(order, starts)
+        by_row = np.argsort(first)
+        rows, vals = rows[first[by_row]], vals[order[starts]][by_row]
+    if bad.size:
+        rows = np.vstack([rows, np.zeros(mat.shape[1])])
+        vals = np.append(vals, bad.min())
+    return rows, vals
 
 
 def _vertex_prune(system):
     """Remove rows never active at a vertex.  Exact when the feasible
     set is bounded and nonempty; returned unchanged otherwise."""
     a, b = system.matrix, system.rhs
-    zero = np.all(np.abs(a) <= 1e-12, axis=1)
-    if np.any(zero):
+    if not np.all(np.isfinite(b)):
         return system
-    finite = np.isfinite(b)
-    if not np.all(finite):
+    idx = _prune_bases(a.shape, a.tobytes())
+    if idx is None:
         return system
-    axes = np.eye(a.shape[1])
-    if not np.all(_bounded_along(a, np.vstack([axes, -axes]))):
-        return system
-    verts = enumerate_vertices(a, b, nonneg=False)
+    verts = _feasible_vertices(a, b, idx, a[idx])
     if verts.shape[0] == 0:
         return system
     act = np.abs(verts @ a.T - b[None, :]) <= 1e-7 * (1.0 + np.abs(b[None, :]))
@@ -675,6 +709,26 @@ def _vertex_prune(system):
     if not np.any(active):
         return system
     return LinearSystem(system.variables, a[active], b[active])
+
+
+@functools.lru_cache(maxsize=4)
+def _prune_bases(shape, data):
+    """The rhs-free half of _vertex_prune, for the float matrix a with
+    this shape and these bytes: None when a has a zero row or is
+    unbounded along some axis, else the (T, k) row indices of a's
+    nonsingular bases, as _bases picks them.  A matrix bounded along
+    every axis has full rank, so those are the bases _bounded_along
+    tries; a function of its own, so the pass's temporaries go when it
+    returns."""
+    a = np.frombuffer(data).reshape(shape)
+    if np.any(np.all(np.abs(a) <= 1e-12, axis=1)) or _row_span(a) is not None:
+        return None
+    idx, mats = _bases(a, shape[1])
+    axes = np.eye(shape[1])
+    if not np.all(_in_cone(mats, np.vstack([axes, -axes]))):
+        return None
+    idx.flags.writeable = False         # shared by every call on this matrix
+    return idx
 
 
 # ---------------------------------------------------------------------------

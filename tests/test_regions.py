@@ -317,6 +317,139 @@ def test_fm_dedup_keeps_tightest():
     assert out.matrix.shape[0] == 1
 
 
+def _empty_at_step_one():
+    """B1 <= -1 against B1 >= 0: empty, and the first step shows it."""
+    return LinearSystem.from_rows(
+        ("R", "S", "B1", "B2"),
+        [({"B1": 1}, -1.0), ({"B1": -1}, 0.0), ({"R": 1}, 1.0), ({"S": 1}, 2.0),
+         ({"R": 1, "B2": 1}, 3.0), ({"B2": -1}, 0.0)])
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_fm_empty_projection_is_one_witness_row(prune):
+    out = fm_eliminate(_empty_at_step_one(), ("B1", "B2"), prune=prune)
+    assert out.variables == ("R", "S")
+    assert out.matrix.tolist() == [[0.0, 0.0]] and out.rhs[0] < 0.0
+    assert support_of_system(out, (1.0, 0.0)) == -math.inf
+
+
+def test_fm_unknown_name_raises_before_the_witness():
+    with pytest.raises(ValueError, match="'Q'"):
+        fm_eliminate(_empty_at_step_one(), ("B1", "Q"))
+
+
+def test_fm_inf_rows_never_pair():
+    # pairing the absent R + B <= inf with the unsatisfiable -B <= -inf
+    # once gave inf - inf = NaN, and the NaN row then let R <= 1 survive
+    sys = LinearSystem.from_rows(
+        ("R", "B"), [({"R": 1, "B": 1}, math.inf), ({"B": -1}, -math.inf), ({"R": 1}, 1.0)])
+    out = fm_eliminate(sys, ("B",))
+    assert support_of_system(out, (1.0,)) == -math.inf
+    assert support_of_system(sys, (1.0, 0.0)) == -math.inf
+    # an absent row alone is dropped: B stays free below, so R is bounded by 1
+    absent = LinearSystem.from_rows(
+        ("R", "B"), [({"R": 1, "B": 1}, math.inf), ({"B": -1}, 0.0), ({"R": 1}, 1.0)])
+    assert support_of_system(fm_eliminate(absent, ("B",)), (1.0,)) == 1.0
+
+
+def test_vertex_prune_memo_keys_on_the_matrix_alone():
+    # the unit cube plus x + y + z <= s: the cut is active at s = 2 and
+    # pruned at s = 5, from one shared basis pass
+    a = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
+    cut, loose = (LinearSystem(VARS3, a, [1, 1, 1, 0, 0, 0, s]) for s in (2.0, 5.0))
+    regions._prune_bases.cache_clear()
+    warm = [regions._vertex_prune(s) for s in (cut, loose)]
+    assert regions._prune_bases.cache_info().hits == 1
+    for s, got in zip((cut, loose), warm):
+        regions._prune_bases.cache_clear()
+        cold = regions._vertex_prune(s)
+        assert got.matrix.tobytes() == cold.matrix.tobytes()
+        assert got.rhs.tobytes() == cold.rhs.tobytes()
+    assert [w.matrix.shape[0] for w in warm] == [7, 6]
+
+
+def _dedup_rows_loop(mat, rhs):
+    """The row-at-a-time dedup the vectorised _dedup_rows replaced,
+    kept as its oracle."""
+    keep_mat, keep_rhs = [], []
+    seen = {}
+    worst_zero = None
+    for i in range(mat.shape[0]):
+        row = mat[i]
+        scale = np.max(np.abs(row))
+        if scale <= 1e-12:
+            if rhs[i] < -1e-12:
+                worst_zero = min(worst_zero, rhs[i]) if worst_zero is not None else rhs[i]
+            continue
+        key = tuple(np.round(row / scale, 9))
+        val = rhs[i] / scale
+        if key in seen:
+            slot = seen[key]
+            keep_rhs[slot] = min(keep_rhs[slot], val)
+        else:
+            seen[key] = len(keep_mat)
+            keep_mat.append(row / scale)
+            keep_rhs.append(val)
+    if worst_zero is not None:
+        keep_mat.append(np.zeros(mat.shape[1]))
+        keep_rhs.append(worst_zero)
+    if not keep_mat:
+        return np.empty((0, mat.shape[1])), np.empty(0)
+    return np.array(keep_mat), np.array(keep_rhs)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dedup_rows_matches_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    base = rng.integers(-3, 4, size=(int(rng.integers(1, 6)), k)) * rng.choice([1.0, 0.1])
+    pick = rng.integers(0, base.shape[0], size=int(rng.integers(0, 25)))
+    # proportional copies, zero rows, rhs ties (-0.0 against 0.0 among them)
+    mat = base[pick] * rng.choice([0.5, 1.0, 2.0, 3.0], size=(pick.size, 1))
+    mat[rng.random(pick.size) < 0.15] = 0.0
+    rhs = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0], size=pick.size)
+    rhs = rhs * np.abs(mat).max(axis=1, initial=1.0) if seed % 2 else rhs
+    got, want = regions._dedup_rows(mat, rhs), _dedup_rows_loop(mat, rhs)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@st.composite
+def _fm_systems(draw):
+    """Integer systems in 2-4 variables, some rhs absent (+inf) or
+    unsatisfiable (-inf), the names to eliminate and a direction on the
+    rest."""
+    k = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 7))
+    a = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.one_of(st.integers(-2, 3).map(float),
+                                st.sampled_from([math.inf, -math.inf])),
+                      min_size=m, max_size=m))
+    gone = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k - 1, unique=True))
+    d = draw(st.lists(st.integers(-2, 2).map(float), min_size=k - len(gone),
+                      max_size=k - len(gone)))
+    return a, b, gone, d
+
+
+@given(case=_fm_systems(), prune=st.booleans())
+@example(case=([[1, 1], [0, -1], [1, 0]], [math.inf, -math.inf, 1.0], [1], [1.0]),
+         prune=True)                                        # the inf - inf pairing
+@settings(max_examples=200, deadline=None)
+def test_fm_projection_keeps_supports(case, prune):
+    a, b, gone, d = case
+    names = ("x0", "x1", "x2", "x3")[:len(a[0])]
+    sys = LinearSystem(names, a, b)
+    out = fm_eliminate(sys, [names[j] for j in gone], prune=prune)
+    padded = np.zeros(len(names))
+    padded[[j for j in range(len(names)) if j not in gone]] = d
+    got, want = support_of_system(out, d), support_of_system(sys, padded)
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, abs=1e-9)
+
+
 def test_system_json_round_trip():
     sys = LinearSystem.from_rows(
         ("R0", "R1"),
