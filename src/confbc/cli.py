@@ -15,7 +15,6 @@ Exit codes: 0 ok / 1 failure (including failed verify) /
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (ChannelFormatError, ConfbcError, GridTooLargeError,
                      InapplicableBoundError)
 from .regions import (RegionEnvelope, default_dirs_2d, default_dirs_3d,
                       envelope_boundary_2d, write_support_csv)
-from .suites import run_suite, suite_names
+from .suites import _finite_json, run_suite, suite_names
 
 _TABLES = {"dm": dmb.BOUNDS, "gaussian": gb.BOUNDS}
 _BOUND_NAMES = tuple(dict.fromkeys([*dmb.BOUNDS, *gb.BOUNDS]))
@@ -61,12 +60,6 @@ def _envelope(ch, bound, dirs, args):
                           u_card=args.u_card, v_card=args.v_card)
 
 
-def _jsonable(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
 def _cmd_region(args):
     ch = load_channel(args.channel)
     if args.r2 is not None and args.r2 != 0.0:
@@ -90,9 +83,8 @@ def _cmd_region(args):
         doc = {"bound": args.bound, "channel": ch.to_json_dict(),
                "variables": list(env.variables),
                "directions": env.directions.tolist(),
-               "supports": [_jsonable(float(s)) for s in env.supports],
-               "meta": {k: _jsonable(v) for k, v in env.meta.items()}}
-        print(json.dumps(doc))
+               "supports": env.supports.tolist(), "meta": env.meta}
+        print(json.dumps(_finite_json(doc)))
     elif not args.out and not args.svg:
         seen = set()
         for d, s in zip(env.directions, env.supports):
@@ -200,21 +192,13 @@ def _read_support_csv(path):
     head, body = rows[0], rows[1:]
     if head[:2] == ["R0", "R1"]:                     # boundary file
         return np.array([[float(a), float(b)] for a, b in body])
-    vals = np.array([[_parse_float(x) for x in r] for r in body])
+    vals = np.array([[float(x) for x in r] for r in body])
     dirs, sup = vals[:, :3], vals[:, 3]
     if np.any(dirs[:, 2] != 0.0):
         raise InapplicableBoundError(
             "plot wants a 2-d region (dir2 must be 0); slice with --r2 0")
     env = RegionEnvelope(("R0", "R1"), dirs[:, :2], sup)
     return envelope_boundary_2d(env)
-
-
-def _parse_float(tok):
-    if tok == "inf":
-        return math.inf
-    if tok == "-inf":
-        return -math.inf
-    return float(tok)
 
 
 def _cmd_plot(args):

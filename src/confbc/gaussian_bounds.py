@@ -24,6 +24,7 @@ import numpy as np
 
 from .channels import kappa
 from .errors import InapplicableBoundError
+from .gridding import _units
 from .regions import Bound
 
 _RATE3 = ("R0", "R1", "R2")
@@ -96,10 +97,7 @@ class _Splits:
 
 
 def _ticks(step):
-    n = int(round(1.0 / step))
-    if n < 1 or abs(n * step - 1.0) > 1e-9 * n:
-        raise ValueError("step must be 1/n for a positive integer n")
-    return np.linspace(0.0, 1.0, n + 1)
+    return np.linspace(0.0, 1.0, _units(step) + 1)
 
 
 # ---------------------------------------------------------------------------

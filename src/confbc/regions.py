@@ -22,9 +22,11 @@ Supports come from the LP dual: a sweep shares one coefficient matrix
 and varies only the rhs, so batch_support enumerates each direction's
 dual vertices once and prices every rhs with one matrix product.
 Primal vertex enumeration stays for a polytope's own vertices, for the
-general-sign systems (whose boundedness is Farkas' lemma, decided in
-one vectorised pass by _bounded_along), and as the oracle envelopes
-are checked against; an LP solver only appears in the test suite.
+general-sign systems, and as the oracle envelopes are checked against;
+an LP solver only appears in the test suite.  A general-sign system's
+vertices and its Farkas boundedness test come from one basis pass of
+its matrix (_basis_pass), memoised, so every rhs and every block of
+directions on that matrix share it.
 
 Every bound the CLI evaluates is a Bound record in its module's BOUNDS
 table: a fixed coefficient matrix and a row function of a parameter
@@ -77,12 +79,6 @@ class ConstraintPolytope:
     def coeff_matrix(self):
         """(matrix, rhs), absent +inf rows included."""
         return self.matrix, self.rhs
-
-    @property
-    def is_empty(self):
-        # with nonnegative row coefficients and x >= 0 the only way to
-        # have no feasible point is a negative right-hand side
-        return bool(np.any(self.rhs < -1e-12))
 
     def vertices(self):
         if self._verts is None:
@@ -190,17 +186,16 @@ _DUAL_TOL = 1e-12
 _PRICE_CELLS = 1 << 18
 
 
-def enumerate_vertices(a, b, nonneg=True, tol=_FEAS_TOL):
-    """Feasible basic solutions of a @ x <= b (plus x >= 0 when nonneg).
+def enumerate_vertices(a, b, tol=_FEAS_TOL):
+    """Feasible basic solutions of the rate region a @ x <= b, x >= 0.
 
     Exact-ish for the 1-3 dimensional systems used here; returns an
     (n, k) array of distinct vertices (possibly empty).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     k = a.shape[1]
-    if nonneg:
-        a = np.vstack([a, -np.eye(k)])
-        b = np.concatenate([b, np.zeros(k)])
+    a = np.vstack([a, -np.eye(k)])
+    b = np.concatenate([b, np.zeros(k)])
     return _feasible_vertices(a, b, *_bases(a, k), tol)
 
 
@@ -347,28 +342,6 @@ def _multipliers(mats, dirs):
     return dirs @ inv, _DUAL_TOL * (np.abs(dirs) @ np.abs(inv))
 
 
-def _bounded_along(a, dirs):
-    """For each direction d, is max d.x over a @ x <= b bounded whenever
-    it is feasible?
-
-    Farkas: exactly when d is a nonnegative combination of the rows of
-    a.  With r = rank a, a d off the row span is unbounded, and by
-    Caratheodory a d in the cone is a nonnegative combination of
-    independent rows, which extend to an r-row basis with zero weights;
-    so it suffices to try every nonsingular r-row basis (in coordinates
-    of the row span when r < k).
-    """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    off = np.zeros(dirs.shape[0], dtype=bool)
-    span = _row_span(a)
-    if span is not None:
-        on = dirs @ span
-        off = np.linalg.norm(dirs - on @ span.T, axis=1) > _FEAS_TOL
-        a, dirs = a @ span, on
-    _, mats = _bases(a, a.shape[1])
-    return ~off & _in_cone(mats, dirs)
-
-
 def _in_cone(mats, dirs):
     """For each direction d, is d a nonnegative combination of the rows
     of one of the (T, k, k) bases?"""
@@ -392,30 +365,40 @@ def _row_span(a):
     return vt[:rank].T if rank < a.shape[1] else None
 
 
-def support_of_system(system, direction, tol=_FEAS_TOL):
-    """Support of a general-sign LinearSystem (no implicit nonnegativity;
-    put explicit -x <= 0 rows in if you want them).
+def support_of_system(system, directions, tol=_FEAS_TOL):
+    """Supports of a general-sign LinearSystem (no implicit nonnegativity;
+    put explicit -x <= 0 rows in if you want them) in each of a (D, k)
+    block of directions, as a (D,) array.
 
     -inf when the system is empty, which beats +inf when d leaves the
-    cone of the rows (Farkas), else the max of d over the vertices.  A
-    system whose rows do not span the space has no vertex, so it is
-    priced in coordinates of the row span, where it is pointed.
+    cone of the rows, else the max of d over the vertices.  The cone
+    test is Farkas' lemma: max d.x over a feasible a @ x <= b is bounded
+    exactly when d is a nonnegative combination of the rows of a.  With
+    r = rank a, a d off the row span is unbounded, and by Caratheodory a
+    d in the cone is a nonnegative combination of independent rows,
+    which extend to an r-row basis with zero weights; so it suffices to
+    try every nonsingular r-row basis.  A system whose rows do not span
+    the space has no vertex, so both the vertices and the cone test are
+    taken in coordinates of the row span, where it is pointed.
     """
-    a, b, d = system.matrix, system.rhs, np.asarray(direction, dtype=float)
+    a, b = system.matrix, system.rhs
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     zero_rows = np.all(np.abs(a) <= 1e-12, axis=1)
     if np.any(b[zero_rows] < -1e-9) or np.any(b == -INF):
-        return -INF          # carries an inconsistent 0 <= negative row or a -inf row
-    a, b = a[~zero_rows], b[~zero_rows]
-    keep = np.isfinite(b)
+        # carries an inconsistent 0 <= negative row or a -inf row
+        return np.full(dirs.shape[0], -INF)
+    keep = ~zero_rows & np.isfinite(b)
     a, b = a[keep], b[keep]
-    span = _row_span(a)
-    verts = enumerate_vertices(a if span is None else a @ span, b,
-                               nonneg=False, tol=tol)
+    span, rows, idx, _ = _basis_pass(a.shape, a.tobytes())
+    mats = rows[idx]
+    verts = _feasible_vertices(rows, b, idx, mats, tol)
     if verts.shape[0] == 0:
-        return -INF
-    if not _bounded_along(a, d)[0]:
-        return INF
-    return float((verts @ (d if span is None else d @ span)).max())
+        return np.full(dirs.shape[0], -INF)
+    on = dirs if span is None else dirs @ span
+    bounded = _in_cone(mats, on)
+    if span is not None:
+        bounded &= np.linalg.norm(dirs - on @ span.T, axis=1) <= _FEAS_TOL
+    return np.where(bounded, (verts @ on.T).max(axis=0), INF)
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +599,12 @@ def fm_eliminate(system, names, prune=True):
     witness row over the variables every name leaves.  Every name is
     checked first, so an unknown one raises even then.
 
-    The vertex sweep's basis pass -- is any row zero, is the system
-    bounded along every axis both ways (Farkas' lemma), which k-row
-    bases are nonsingular -- depends on the matrix alone, not on the
-    rhs, the same argument as batch_support's rhs-free dual vertices.
-    It is memoised per matrix, so systems that differ only in their rhs
-    (every appendix-B draw) share it.
+    The vertex sweep's basis pass -- which k-row bases are nonsingular,
+    is the system bounded along every axis both ways (Farkas' lemma) --
+    depends on the matrix alone, not on the rhs, the same argument as
+    batch_support's rhs-free dual vertices.  It is memoised per matrix,
+    so systems that differ only in their rhs (every appendix-B draw)
+    share it.
     """
     variables, left = list(system.variables), list(system.variables)
     for name in names:
@@ -694,14 +677,15 @@ def _dedup_rows(mat, rhs):
 
 def _vertex_prune(system):
     """Remove rows never active at a vertex.  Exact when the feasible
-    set is bounded and nonempty; returned unchanged otherwise."""
+    set is bounded and nonempty; returned unchanged otherwise, and when
+    a row is zero."""
     a, b = system.matrix, system.rhs
-    if not np.all(np.isfinite(b)):
+    if not np.all(np.isfinite(b)) or np.any(np.all(np.abs(a) <= 1e-12, axis=1)):
         return system
-    idx = _prune_bases(a.shape, a.tobytes())
-    if idx is None:
+    _, rows, idx, bounded = _basis_pass(a.shape, a.tobytes())
+    if not bounded:
         return system
-    verts = _feasible_vertices(a, b, idx, a[idx])
+    verts = _feasible_vertices(rows, b, idx, rows[idx])
     if verts.shape[0] == 0:
         return system
     act = np.abs(verts @ a.T - b[None, :]) <= 1e-7 * (1.0 + np.abs(b[None, :]))
@@ -712,23 +696,26 @@ def _vertex_prune(system):
 
 
 @functools.lru_cache(maxsize=4)
-def _prune_bases(shape, data):
-    """The rhs-free half of _vertex_prune, for the float matrix a with
-    this shape and these bytes: None when a has a zero row or is
-    unbounded along some axis, else the (T, k) row indices of a's
-    nonsingular bases, as _bases picks them.  A matrix bounded along
-    every axis has full rank, so those are the bases _bounded_along
-    tries; a function of its own, so the pass's temporaries go when it
-    returns."""
+def _basis_pass(shape, data):
+    """The rhs-free half of a general-sign system's vertex work, for the
+    float matrix a with this shape and these bytes: (span, rows, idx,
+    bounded).  span is _row_span(a), rows is a in span coordinates (a
+    itself when span is None), idx the (T, r) row indices of the
+    nonsingular bases of rows, as _bases picks them, and bounded whether
+    every system on a is bounded along every axis both ways, which needs
+    full rank.  A function of its own, so the pass's temporaries go when
+    it returns; its results are read-only, as every call on this matrix
+    shares them."""
     a = np.frombuffer(data).reshape(shape)
-    if np.any(np.all(np.abs(a) <= 1e-12, axis=1)) or _row_span(a) is not None:
-        return None
-    idx, mats = _bases(a, shape[1])
+    span = _row_span(a)
+    rows = a if span is None else a @ span
+    idx, mats = _bases(rows, rows.shape[1])
     axes = np.eye(shape[1])
-    if not np.all(_in_cone(mats, np.vstack([axes, -axes]))):
-        return None
-    idx.flags.writeable = False         # shared by every call on this matrix
-    return idx
+    bounded = span is None and bool(np.all(_in_cone(mats, np.vstack([axes, -axes]))))
+    for arr in (span, rows, idx):
+        if arr is not None:
+            arr.flags.writeable = False
+    return span, rows, idx, bounded
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +796,7 @@ def envelope_boundary_2d(env):
     b = env.supports[keep]
     if a.shape[0] == 0 or np.any(b < -1e15):
         return np.empty((0, 2))
-    verts = enumerate_vertices(a, b, nonneg=True)
+    verts = enumerate_vertices(a, b)
     if verts.shape[0] == 0:
         return np.empty((0, 2))
     # keep the non-dominated ones (upper-right frontier): row i is

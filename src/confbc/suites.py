@@ -22,8 +22,8 @@ from .errors import ConfbcError
 from .info_core import (JointPmf, binary_entropy, compose_joint,
                         mutual_information)
 from .regions import (CANONICAL_DIRS_3D, batch_support, default_dirs_2d,
-                      default_dirs_3d, enumerate_vertices,
-                      envelope_dominates, fm_eliminate)
+                      default_dirs_3d, envelope_dominates, fm_eliminate,
+                      support_of_system)
 
 
 class SuiteReport:
@@ -158,9 +158,7 @@ def _suite_fm_equivalence(seed, trials=100, n_dirs=50):
             sup_rows = batch_support(poly.matrix, poly.rhs[None, :], dirs)[0]
             proj = fm_eliminate(dmb.appendixB_system(ch, f, alpha, terms=t),
                                 eliminate)
-            verts = enumerate_vertices(proj.matrix, proj.rhs, nonneg=False)
-            sup_proj = ((verts @ dirs.T).max(axis=0) if verts.shape[0]
-                        else np.full(dirs.shape[0], -np.inf))
+            sup_proj = support_of_system(proj, dirs)
             pairs += dirs.shape[0]
             if m1 + m3 - i0 >= -1e-12:
                 feasible += 1

@@ -126,6 +126,15 @@ def test_region_budget_is_exit_4(dm_channel):
                  "--grid", "1e-6"]) == 4
 
 
+@pytest.mark.parametrize("channel", ["dm_channel", "g_channel"])
+def test_region_zero_step_is_exit_1(channel, request, capsys):
+    # one step check serves both kinds: a Gaussian split grid once
+    # divided by the zero step and crashed
+    assert main(["region", "--channel", request.getfixturevalue(channel),
+                 "--bound", "outer", "--grid", "0"]) == 1
+    assert "step must be 1/n for a positive integer n" in capsys.readouterr().err
+
+
 def test_region_budget_names_a_step_that_fits(dm_channel, capsys):
     # t4's default step 0.02 over 8 P(v,x) cells is 264,385,836 points;
     # 1/43 is the finest step within the 1e8 budget

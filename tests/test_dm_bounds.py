@@ -26,9 +26,9 @@ from confbc.info_core import (JointPmf, binary_entropy, conditional_entropy,
 from confbc.regions import (
     CANONICAL_DIRS_3D,
     batch_support,
-    enumerate_vertices,
     envelope_dominates,
     fm_eliminate,
+    support_of_system,
 )
 import confbc.dm_bounds as dmb
 import confbc.gaussian_bounds as gb
@@ -308,7 +308,7 @@ def test_inner2_wants_w_conditioned_quantizer():
     assert rhs.shape == (5,)
     # a bad draw may price the scheme empty; that must show up as the
     # emptiness flag, never as an exception
-    assert poly.is_empty == bool(np.min(rhs) < -1e-12)
+    assert (poly.support((1, 1, 1)) == -math.inf) == bool(np.min(rhs) < -1e-12)
 
 
 def test_t4_substitution_is_exact_inner_point():
@@ -338,11 +338,11 @@ def test_inner_envelopes_run_small():
 # the split-rate system and its projection
 # ---------------------------------------------------------------------------
 
-def _projection_vertices(system):
+def _projection_supports(system, dirs):
     keep = ("R0", "R1", "R2")
     out = fm_eliminate(system, [v for v in system.variables if v not in keep])
     assert out.variables == keep
-    return enumerate_vertices(out.matrix, out.rhs, nonneg=False)
+    return support_of_system(out, dirs)
 
 
 def test_appendixB_projection_feasible_draw():
@@ -351,9 +351,8 @@ def test_appendixB_projection_feasible_draw():
     dirs = CANONICAL_DIRS_3D
     for alpha in (0.0, 1.0):
         sys = dmb.appendixB_system(ch, f, alpha)
-        verts = _projection_vertices(sys)
-        assert verts.shape[0] > 0
-        got = np.max(verts @ dirs.T, axis=0)
+        got = _projection_supports(sys, dirs)
+        assert np.all(np.isfinite(got))
         poly = dmb.inner1_alpha_polytope(ch, f, alpha)
         a, b = poly.coeff_matrix()
         want = batch_support(a, b[None, :], dirs)[0]
@@ -367,10 +366,9 @@ def test_appendixB_projection_infeasible_draw_is_empty():
     ch = _ex1()
     f = _factorization(seed=1)            # bin budget falls short here
     sys = dmb.appendixB_system(ch, f, 0.5)
-    verts = _projection_vertices(sys)
-    assert verts.shape[0] == 0
+    assert np.all(_projection_supports(sys, CANONICAL_DIRS_3D) == -math.inf)
     poly = dmb.inner1_alpha_polytope(ch, f, 0.5)
-    assert not poly.is_empty              # rows alone would claim points
+    assert poly.support((1, 1, 1)) > -math.inf    # rows alone would claim points
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ def test_sum_row_cuts_corner():
 
 def test_negative_rhs_means_empty():
     p = _box(extra=[((1, 0, 0), -0.5)])
-    assert p.is_empty
     assert p.support((1, 1, 1)) == -math.inf
+    assert p.support((0, 0, 0)) == -math.inf
 
 
 def test_inf_rhs_means_unbounded():
@@ -101,19 +101,20 @@ def test_inf_rhs_means_unbounded():
 def test_enumerate_vertices_unit_square():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     b = np.array([1.0, 1.0])
-    verts = enumerate_vertices(a, b, nonneg=True)
+    verts = enumerate_vertices(a, b)
     want = {(0, 0), (0, 1), (1, 0), (1, 1)}
     got = {tuple(np.round(v, 12)) for v in verts}
     assert got == want
 
 
-def test_enumerate_vertices_general_sign():
-    # triangle: x + y <= 1, x >= -1, y >= -1  (lower bounds as negative rows)
-    a = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    b = np.array([1.0, 1.0, 1.0])
-    verts = enumerate_vertices(a, b, nonneg=False)
-    got = {tuple(np.round(v, 12)) for v in verts}
-    assert got == {(-1.0, -1.0), (-1.0, 2.0), (2.0, -1.0)}
+def test_support_of_system_general_sign():
+    # triangle: x + y <= 1, x >= -1, y >= -1  (lower bounds as negative rows),
+    # with vertices (-1, -1), (-1, 2) and (2, -1)
+    tri = LinearSystem(("x", "y"), [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 1.0])
+    dirs = [(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0), (1.0, 1.0), (-1.0, 0.0), (1.0, -2.0)]
+    got = support_of_system(tri, dirs)
+    assert got.shape == (6,)
+    assert got.tolist() == pytest.approx([2.0, 2.0, 2.0, 1.0, 1.0, 4.0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +358,20 @@ def test_vertex_prune_memo_keys_on_the_matrix_alone():
     # pruned at s = 5, from one shared basis pass
     a = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
     cut, loose = (LinearSystem(VARS3, a, [1, 1, 1, 0, 0, 0, s]) for s in (2.0, 5.0))
-    regions._prune_bases.cache_clear()
+    regions._basis_pass.cache_clear()
     warm = [regions._vertex_prune(s) for s in (cut, loose)]
-    assert regions._prune_bases.cache_info().hits == 1
+    assert regions._basis_pass.cache_info().hits == 1
     for s, got in zip((cut, loose), warm):
-        regions._prune_bases.cache_clear()
+        regions._basis_pass.cache_clear()
         cold = regions._vertex_prune(s)
         assert got.matrix.tobytes() == cold.matrix.tobytes()
         assert got.rhs.tobytes() == cold.rhs.tobytes()
     assert [w.matrix.shape[0] for w in warm] == [7, 6]
+    # a block of directions on one matrix costs one basis pass
+    regions._basis_pass.cache_clear()
+    sups = support_of_system(cut, np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))]))
+    assert regions._basis_pass.cache_info().misses == 1
+    assert sups.tolist() == pytest.approx([1, 1, 1, 0, 0, 0, 2], abs=1e-12)
 
 
 def _dedup_rows_loop(mat, rhs):
@@ -443,11 +449,12 @@ def test_fm_projection_keeps_supports(case, prune):
     out = fm_eliminate(sys, [names[j] for j in gone], prune=prune)
     padded = np.zeros(len(names))
     padded[[j for j in range(len(names)) if j not in gone]] = d
-    got, want = support_of_system(out, d), support_of_system(sys, padded)
-    if math.isinf(want):
-        assert got == want
-    else:
-        assert got == pytest.approx(want, abs=1e-9)
+    d = np.asarray(d)
+    # d and -d in one call, each held to the unprojected system's support
+    got = support_of_system(out, [d, -d])
+    want = support_of_system(sys, [padded, -padded])
+    assert got.shape == want.shape == (2,)
+    assert got == pytest.approx(want, abs=1e-9)       # +-inf must match exactly
 
 
 def test_system_json_round_trip():
@@ -519,18 +526,21 @@ def _small_systems(draw):
 def test_support_of_system_matches_linprog(system):
     a, b, d = (np.asarray(v, dtype=float) for v in system)
     a = np.atleast_2d(a)
-    got = support_of_system(LinearSystem(("x", "y", "z")[:a.shape[1]], a, b), d)
-    want = _lp_system_support(a, b, d)
-    if math.isinf(want):
-        assert got == want
-    else:
-        assert got == pytest.approx(want, abs=1e-7)
+    got = support_of_system(LinearSystem(("x", "y", "z")[:a.shape[1]], a, b), [d, -d])
+    assert got.shape == (2,)
+    for g, w in zip(got, (_lp_system_support(a, b, d), _lp_system_support(a, b, -d))):
+        if math.isinf(w):
+            assert g == w
+        else:
+            assert g == pytest.approx(w, abs=1e-7)
 
 
-def test_enumerate_vertices_fewer_rows_than_variables():
-    verts = enumerate_vertices(np.array([[1.0, 1.0, 1.0]]), np.array([1.0]),
-                               nonneg=False)
-    assert verts.shape == (0, 3)
+def test_support_of_system_fewer_rows_than_variables():
+    # one row in three variables has no vertex: priced along its row
+    # span, bounded only along the row itself
+    slab = LinearSystem(("x", "y", "z"), [[1.0, 1.0, 1.0]], [1.0])
+    assert support_of_system(slab, [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0)]).tolist() == \
+        [1.0, math.inf]
 
 
 # ---------------------------------------------------------------------------
