@@ -48,6 +48,8 @@ def _bound(ch, name):
 
 
 def _pick_dirs(bound, n, r2_slice):
+    if n is not None and n < 1:
+        raise ValueError("--dirs must be a positive integer, got %d" % n)
     if len(bound.variables) == 3 and not r2_slice:
         return default_dirs_3d(n or 512), None
     dirs2 = default_dirs_2d(n or 181)

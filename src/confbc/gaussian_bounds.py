@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .channels import kappa
+from .channels import GaussianBc, kappa
 from .errors import InapplicableBoundError
 from .gridding import _units
 from .regions import Bound
@@ -56,16 +56,16 @@ def _require_no_forward_link(ch, who):
 
 def _stack_rows(*rows):
     """Per-split row values (arrays or split-free scalars) -> (N, m)."""
-    return np.stack(np.broadcast_arrays(*rows), axis=-1)
+    out = np.empty(np.broadcast(*rows).shape + (len(rows),))
+    for j, row in enumerate(rows):
+        out[..., j] = row
+    return out
 
 
-def _kappa_psi(ch, frac, power):
-    """psi(frac * kappa * P) with the absent-row convention: +inf for
-    every frac whenever kappa is infinite."""
-    k = kappa(ch.a, ch.b, ch.lam)
-    if math.isinf(k):
-        return np.full(np.shape(frac) or (), np.inf) if np.ndim(frac) else math.inf
-    return psi(np.asarray(frac) * k * power)
+def _kappa_psi(k, frac, power):
+    """psi(frac * k * P) with the absent-row convention: +inf for every
+    frac whenever the combined-output slope k is infinite."""
+    return math.inf if math.isinf(k) else psi(frac * k * power)
 
 
 class _Splits:
@@ -122,19 +122,18 @@ def _outer_rows_g(split, ch):
     c12, c21 = ch.c12, ch.c21
     alpha, beta = split[:, 0], split[:, 1]
     k = kappa(ch.a, ch.b, ch.lam)
-    kpsi_a = _kappa_psi(ch, alpha, p)
-    kpsi_b = _kappa_psi(ch, beta, p)
-    kcut = math.inf if math.isinf(k) else float(psi(k * p))
-    return np.stack([
-        _residual(a2, p, alpha) + c21,
-        kpsi_b + _residual(b2, p, beta),
-        _residual(b2, p, beta) + c12,
-        kpsi_a + _residual(b2, p, alpha),
-        psi(beta * a2 * p) + _residual(b2, p, beta) + c12 + c21,
-        kpsi_b + _residual(b2, p, beta) + c12,
-        kpsi_a + _residual(a2, p, alpha) + c21,
-        np.full(alpha.shape, kcut),
-    ], axis=-1)
+    kpsi_a, kpsi_b = _kappa_psi(k, alpha, p), _kappa_psi(k, beta, p)
+    res1_a = _residual(a2, p, alpha)
+    res2_a, res2_b = _residual(b2, p, alpha), _residual(b2, p, beta)
+    return _stack_rows(
+        res1_a + c21,
+        kpsi_b + res2_b,
+        res2_b + c12,
+        kpsi_a + res2_a,
+        psi(beta * a2 * p) + res2_b + c12 + c21,
+        kpsi_b + res2_b + c12,
+        kpsi_a + res1_a + c21,
+        _kappa_psi(k, 1.0, p))
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +206,8 @@ _T10_COEFFS = np.array([(1, 0, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1)], dtype=float
 
 
 def _t10_rows(t, ch):
-    qp = _q_slope(ch) * ch.power
-    c21_eff = max(ch.c21 - 0.5, 0.0)
-    return _stack_rows(t["resid"],
-                       psi(qp),
-                       t["layered"] + t["resid"] + c21_eff,
-                       psi(t["beta"] * qp) + t["resid"])
+    """t9's rows less its R0 + R1 cap, at c12 = 0 (t10's only case)."""
+    return _t9_rows(t, ch)[:, [0, 2, 3, 4]]
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +328,45 @@ def gap_bound_t11(ch_or_lam):
     return 0.5 * math.log2(2.0 / (1.0 - abs(lam)))
 
 
+def _df_gap_bits(ch):
+    """The decode-and-forward claim: gap_bound_t11, at lam^2 in place of
+    |lam| (never larger) when lam * a * b >= 0."""
+    return gap_bound_t11(ch.lam ** 2 if ch.lam * ch.a * ch.b >= 0.0 else ch.lam)
+
+
+# The paper's three gap claims: (section, inner bound, required bits,
+# pairs), each pair (inner label, inner row, outer label, outer row) with
+# row indices into BOUNDS[inner].rows and BOUNDS["outer"].rows.
+_GAP_PAIRS = (
+    ("half-bit-two-sided", "t9", lambda ch: 0.5, (
+        ("r0-split", 0, "common-private2-split", 2),
+        ("sum-direct-cap", 1, "common-private1-side", 0),
+        ("sum-combined-cap", 2, "full-cooperation-cut", 7),
+        ("sum-direct-split", 3, "sum-direct-split", 4),
+        ("sum-combined-split", 4, "sum-combined-split", 5))),
+    ("half-bit-one-sided", "t10", lambda ch: 0.5, (
+        ("common-private2-split", 0, "common-private2-split", 2),
+        ("sum-combined-cap", 1, "full-cooperation-cut", 7),
+        ("sum-direct-split", 2, "sum-direct-split", 4),
+        ("sum-combined-split", 3, "sum-combined-split", 5))),
+    ("decode-forward-vs-converse", "df", _df_gap_bits, (
+        ("common-private2-split", 0, "common-private2-split", 2),
+        ("sum-direct-cap", 1, "full-cooperation-cut", 7),
+        ("sum-direct-split", 2, "sum-combined-split", 5))),
+)
+
+
 def gap_certificate(ch, beta_step=0.01):
     """Row-by-row distance certificates between the converse and each
     approximate/inner region, maximized over the split grid.
+
+    Each section of _GAP_PAIRS whose inner bound (t9, t10 or df) admits
+    the channel pairs its rows at split beta with BOUNDS["outer"] rows at
+    (alpha, beta) = (0, beta): gap = outer - inner, maximized over the
+    ticks of beta_step; worst_beta is the first tick attaining it (for a
+    gap constant in beta, where rounding peaks).  Rows are priced on the
+    c12 = 0 copy of ch, which is exact: both rows of every t9 and df pair
+    carry c12 alike, and t10 needs c12 = 0.
 
     Returns {"channel", "sections": [{name, required_bits, pairs: [
     {inner_row, outer_row, gap_bits, worst_beta, slack_bits}], pass}]}.
@@ -343,68 +374,29 @@ def gap_certificate(ch, beta_step=0.01):
     approximation factors really hold for this channel.
     """
     _require_ordered(ch, "gap_certificate")
+    ch0 = GaussianBc(ch.a, ch.b, ch.lam, ch.power, c21=ch.c21)
     betas = _ticks(beta_step)
-    a2, p = ch.a ** 2, ch.power
-    k = kappa(ch.a, ch.b, ch.lam)
+    terms = _beta_terms(ch0, betas[:, None])
+    outer = BOUNDS["outer"].rows(
+        np.column_stack([np.zeros_like(betas), betas]), ch0)
     sections = []
-
-    def pair(name_in, name_out, gaps):
-        gaps = np.atleast_1d(np.asarray(gaps, dtype=float))
-        i = int(np.argmax(gaps))
-        worst = float(betas[i]) if gaps.shape == betas.shape else None
-        return {"inner_row": name_in, "outer_row": name_out,
-                "gap_bits": float(gaps[i]), "worst_beta": worst}
-
-    if abs(ch.lam) < 1.0:
-        qp = _q_slope(ch) * p
-        toll = min(ch.c21, 0.5)
-        pairs9 = [
-            pair("r0-split", "common-private2-split", 0.0),
-            pair("sum-direct-cap", "common-private1-side", toll),
-            pair("sum-combined-cap", "full-cooperation-cut",
-                 psi(k * p) - psi(qp)),
-            pair("sum-direct-split", "sum-direct-split", toll),
-            pair("sum-combined-split", "sum-combined-split",
-                 psi(betas * k * p) - psi(betas * qp)),
-        ]
-        sections.append(_close_section("half-bit-two-sided", 0.5, pairs9))
-        pairs10 = [
-            pair("common-private2-split", "common-private2-split", 0.0),
-            pair("sum-combined-cap", "full-cooperation-cut",
-                 psi(k * p) - psi(qp)),
-            pair("sum-direct-split", "sum-direct-split", toll),
-            pair("sum-combined-split", "sum-combined-split",
-                 psi(betas * k * p) - psi(betas * qp)),
-        ]
-        sections.append(_close_section("half-bit-one-sided", 0.5, pairs10))
-
-    required = gap_bound_t11(ch)
-    if ch.lam * ch.a * ch.b >= 0.0:
-        required = min(required, 0.5 * math.log2(2.0 / (1.0 - ch.lam ** 2))
-                       if abs(ch.lam) < 1.0 else math.inf)
-    if math.isinf(k):
-        gaps_cap = math.inf
-        gaps_split = np.full(betas.shape, math.inf)
-        gaps_split[0] = 0.0          # beta = 0: both rows price zero layers
-    else:
-        gaps_cap = float(psi(k * p) - psi(a2 * p))
-        gaps_split = psi(betas * k * p) - psi(betas * a2 * p)
-    pairs11 = [
-        pair("common-private2-split", "common-private2-split", 0.0),
-        pair("sum-direct-cap", "full-cooperation-cut", gaps_cap),
-        pair("sum-direct-split", "sum-combined-split", gaps_split),
-    ]
-    sections.append(_close_section("decode-forward-vs-converse", required, pairs11))
+    for name, inner, required, pairs in _GAP_PAIRS:
+        try:
+            BOUNDS[inner].admit(ch0, warn=False)
+        except InapplicableBoundError:
+            continue
+        labels_in, rows_in, labels_out, rows_out = zip(*pairs)
+        gaps = (outer[:, list(rows_out)]
+                - BOUNDS[inner].rows(terms, ch0)[:, list(rows_in)])
+        req, worst = required(ch), betas[gaps.argmax(axis=0)].tolist()
+        found = [{"inner_row": li, "outer_row": lo, "gap_bits": g,
+                  "worst_beta": w, "required_bits": req,
+                  "slack_bits": math.inf if math.isinf(req) else req - g}
+                 for li, lo, g, w in zip(labels_in, labels_out,
+                                         gaps.max(axis=0).tolist(), worst)]
+        sections.append({"name": name, "required_bits": req, "pairs": found,
+                         "pass": all(q["slack_bits"] >= -1e-9 for q in found)})
     return {"channel": ch.to_json_dict(), "beta_step": beta_step,
             "sections": sections,
             "pass": all(s["pass"] for s in sections)}
 
-
-def _close_section(name, required, pairs):
-    for q in pairs:
-        gap = q["gap_bits"]
-        q["required_bits"] = required if not math.isinf(required) else math.inf
-        q["slack_bits"] = (math.inf if math.isinf(required)
-                           else required - gap)
-    ok = all(q["slack_bits"] >= -1e-9 for q in pairs)
-    return {"name": name, "required_bits": required, "pairs": pairs, "pass": ok}

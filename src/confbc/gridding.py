@@ -80,7 +80,7 @@ def simplex_grid(cells, step):
 
 def _units(step):
     step = float(step)
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError("step must be 1/n for a positive integer n, got %r" % step)
     n = int(round(1.0 / step))
     if n < 1 or abs(n * step - 1.0) > 1e-9 * n:

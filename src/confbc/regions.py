@@ -510,7 +510,7 @@ def sweep(entries, step=None, directions=None, **cards):
     its bound's) and directions (default: the fan of its dimension);
     each block's terms come from the first channel, once.  cards
     (u_card=..., v_card=...) size the auxiliaries; one the space lacks
-    raises InapplicableBoundError.
+    raises InapplicableBoundError, and one below 1 raises ValueError.
 
     Two distinct coefficient rows, a cap row <= a total row, make each
     region {cap.R <= a, total.R <= s} (a, s the row-wise mins), and as
@@ -526,6 +526,9 @@ def sweep(entries, step=None, directions=None, **cards):
             if val is not None and key not in b.space.cards:
                 raise InapplicableBoundError(
                     "bound %r has no auxiliary to size with %s" % (b.name, key))
+            if val is not None and val < 1:
+                raise ValueError(
+                    "%s must be a positive integer, got %d" % (key, val))
         b.admit(c)
     step = bound.step if step is None else step
     dirs = np.atleast_2d(directions) if directions is not None else \

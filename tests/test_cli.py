@@ -129,10 +129,31 @@ def test_region_budget_is_exit_4(dm_channel):
 @pytest.mark.parametrize("channel", ["dm_channel", "g_channel"])
 def test_region_zero_step_is_exit_1(channel, request, capsys):
     # one step check serves both kinds: a Gaussian split grid once
-    # divided by the zero step and crashed
-    assert main(["region", "--channel", request.getfixturevalue(channel),
-                 "--bound", "outer", "--grid", "0"]) == 1
-    assert "step must be 1/n for a positive integer n" in capsys.readouterr().err
+    # divided by the zero step and crashed, and a NaN step once failed
+    # converting to an integer
+    for step in ("0", "nan"):
+        assert main(["region", "--channel", request.getfixturevalue(channel),
+                     "--bound", "outer", "--grid", step]) == 1
+        assert ("step must be 1/n for a positive integer n"
+                in capsys.readouterr().err)
+
+
+def test_region_dirs_below_one_is_exit_1(g_channel, capsys):
+    # 0 once meant the 512-direction default and -3 the canonical rows
+    for n in ("0", "-3"):
+        assert main(["region", "--channel", g_channel, "--bound", "df",
+                     "--grid", "0.25", "--dirs", n]) == 1
+        assert "--dirs must be a positive integer" in capsys.readouterr().err
+
+
+def test_cards_below_one_are_exit_1(dm_channel, capsys):
+    # 0 once meant the |X| + 2 default and -1 crashed inside numpy
+    for bound, flag in (("t4", "--v-card"), ("outer", "--u-card")):
+        for n in ("0", "-1"):
+            assert main(["region", "--channel", dm_channel, "--bound", bound,
+                         "--grid", "0.5", flag, n]) == 1
+            assert ("%s must be a positive integer" % flag[2:].replace("-", "_")
+                    in capsys.readouterr().err)
 
 
 def test_region_budget_names_a_step_that_fits(dm_channel, capsys):

@@ -16,6 +16,7 @@ import pytest
 
 from confbc.channels import GaussianBc, example_channel, kappa
 from confbc.errors import InapplicableBoundError
+from confbc.regions import batch_support, default_dirs_2d, default_dirs_3d
 import confbc.gaussian_bounds as gb
 
 PSI2 = 0.7924812503605781          # psi(2), frozen by hand
@@ -251,3 +252,61 @@ def test_gap_certificate_separable_edge():
     names = [sec["name"] for sec in cert["sections"]]
     assert names == ["decode-forward-vs-converse"]
     assert math.isinf(cert["sections"][0]["required_bits"])
+
+
+def test_gap_pairs_carry_c12_alike():
+    # gap_certificate prices every pair on the c12 = 0 copy of the
+    # channel.  That is exact only while both rows of each pair carry c12
+    # with the same weight; t10 is defined at c12 = 0 alone.
+    zero, one = (GaussianBc(1.4, -0.6, 0.3, 3.0, c12=c12, c21=0.8)
+                 for c12 in (0.0, 1.0))
+    betas = np.linspace(0.0, 1.0, 11)
+    split = np.column_stack([np.zeros_like(betas), betas])
+    outer = gb.BOUNDS["outer"]
+    shift_out = outer.rows(split, one) - outer.rows(split, zero)
+    for _, inner, _, pairs in gb._GAP_PAIRS:
+        bound = gb.BOUNDS[inner]
+        if inner == "t10":
+            with pytest.raises(InapplicableBoundError):
+                bound.admit(one)
+            continue
+        shift_in = (bound.rows(bound.terms(one, betas[:, None]), one)
+                    - bound.rows(bound.terms(zero, betas[:, None]), zero))
+        for _, row_in, _, row_out in pairs:
+            assert np.allclose(shift_in[:, row_in], shift_out[:, row_out],
+                               rtol=0.0, atol=1e-12), (inner, row_in, row_out)
+    assert (gb.gap_certificate(one, beta_step=0.1)["sections"]
+            == gb.gap_certificate(zero, beta_step=0.1)["sections"])
+
+
+def test_gap_claims_hold_direction_wise():
+    # independent of the row pairing: on the default fans (every w >= 0)
+    # the converse's support exceeds the inner region's by at most
+    # g * |w|_1, with g = 1/2 for t9 (against the converse's R2 = 0
+    # slice) and for t10 (on the c12 = 0 channel), and the certificate's
+    # decode-and-forward allowance for df
+    dirs2, dirs3 = default_dirs_2d(), default_dirs_3d()
+    step = 0.05
+    ticks = np.linspace(0.0, 1.0, 21)
+    grid = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), -1).reshape(-1, 2)
+    outer = gb.BOUNDS["outer"]
+    in_slice = outer.coeffs[:, :2].any(axis=1)   # R2 <= rhs is void at R2 = 0
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        a = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
+        b = a * rng.uniform(0.0, 1.0) * rng.choice([-1.0, 1.0])
+        ch = GaussianBc(a, b, rng.uniform(-0.95, 0.95), 10 ** rng.uniform(-1, 2),
+                        c12=rng.uniform(0.0, 2.0), c21=rng.uniform(0.0, 2.0))
+        ch0 = GaussianBc(ch.a, ch.b, ch.lam, ch.power, c21=ch.c21)
+        g_df = gb.gap_certificate(ch, beta_step=step)["sections"][-1]["required_bits"]
+        r2_slice = batch_support(outer.coeffs[in_slice][:, :2],
+                                 outer.rows(grid, ch)[:, in_slice], dirs2,
+                                 reduce_max=True)
+        for h_out, inner, dirs, g in (
+                (r2_slice, gb.approx_t9_envelope(ch, step, dirs2), dirs2, 0.5),
+                (gb.outer_envelope_g(ch0, step, dirs3).supports,
+                 gb.approx_t10_envelope(ch0, step, dirs3), dirs3, 0.5),
+                (gb.outer_envelope_g(ch, step, dirs3).supports,
+                 gb.df_envelope(ch, step, dirs3), dirs3, g_df)):
+            excess = h_out - inner.supports - g * dirs.sum(axis=1)
+            assert excess.max() <= 1e-9, (ch.to_json_dict(), excess.max())
