@@ -45,7 +45,7 @@ import numpy as np
 from .channels import (DmBroadcastChannel, is_semi_deterministic,
                        more_capable_evidence)
 from .errors import InapplicableBoundError
-from .gridding import _budgeted_chunks
+from .gridding import _budgeted_chunks, _units
 from .info_core import JointPmf, compose_joint, mutual_information, xlog2x
 from .regions import Bound, ConstraintPolytope, LinearSystem, sweep
 
@@ -355,9 +355,19 @@ def _entropies(ch, p, names):
 # ---------------------------------------------------------------------------
 
 class _AuxGrid:
-    """Simplex grid of P(aux..., x), one axis per auxiliary, each
-    alphabet |X| + 2 unless the caller sizes it.  capped refuses larger
-    alphabets (the converse never needs them)."""
+    """Grid of P(aux..., x), one axis per auxiliary, each alphabet
+    |X| + 2 unless the caller sizes it.  capped refuses larger alphabets
+    (the converse never needs them).
+
+    Only the points whose marginal on the first auxiliary is
+    non-increasing are swept (gridding.sorted_grid_chunks, one part per
+    letter of that auxiliary).  That loses nothing: every row priced is
+    a sum of entropies of marginals of p(aux..., x, y1, y2), relabelling
+    the first auxiliary only permutes the terms inside each of those
+    entropies, and sorting its marginal maps every point of the full
+    grid to a grid point with the same rows.  Each orbit keeps at least
+    one point, so the envelope is the full grid's up to the order in
+    which a point's entropies are summed."""
 
     step_key = "grid_step"
 
@@ -369,8 +379,9 @@ class _AuxGrid:
         shape = tuple(cards.get(c) or ch.x_card + 2 for c in self.cards)
         if self.capped and max(shape) > ch.x_card + 2:
             raise ValueError("auxiliary alphabets larger than |X|+2 are never needed")
-        chunks = _budgeted_chunks(int(np.prod(shape)) * ch.x_card, step)
-        return ((c.reshape(-1, *shape, ch.x_card) for c in chunks),
+        n = _units(step)
+        chunks = _budgeted_chunks(shape[0], int(np.prod(shape[1:])) * ch.x_card, step)
+        return ((c.reshape(-1, *shape, ch.x_card) / n for c in chunks),
                 dict(zip(self.cards, shape)))
 
     def point(self, ch, p):
@@ -523,9 +534,10 @@ def outer_polytope(ch, outer_aux):
 
 def outer_envelope(ch, grid_step=None, u_card=None, v_card=None,
                    directions=None):
-    """Support record of the converse region over a full simplex grid
-    of P(u,v,x).  Grid size explodes fast; the evaluation budget guard
-    throws rather than letting a sweep run for days."""
+    """Support record of the converse region over the simplex grid of
+    P(u,v,x), one point or more per relabelling of U (see _AuxGrid).
+    Grid size explodes fast; the evaluation budget guard throws rather
+    than letting a sweep run for days."""
     return BOUNDS["outer"].envelope(ch, grid_step, directions,
                                     u_card=u_card, v_card=v_card)
 

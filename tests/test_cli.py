@@ -157,12 +157,13 @@ def test_cards_below_one_are_exit_1(dm_channel, capsys):
 
 
 def test_region_budget_names_a_step_that_fits(dm_channel, capsys):
-    # t4's default step 0.02 over 8 P(v,x) cells is 264,385,836 points;
-    # 1/43 is the finest step within the 1e8 budget
-    assert main(["region", "--channel", dm_channel, "--bound", "t4"]) == 4
+    # t4 at step 0.01 over sorted P(v) with |V| = 4 and binary X is
+    # 1,200,487,746 points; 1/68 is the finest step within the 1e8 budget
+    assert main(["region", "--channel", dm_channel, "--bound", "t4",
+                 "--grid", "0.01"]) == 4
     err = capsys.readouterr().err
-    assert "264385836 evaluations" in err
-    assert "1/43 = %r (99884400 points)" % (1 / 43) in err
+    assert "1200487746 evaluations" in err
+    assert "1/68 = %r (95457983 points)" % (1 / 68) in err
 
 
 def test_bound_choices_and_default_steps_come_from_the_tables(g_channel,

@@ -13,6 +13,7 @@ Oracle notes for the xor example with noise at receiver 2
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from confbc.channels import DmBroadcastChannel, GaussianBc, example_channel
 from confbc.errors import GridTooLargeError, InapplicableBoundError
-from confbc.gridding import simplex_grid
+from confbc.gridding import (EVAL_BUDGET, simplex_grid, simplex_grid_chunks,
+                             sorted_grid_size)
 from confbc.info_core import (JointPmf, binary_entropy, conditional_entropy,
                               mutual_information)
 from confbc.regions import (
@@ -195,6 +197,61 @@ def test_table_envelopes_match_primal_vertices(case):
 def test_t4_grid_budget_guard():
     with pytest.raises(GridTooLargeError):
         dmb.theorem4_envelope(_ex1(), grid_step=1e-6)
+
+
+def _semi_det(seed):
+    """A random semi-deterministic channel: P(y1|x) Dirichlet on three
+    letters, Y2 a random function of (X, Y1)."""
+    rng = np.random.default_rng(seed)
+    t = np.zeros((2, 3, 2))
+    y2 = rng.integers(0, 2, size=(2, 3))
+    for x in range(2):
+        t[x, np.arange(3), y2[x]] = rng.dirichlet(np.ones(3))
+    return DmBroadcastChannel(t, *rng.uniform(0.0, 0.6, size=2))
+
+
+_ORACLE_CHANNELS = {"dm-ex1": _ex1(), "dm-ex2": example_channel(
+    "dm-ex2", p=0.15, c12=0.4, c21=0.2), **{
+    "semi-det-%d" % s: _semi_det(s) for s in (1, 2, 3)}}
+
+
+@pytest.mark.parametrize("name,chan", [
+    *((n, c) for n in dmb.BOUNDS for c in _ORACLE_CHANNELS),
+    # every inner region of a useless receiver 1 is empty
+    ("inner1", "noisy"), ("inner2", "noisy"), ("outer", "noisy")])
+def test_sorted_grid_envelope_equals_full_grid(name, chan):
+    # the sweep reads only the points whose first-auxiliary marginal is
+    # sorted; the envelope over the whole grid is the same, +-inf and all
+    bound = dmb.BOUNDS[name]
+    ch = _noisy() if chan == "noisy" else _ORACLE_CHANNELS[chan]
+    step, cards = ((1 / 8, {"u_card": 3, "v_card": 2}) if name == "outer"
+                   else (1 / 10, {}))
+    shape = tuple(cards.get(c) or ch.x_card + 2 for c in bound.space.cards)
+    dirs = np.array([(1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (1, -1),
+                     (-1, 2), (-1, -1)] if len(bound.variables) == 2 else
+                    [*CANONICAL_DIRS_3D, (1, -0.5, 0.3), (-0.2, 1, -1),
+                     (0.5, -1, 1), (-1, -1, -1)], dtype=float)
+    want = np.full(dirs.shape[0], -np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        env = bound.envelope(ch, step, dirs, **cards)
+        for g in simplex_grid_chunks(int(np.prod(shape)) * ch.x_card, step,
+                                     chunk=20_000):
+            rows = bound.rows(bound.terms(ch, g.reshape(-1, *shape, ch.x_card)), ch)
+            want = np.maximum(want, batch_support(bound.coeffs, rows, dirs,
+                                                  reduce_max=True))
+    assert np.array_equal(np.isposinf(env.supports), np.isposinf(want))
+    assert np.array_equal(np.isneginf(env.supports), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.allclose(env.supports[fin], want[fin], rtol=0.0, atol=1e-12)
+
+
+def test_default_grids_fit_the_budget():
+    # on a binary-input channel every dm bound's default step and |X| + 2
+    # letters per auxiliary are within the budget once sorted
+    for bound in dmb.BOUNDS.values():
+        parts, cells = 4, 4 ** (len(bound.space.cards) - 1) * 2
+        assert sorted_grid_size(parts, cells, bound.step) <= EVAL_BUDGET, bound.name
 
 
 def test_t4_multi_shares_grid():
