@@ -34,10 +34,24 @@ _entropies.  Given X the outputs do not depend on the auxiliaries, so
 every entropy with X and an output splits as
     H(A, X, Y) = H(A, X) + sum_x p(x) H(Y | X=x)
 for any auxiliary set A and output set Y, and the broadcast joint
-p(a, x, y1, y2) is never formed.
+p(a, x, y1, y2) is never formed.  The rest are entropies of one
+auxiliary A (or none) with an output set Y in {none, X, Y1, Y2, Y1Y2},
+and as p(a, y) = sum_x p(a, x) T_Y(y | x) involves only the row
+p(a, .) of P(a, x),
+    H(A, Y) = sum_a f_Y(p(a, .)),   f_Y(r) = -sum_y xlog2x((r T_Y)_y),
+with H(Y) = f_Y(p(.)).  On a grid of step 1/n every such row -- a row
+of P(v, x), of P(u, x) = sum_v P(u, v, x), or P(x) itself -- is a count
+vector over X with sum <= n, divided by n.  That lattice has
+C(n + |X|, |X|) rows whatever the auxiliary alphabets are (496 at
+n = 30 with binary X, against 60,737 points of the t4 grid with
+|V| = 3), so a sweep prices f_Y once per lattice row and then reads a
+grid block's entropies by gathering and adding table rows.
 """
 
+import functools
+import math
 import warnings
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -45,7 +59,7 @@ import numpy as np
 from .channels import (DmBroadcastChannel, is_semi_deterministic,
                        more_capable_evidence)
 from .errors import InapplicableBoundError
-from .gridding import _budgeted_chunks, _units
+from .gridding import _budgeted_chunks, _units, sorted_grid_chunks
 from .info_core import JointPmf, compose_joint, mutual_information, xlog2x
 from .regions import Bound, ConstraintPolytope, LinearSystem, sweep
 
@@ -302,51 +316,139 @@ def appendixB_system(ch, f, alpha1, variant="clipped", terms=None):
 # batch information terms for the grid sweeps
 # ---------------------------------------------------------------------------
 
-def _entropies(ch, p, names):
+class _Counts(namedtuple("_Counts", ("counts", "n"))):
+    """A grid block as integer counts: the points counts / n, shape
+    (N, *aux_cards, X).  _entropies prices it from the lattice table."""
+
+
+# the row table's columns: f_Y for each output set Y, then sum_x r(x) H(Y|X=x)
+_OUTS = ("", "X", "Y1", "Y2", "Y1Y2")
+_CONDS = ("Y1", "Y2", "Y1Y2")
+
+
+def _price_rows(t, rows):
+    """The row table of (R, X) rows r of P(a, x) under the transition t,
+    one row per column r: (8, R), f_Y(r) for Y in _OUTS, then
+    r @ H(Y | X=x) for Y in _CONDS.  One GEMM against the blocks T_Y side
+    by side, one xlog2x, and one GEMM against a -1 segment matrix; the
+    unit rows e_x ride along, as f_Y(e_x) = H(Y | X=x)."""
+    nx = t.shape[0]
+    outs = [np.ones((nx, 1)), np.eye(nx), t.sum(axis=2), t.sum(axis=1),
+            t.reshape(nx, -1)]
+    widths = [o.shape[1] for o in outs]
+    seg = np.zeros((len(outs), sum(widths)))
+    seg[np.repeat(np.arange(len(outs)), widths), np.arange(seg.shape[1])] = -1.0
+    f = seg @ xlog2x(np.vstack([rows, np.eye(nx)]) @ np.hstack(outs)).T
+    return np.vstack([f[:, :-nx], f[2:, -nx:] @ rows.T])
+
+
+def _gather(table, idx):
+    """sum_j table[:, idx[j]]: the table rows' sums over the (k, N) index
+    block idx, one column per point."""
+    out = np.empty((table.shape[0], idx.shape[1]))
+    for col, row in zip(out, table):
+        np.take(row, idx[0], out=col)
+        for i in idx[1:]:
+            col += row[i]
+    return out
+
+
+def _row_blocks(p, k):
+    """The rows of a (N, *aux_cards, X) block: for each of the first k
+    auxiliaries, one (N, X) block per letter a holding the rows p(a, .)
+    of its marginal, then [p(x)].  Sums of strided slices, so no axis of
+    the block is reduced in place; a block is a view when nothing is
+    summed."""
+    q = p.reshape(p.shape[0], -1, p.shape[-1])
+    digits = np.unravel_index(np.arange(q.shape[1]), p.shape[1:-1])
+    blocks = [[functools.reduce(np.add, (q[:, c] for c in
+                                         np.flatnonzero(digits[i] == a)))
+               for a in range(p.shape[1 + i])] for i in range(k)]
+    return blocks + [[functools.reduce(np.add, blocks[0])]]
+
+
+@functools.lru_cache(maxsize=4)
+def _rank_weights(nx, n):
+    """w[j, s] = C(s + j, j + 1), for _lattice_rank; read-only."""
+    w = np.array([[math.comb(s + j, j + 1) for s in range(n + 1)]
+                  for j in range(nx)], dtype=np.int64)
+    w.flags.writeable = False
+    return w
+
+
+def _lattice_rank(blocks, n):
+    """Lattice-table columns of the count rows (entries summing to <= n)
+    of k (N, X) blocks, as a (k, N) array.  With prefix sums s_j (j = 0
+    .. |X|-1), s_j + j is strictly increasing in j and below n + |X|, so
+    sum_j C(s_j + j, j + 1) -- the combinatorial number system -- maps
+    the lattice one to one onto 0 .. C(n + |X|, |X|) - 1.  The j = 0
+    term is s_0 itself."""
+    w = _rank_weights(blocks[0].shape[1], n)
+    rank = np.empty((len(blocks), blocks[0].shape[0]), dtype=np.int64)
+    for out, r in zip(rank, blocks):
+        s = r[:, 0]
+        out[:] = s
+        for j in range(1, w.shape[0]):
+            s = s + r[:, j]
+            out += w[j][s]
+    return rank
+
+
+@functools.lru_cache(maxsize=4)
+def _lattice_table(shape, data, n):
+    """The row table of every count row over X with sum <= n, divided by
+    n, in the column of its _lattice_rank, for the transition with this
+    shape and these bytes.  Read-only, as every sweep at this step
+    shares it."""
+    t = np.frombuffer(data).reshape(shape)
+    nx = shape[0]
+    table = np.empty((len(_OUTS) + len(_CONDS), math.comb(n + nx, nx)))
+    # the lattice is the compositions of n into |X| + 1 cells, less the last
+    for c in sorted_grid_chunks(1, nx + 1, 1.0 / n):
+        rows = c[:, :nx]
+        table[:, _lattice_rank([rows], n)[0]] = _price_rows(t, rows / n)
+    table.flags.writeable = False
+    return table
+
+
+def _entropies(ch, block, names):
     """Marginal entropies (bits) of p(aux, x) T(y1, y2 | x) for a batch.
 
-    p     -- (N, *aux_cards, X), one auxiliary axis per entry of names
+    block -- a float (N, *aux_cards, X) array, one auxiliary axis per
+             entry of names, or a _Counts block of that shape
     returns a dict of (N,) arrays keyed by an aux name ("" for none)
     followed by the outputs, for the aux subsets {none, each single
     name} and the output sets X, Y1, Y2, Y1Y2, XY1, XY2, XY1Y2 (and none
     for a named aux): "V", "UXY1", "Y1Y2", ...  It also holds the
     channel-only terms "Y1|X", "Y2|X", "Y1Y2|X" = sum_x p(x) H(Y | X=x).
 
-    One GEMM of p against kron(aux marginalizer, channel block) yields
-    every X-free marginal p(a), p(a,x), p(a,y1), p(a,y2), p(a,y1,y2);
-    one xlog2x over that block and one GEMM against a -1 segment matrix
-    turn them into entropies.  The terms with X and an output use
-    H(A,X,Y) = H(A,X) + H(Y|X).
+    Every term is a sum of row-table entries (see the module docstring):
+    for each name the rows p(a, .) of its marginal, then the one row
+    p(x).  A _Counts block reads them from the lattice table at their
+    ranks; a float block prices its own rows and reads them in order.
+    The terms with X and an output use H(A,X,Y) = H(A,X) + H(Y|X).
     """
-    t = ch.transition
-    nx = t.shape[0]
-    cards = p.shape[1:-1]
-    outs = {"": np.ones((nx, 1)), "X": np.eye(nx), "Y1": t.sum(axis=2),
-            "Y2": t.sum(axis=1), "Y1Y2": t.reshape(nx, -1)}
-    sels = {"": np.ones((int(np.prod(cards)), 1))}
-    for i, name in enumerate(names):
-        sel = np.ones((1, 1))
-        for j, c in enumerate(cards):
-            sel = np.kron(sel, np.eye(c) if j == i else np.ones((c, 1)))
-        sels[name] = sel
-    specs, blocks = [], []
-    for a, sel in sels.items():
-        for y, blk in outs.items():
-            if a + y:
-                specs.append(a + y)
-                blocks.append(np.kron(sel, blk))
-    widths = [b.shape[1] for b in blocks]
-    seg = np.zeros((sum(widths), len(specs)))
-    seg[np.arange(seg.shape[0]), np.repeat(np.arange(len(specs)), widths)] = -1.0
-    marg = p.reshape(p.shape[0], -1) @ np.hstack(blocks)
-    h = dict(zip(specs, seg.T @ xlog2x(marg).T))
-    # the first block is p(x); given X the outputs ignore the aux
-    ys = ("Y1", "Y2", "Y1Y2")
-    rows = -np.stack([xlog2x(outs[y]).sum(axis=1) for y in ys], axis=1)
-    for y, hy in zip(ys, (marg[:, :nx] @ rows).T):
-        h[y + "|X"] = hy
-        for a in sels:
-            h[a + "X" + y] = h[a + "X"] + hy
+    lattice = isinstance(block, _Counts)
+    blocks = _row_blocks(block.counts if lattice else np.asarray(block, float),
+                         len(names))
+    if lattice:
+        t = ch.transition
+        table = _lattice_table(t.shape, t.tobytes(), block.n)
+        idx = [_lattice_rank(rows, block.n) for rows in blocks]
+    else:
+        table = _price_rows(ch.transition, np.concatenate(sum(blocks, [])))
+        n_pts, ends = blocks[0][0].shape[0], np.cumsum([len(b) for b in blocks])
+        idx = [np.arange((e - len(b)) * n_pts, e * n_pts).reshape(len(b), n_pts)
+               for b, e in zip(blocks, ends)]
+    h = {}
+    for a, i in zip(names, idx):
+        h.update(zip((a + y for y in _OUTS), _gather(table[:len(_OUTS)], i)))
+    # p(x)'s sums; given X the outputs ignore the aux
+    h.update(zip(_OUTS[1:] + tuple(y + "|X" for y in _CONDS),
+                 _gather(table[1:], idx[-1])))
+    for y in _CONDS:
+        for a in names + ("",):
+            h[a + "X" + y] = h[a + "X"] + h[y + "|X"]
     return h
 
 
@@ -367,7 +469,14 @@ class _AuxGrid:
     entropies, and sorting its marginal maps every point of the full
     grid to a grid point with the same rows.  Each orbit keeps at least
     one point, so the envelope is the full grid's up to the order in
-    which a point's entropies are summed."""
+    which a point's entropies are summed.
+
+    Blocks are _Counts, priced from the lattice table of the module
+    docstring, when that table has no more rows than the sweep has
+    auxiliary rows (points times the auxiliary alphabets, summed).  A
+    grid with fewer -- a one-letter auxiliary, whose rows are whole
+    points, or a short sweep -- comes as float blocks that price their
+    own rows, so the table never costs more than the grid."""
 
     step_key = "grid_step"
 
@@ -380,9 +489,14 @@ class _AuxGrid:
         if self.capped and max(shape) > ch.x_card + 2:
             raise ValueError("auxiliary alphabets larger than |X|+2 are never needed")
         n = _units(step)
-        chunks = _budgeted_chunks(shape[0], int(np.prod(shape[1:])) * ch.x_card, step)
-        return ((c.reshape(-1, *shape, ch.x_card) / n for c in chunks),
-                dict(zip(self.cards, shape)))
+        size, chunks = _budgeted_chunks(shape[0], int(np.prod(shape[1:])) * ch.x_card,
+                                        step)
+        shaped = (c.reshape(-1, *shape, ch.x_card) for c in chunks)
+        if math.comb(n + ch.x_card, ch.x_card) <= size * sum(shape):
+            blocks = (_Counts(c, n) for c in shaped)
+        else:
+            blocks = (c / n for c in shaped)
+        return blocks, dict(zip(self.cards, shape))
 
     def point(self, ch, p):
         return np.asarray(p, dtype=float)[None, ...]

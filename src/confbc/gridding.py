@@ -53,8 +53,11 @@ def check_budget(n_points, budget=EVAL_BUDGET):
 
 
 def _budgeted_chunks(parts, cells, step):
-    """sorted_grid_chunks in _SWEEP_CHUNK blocks after the budget check;
-    a grid over the budget fails naming the finest step 1/n that fits."""
+    """(size, sorted_grid_chunks in _SWEEP_CHUNK blocks) after the budget
+    check; a grid over the budget fails naming the finest step 1/n whose
+    point count fits.  The budget counts points, not seconds: what a
+    point costs depends on the bound, so a step that fits may still run
+    long."""
     n = _units(step)
     size, exact = _count(parts, cells, n)
     if size > EVAL_BUDGET:
@@ -66,11 +69,12 @@ def _budgeted_chunks(parts, cells, step):
             else:
                 hi = mid - 1
         raise GridTooLargeError(
-            "sweep needs %s%d evaluations, over the %d budget; the finest "
-            "step that fits is 1/%d = %r (%d points)"
+            "sweep needs %s%d evaluations, over the %d-point budget; the "
+            "finest step within that point budget is 1/%d = %r (%d points), "
+            "which bounds the grid, not the run time"
             % ("" if exact else "at least ", size, EVAL_BUDGET, lo, 1.0 / lo,
                sorted_grid_size(parts, cells, 1.0 / lo)))
-    return sorted_grid_chunks(parts, cells, step)
+    return size, sorted_grid_chunks(parts, cells, step)
 
 
 def _count(parts, cells, n):

@@ -475,7 +475,9 @@ class Bound(namedtuple("Bound", ("name", "variables", "coeffs", "space", "rows",
     space  -- .cards: the auxiliary alphabet sizes a caller may set
               ("v_card", ...); .step_key: the step's meta key;
               .blocks(ch, step, cards) -> (point blocks, meta);
-              .point(ch, p) -> one point as a block of one
+              .point(ch, p) -> one point as a block of one.  A block is
+              whatever the terms stage reads; sweep only passes it on
+              (the dm grids hand over integer counts and their n)
     rows   -- rows(terms, ch) -> (N, m) right-hand sides of a block
     step   -- the default step
     terms  -- terms(ch, block): a block's information terms, computed
@@ -569,7 +571,25 @@ def _pareto_2d(s, a, acc):
     as (a, s) rhs rows sorted by decreasing s (so a comes out strictly
     increasing).  A support never decreases in any rhs entry (its dual
     multipliers are nonnegative), in every direction, so only these
-    survivors can ever attain the envelope."""
+    survivors can ever attain the envelope.
+
+    Before the sort, one O(N) mask drops the new points strictly
+    dominated (>= in both, > in one) by a corner: the point of highest
+    s (highest a among those) and the point of highest a (highest s
+    among those), of the new points and of acc.  The sort puts such a
+    point after a corner whose a is at least its own, and a corner
+    outlives the mask (a corner of acc is never masked, and one that
+    dominates a new corner dominates what it dominates), so the result
+    is the same bytes, ties and +-inf included."""
+    if s.size:
+        top_s, top_a = s.max(), a.max()
+        corners = [(top_s, a[s == top_s].max()), (s[a == top_a].max(), top_a)]
+        if acc is not None and acc.shape[0]:
+            corners += [(acc[0, 1], acc[0, 0]), (acc[-1, 1], acc[-1, 0])]
+        drop = np.zeros(s.shape, dtype=bool)
+        for cs, ca in corners:
+            drop |= (s <= cs) & (a <= ca) & ((s < cs) | (a < ca))
+        s, a = s[~drop], a[~drop]
     if acc is not None:
         a = np.concatenate([a, acc[:, 0]])
         s = np.concatenate([s, acc[:, 1]])

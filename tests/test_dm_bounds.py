@@ -22,9 +22,9 @@ from hypothesis import given, settings, strategies as st
 from confbc.channels import DmBroadcastChannel, GaussianBc, example_channel
 from confbc.errors import GridTooLargeError, InapplicableBoundError
 from confbc.gridding import (EVAL_BUDGET, simplex_grid, simplex_grid_chunks,
-                             sorted_grid_size)
+                             sorted_grid_chunks, sorted_grid_size)
 from confbc.info_core import (JointPmf, binary_entropy, conditional_entropy,
-                              mutual_information)
+                              mutual_information, xlog2x)
 from confbc.regions import (
     CANONICAL_DIRS_3D,
     batch_support,
@@ -486,20 +486,25 @@ def test_t4_terms_match_joint_pmf(seed, cards, nv):
     ch = _random_dm(rng, *cards)
     pvx = _sparse_pmf(rng, (nv, cards[0]), size=4)
     got = dmb._t4_mi_batch(ch, pvx)
-    mi = mutual_information
     for i, p in enumerate(pvx):
-        j = JointPmf(("V", "X", "Y1", "Y2"), p[:, :, None, None] * ch.transition)
-        want = {
-            "v_y2": mi(j, ("V",), ("Y2",)),
-            "x_y1": mi(j, ("X",), ("Y1",)),
-            "x_y1_v": mi(j, ("X",), ("Y1",), ("V",)),
-            "xj_v": mi(j, ("X",), ("Y1", "Y2"), ("V",)),
-            "x_j": mi(j, ("X",), ("Y1", "Y2")),
-            "y2_xy1": conditional_entropy(j, ("Y2",), ("X", "Y1")),
-        }
+        want = _t4_terms_oracle(ch, p)
         assert set(got) == set(want)
         for k, v in want.items():
             assert got[k][i] == pytest.approx(v, abs=1e-12), k
+
+
+def _t4_terms_oracle(ch, pvx):
+    """_t4_mi_batch's terms at one P(v, x), from the dense joint pmf."""
+    j = JointPmf(("V", "X", "Y1", "Y2"), pvx[:, :, None, None] * ch.transition)
+    mi = mutual_information
+    return {
+        "v_y2": mi(j, ("V",), ("Y2",)),
+        "x_y1": mi(j, ("X",), ("Y1",)),
+        "x_y1_v": mi(j, ("X",), ("Y1",), ("V",)),
+        "xj_v": mi(j, ("X",), ("Y1", "Y2"), ("V",)),
+        "x_j": mi(j, ("X",), ("Y1", "Y2")),
+        "y2_xy1": conditional_entropy(j, ("Y2",), ("X", "Y1")),
+    }
 
 
 @given(seed=st.integers(0, 2 ** 31), cards=_CARDS,
@@ -511,28 +516,138 @@ def test_outer_rows_match_joint_pmf(seed, cards, nu, nv):
     puvx = _sparse_pmf(rng, (nu, nv, cards[0]), size=4)
     outer = dmb.BOUNDS["outer"]
     got = outer.rows(outer.terms(ch, puvx), ch)
-    c12, c21 = ch.c12, ch.c21
     for i, p in enumerate(puvx):
-        j = JointPmf(("U", "V", "X", "Y1", "Y2"),
-                     p[:, :, :, None, None] * ch.transition)
+        assert np.allclose(got[i], _outer_rows_oracle(ch, p), rtol=0.0, atol=1e-12)
 
-        def mi(a, b, g=()):
-            return mutual_information(j, tuple(a), tuple(b), tuple(g))
 
-        want = [
-            mi("U", ["Y1"]) + c21,
-            mi("X", ["Y1"], ["Y2", "V"]) + mi("X", ["Y2"]),
-            mi("X", ["Y2"], ["Y1", "V"]) + mi("X", ["Y1"]),
-            mi("V", ["Y2"]) + c12,
-            mi("X", ["Y2"], ["Y1", "U"]) + mi("X", ["Y1"]),
-            mi("X", ["Y1"], ["Y2", "U"]) + mi("X", ["Y2"]),
-            mi("X", ["Y1"], "V") + mi("V", ["Y2"]) + c12 + c21,
-            mi("X", ["Y2"], "U") + mi("U", ["Y1"]) + c12 + c21,
-            mi("X", ["Y1"], ["Y2", "V"]) + mi("X", ["Y2"]) + c12,
-            mi("X", ["Y2"], ["Y1", "U"]) + mi("X", ["Y1"]) + c21,
-            mi("X", ["Y1", "Y2"]),
-        ]
-        assert np.allclose(got[i], want, rtol=0.0, atol=1e-12)
+def _outer_rows_oracle(ch, puvx):
+    """The 11 converse rows at one P(u, v, x), from the dense joint pmf."""
+    j = JointPmf(("U", "V", "X", "Y1", "Y2"),
+                 puvx[:, :, :, None, None] * ch.transition)
+    c12, c21 = ch.c12, ch.c21
+
+    def mi(a, b, g=()):
+        return mutual_information(j, tuple(a), tuple(b), tuple(g))
+
+    return [
+        mi("U", ["Y1"]) + c21,
+        mi("X", ["Y1"], ["Y2", "V"]) + mi("X", ["Y2"]),
+        mi("X", ["Y2"], ["Y1", "V"]) + mi("X", ["Y1"]),
+        mi("V", ["Y2"]) + c12,
+        mi("X", ["Y2"], ["Y1", "U"]) + mi("X", ["Y1"]),
+        mi("X", ["Y1"], ["Y2", "U"]) + mi("X", ["Y2"]),
+        mi("X", ["Y1"], "V") + mi("V", ["Y2"]) + c12 + c21,
+        mi("X", ["Y2"], "U") + mi("U", ["Y1"]) + c12 + c21,
+        mi("X", ["Y1"], ["Y2", "V"]) + mi("X", ["Y2"]) + c12,
+        mi("X", ["Y2"], ["Y1", "U"]) + mi("X", ["Y1"]) + c21,
+        mi("X", ["Y1", "Y2"]),
+    ]
+
+
+@given(seed=st.integers(0, 2 ** 31), cards=_CARDS, nu=st.integers(1, 4),
+       nv=st.integers(1, 4), n=st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_lattice_terms_match_joint_pmf(seed, cards, nu, nv, n):
+    # count blocks of the sorted grids, priced from the lattice table, at
+    # the finest step up to 1/n whose grid has at most 3,000 points
+    rng = np.random.default_rng(seed)
+    ch = _random_dm(rng, *cards)
+    nx = cards[0]
+
+    def blocks(parts, cells):
+        m = max(m for m in range(1, n + 1)
+                if sorted_grid_size(parts, cells, 1 / m) <= 3000)
+        return m, sorted_grid_chunks(parts, cells, 1 / m, chunk=701)
+
+    dmb._lattice_table.cache_clear()
+    m, chunks = blocks(nv, nx)
+    for chunk in chunks:
+        got = dmb._t4_mi_batch(ch, dmb._Counts(chunk.reshape(-1, nv, nx), m))
+        for i in rng.choice(chunk.shape[0], min(2, chunk.shape[0]), replace=False):
+            for k, v in _t4_terms_oracle(ch, chunk[i].reshape(nv, nx) / m).items():
+                assert got[k][i] == pytest.approx(v, abs=1e-12), k
+    outer = dmb.BOUNDS["outer"]
+    m, chunks = blocks(nu, nv * nx)
+    for chunk in chunks:
+        block = chunk.reshape(-1, nu, nv, nx)
+        got = outer.rows(outer.terms(ch, dmb._Counts(block, m)), ch)
+        for i in rng.choice(chunk.shape[0], min(2, chunk.shape[0]), replace=False):
+            assert np.allclose(got[i], _outer_rows_oracle(ch, block[i] / m),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nx,n", [(1, 5), (2, 30), (3, 7), (4, 6)])
+def test_lattice_rank_is_one_to_one(nx, n):
+    # the count rows over X with sum <= n, i.e. the compositions of n
+    # into |X| + 1 cells less the last, rank onto 0 .. C(n + |X|, |X|) - 1
+    rows = np.concatenate(list(sorted_grid_chunks(1, nx + 1, 1 / n)))[:, :nx]
+    rank = dmb._lattice_rank([rows], n)[0]
+    assert np.array_equal(np.sort(rank), np.arange(math.comb(n + nx, nx)))
+
+
+def test_t4_sweep_prices_the_lattice_not_the_grid(monkeypatch):
+    # the xlog2x cells of a sweep are the lattice table's: the same at
+    # |V| = 2 and 3, and far below the 60,737 points of the |V| = 3 grid
+    cells = []
+
+    def counted(p):
+        cells.append(np.size(p))
+        return xlog2x(p)
+
+    monkeypatch.setattr(dmb, "xlog2x", counted)
+    per_card = {}
+    for v in (2, 3):
+        dmb._lattice_table.cache_clear()
+        cells.clear()
+        dmb.theorem4_envelope(_ex1(), 1 / 30, v_card=v)
+        per_card[v] = sum(cells)
+    width = 1 + 2 + 2 + 2 + 4        # "", X, Y1, Y2, Y1Y2 marginals of a row
+    assert sorted_grid_size(3, 2, 1 / 30) == 60_737
+    assert per_card[2] == per_card[3] <= width * (math.comb(32, 2) + 2) < 60_737
+
+
+def _table_rows(monkeypatch):
+    """Record the row count of every lattice table a sweep builds."""
+    built, real = [], dmb._lattice_table
+
+    def recorded(shape, data, n):
+        built.append(math.comb(n + shape[0], shape[0]))
+        return real(shape, data, n)
+
+    dmb._lattice_table.cache_clear()
+    monkeypatch.setattr(dmb, "_lattice_table", recorded)
+    return built
+
+
+def test_one_letter_aux_prices_its_own_rows(monkeypatch):
+    # with |V| = 1 every row is a whole point and the lattice outgrows
+    # the grid, C(n + 4, 4) against C(n + 3, 3) rows at |X| = 4: at the
+    # finest step the budget admits the blocks price their own rows
+    built = _table_rows(monkeypatch)
+    rng = np.random.default_rng(4)
+    ch = _random_dm(rng, 4, 2, 2)
+    t4 = dmb.BOUNDS["t4"]
+    n = max(m for m in range(1, 2000) if math.comb(m + 3, 3) <= EVAL_BUDGET)
+    blocks, _ = t4.space.blocks(ch, 1 / n, {"v_card": 1})
+    block = next(blocks)
+    assert not isinstance(block, dmb._Counts)
+    terms = t4.terms(ch, block)
+    assert terms["x_j"].shape == (block.shape[0],)
+    assert built == []
+
+
+@pytest.mark.parametrize("cards,step", [({}, 1 / 2), ({"u_card": 2, "v_card": 1}, 1 / 4),
+                                        ({"u_card": 1, "v_card": 1}, 1 / 6)])
+def test_outer_table_never_outgrows_the_grid(monkeypatch, cards, step):
+    built = _table_rows(monkeypatch)
+    ch = _random_dm(np.random.default_rng(3), 3, 2, 2)
+    env = dmb.outer_envelope(ch, step, directions=CANONICAL_DIRS_3D, **cards)
+    u, v = (cards.get(c) or 5 for c in ("u_card", "v_card"))
+    aux_rows = sorted_grid_size(u, v * 3, step) * (u + v)
+    assert all(rows <= aux_rows for rows in built)
+    # the lattice is used exactly when it is no larger
+    assert (built != []) == (math.comb(round(1 / step) + 3, 3) <= aux_rows)
+    assert np.all(np.isfinite(env.supports))
 
 
 # ---------------------------------------------------------------------------

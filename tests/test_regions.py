@@ -547,6 +547,36 @@ def test_support_of_system_fewer_rows_than_variables():
 # envelopes and projections
 # ---------------------------------------------------------------------------
 
+def _pareto_unfiltered(s, a, acc):
+    # the merge without the corner mask: concatenate, sort, keep records
+    if acc is not None:
+        a = np.concatenate([a, acc[:, 0]])
+        s = np.concatenate([s, acc[:, 1]])
+    order = np.lexsort((-a, -s))
+    s, a = s[order], a[order]
+    prev = np.concatenate([[-np.inf], np.maximum.accumulate(a)[:-1]])
+    keep = a > prev
+    return np.column_stack([a[keep], s[keep]])
+
+
+@given(seed=st.integers(0, 2 ** 31), sizes=st.lists(st.integers(0, 40), min_size=1,
+                                                    max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_pareto_corner_mask_keeps_the_merge_bytes(seed, sizes):
+    # few distinct values, so ties are common; +-inf and both signed
+    # zeros among them
+    rng = np.random.default_rng(seed)
+    values = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, np.inf])
+    acc = want = None
+    for n in sizes:
+        s = rng.choice(values, n)
+        a = np.minimum(rng.choice(values, n), s) if rng.random() < 0.5 else \
+            rng.choice(values, n)
+        acc = regions._pareto_2d(s, a, acc)
+        want = _pareto_unfiltered(s, a, want)
+        assert acc.tobytes() == want.tobytes()
+
+
 def test_envelope_of_union_is_pointwise_max():
     p1 = _box(1.0, 3.0, 0.5)
     p2 = _box(2.0, 1.0, 0.5)
