@@ -47,5 +47,5 @@ from .gaussian_bounds import (psi, outer_polytope_g, outer_envelope_g,
                               approx_t9_polytope, approx_t9_envelope,
                               approx_t10_polytope, approx_t10_envelope,
                               df_inner_polytope, df_envelope, gap_bound_t11,
-                              gap_certificate)
+                              gap_certificate, gap_certificates)
 from .suites import SuiteReport, run_suite, suite_names

@@ -168,13 +168,15 @@ def kappa(a, b, lam):
     """Effective combined-output SNR slope for correlated noises.
 
     Finite for |lam| < 1; at |lam| = 1 it stays finite (= a^2) only in
-    the aligned case b = lam * a, and is +inf otherwise.
+    the aligned case b = lam * a, and is +inf otherwise.  Elementwise
+    over arrays of channel parameters; a scalar for scalars.
     """
-    if abs(lam) >= 1.0:
-        if abs(b - lam * a) <= 1e-12 * max(1.0, abs(a)):
-            return a * a
-        return math.inf
-    return (a * a + b * b - 2.0 * lam * a * b) / (1.0 - lam * lam)
+    a, b, lam = (np.asarray(v, dtype=float) for v in (a, b, lam))
+    edge = np.abs(lam) >= 1.0
+    aligned = np.abs(b - lam * a) <= 1e-12 * np.maximum(1.0, np.abs(a))
+    # the edge takes no part in the division, which would be by zero there
+    free = (a * a + b * b - 2.0 * lam * a * b) / np.where(edge, 1.0, 1.0 - lam * lam)
+    return np.where(edge, np.where(aligned, a * a, math.inf), free)[()]
 
 
 # ---------------------------------------------------------------------------

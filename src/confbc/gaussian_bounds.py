@@ -19,6 +19,7 @@ noise.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,9 +64,12 @@ def _stack_rows(*rows):
 
 
 def _kappa_psi(k, frac, power):
-    """psi(frac * k * P) with the absent-row convention: +inf for every
-    frac whenever the combined-output slope k is infinite."""
-    return math.inf if math.isinf(k) else psi(frac * k * power)
+    """psi(frac * k * P) with the absent-row convention: +inf wherever
+    the combined-output slope k is infinite, for every frac.
+    Elementwise; an infinite k never meets a zero frac, so no NaN is
+    formed."""
+    absent = np.isinf(k)
+    return np.where(absent, math.inf, psi(frac * np.where(absent, 0.0, k) * power))
 
 
 class _Splits:
@@ -194,7 +198,7 @@ _T9_COEFFS = np.array([(1, 0), (1, 1), (1, 1), (1, 1), (1, 1)], dtype=float)
 
 def _t9_rows(t, ch):
     qp = _q_slope(ch) * ch.power
-    c21_eff = max(ch.c21 - 0.5, 0.0)
+    c21_eff = np.maximum(ch.c21 - 0.5, 0.0)
     return _stack_rows(t["resid"] + ch.c12,
                        t["direct"] + c21_eff,
                        psi(qp),
@@ -356,47 +360,106 @@ _GAP_PAIRS = (
 )
 
 
+# Channel x tick rows priced per block of gap_certificates: a row
+# function keeps a dozen row-long temporaries alive, so this bounds the
+# block's memory near half a MiB of rows (about 40 channels at the default
+# step) while leaving few enough blocks that numpy's per-call cost stays
+# small.
+_GAP_BLOCK_ROWS = 1 << 12
+
+
 def gap_certificate(ch, beta_step=0.01):
     """Row-by-row distance certificates between the converse and each
-    approximate/inner region, maximized over the split grid.
+    approximate/inner region, maximized over the split grid: the
+    one-channel case of gap_certificates, which documents the result."""
+    return gap_certificates([ch], beta_step)[0]
+
+
+def gap_certificates(channels, beta_step=0.01):
+    """gap_certificate of every channel in a list, priced together.
 
     Each section of _GAP_PAIRS whose inner bound (t9, t10 or df) admits
     the channel pairs its rows at split beta with BOUNDS["outer"] rows at
     (alpha, beta) = (0, beta): gap = outer - inner, maximized over the
     ticks of beta_step; worst_beta is the first tick attaining it (for a
     gap constant in beta, where rounding peaks).  Rows are priced on the
-    c12 = 0 copy of ch, which is exact: both rows of every t9 and df pair
-    carry c12 alike, and t10 needs c12 = 0.
+    c12 = 0 copy of each channel, which is exact: both rows of every t9
+    and df pair carry c12 alike, and t10 needs c12 = 0.
 
-    Returns {"channel", "sections": [{name, required_bits, pairs: [
-    {inner_row, outer_row, gap_bits, worst_beta, slack_bits}], pass}]}.
+    Every channel is checked for |a| >= |b| before anything is priced.
+    The channels are then grouped by the sections their c12 = 0 copies
+    admit, and each group is priced in blocks of channel x tick rows
+    (_GAP_BLOCK_ROWS, or one channel's ticks if more): the BOUNDS row
+    functions run once per block on a stand-in channel whose fields are
+    per-row arrays, so the arithmetic of every row is the one a single
+    channel gets, and the certificates are the same values as one
+    channel at a time.
+
+    Returns one dict per channel, in order: {"channel", "beta_step",
+    "sections": [{name, required_bits, pairs: [{inner_row, outer_row,
+    gap_bits, worst_beta, required_bits, slack_bits}], pass}], "pass"}.
     slack = required - gap, so every slack >= 0 means the advertised
-    approximation factors really hold for this channel.
+    approximation factors really hold for that channel.
     """
-    _require_ordered(ch, "gap_certificate")
-    ch0 = GaussianBc(ch.a, ch.b, ch.lam, ch.power, c21=ch.c21)
+    channels = list(channels)
+    for ch in channels:
+        _require_ordered(ch, "gap_certificate")
+    copies = [GaussianBc(ch.a, ch.b, ch.lam, ch.power, c21=ch.c21) for ch in channels]
+    groups = {}
+    for i, ch0 in enumerate(copies):
+        groups.setdefault(tuple(_admits(BOUNDS[inner], ch0)
+                                for _, inner, _, _ in _GAP_PAIRS), []).append(i)
     betas = _ticks(beta_step)
-    terms = _beta_terms(ch0, betas[:, None])
-    outer = BOUNDS["outer"].rows(
-        np.column_stack([np.zeros_like(betas), betas]), ch0)
-    sections = []
-    for name, inner, required, pairs in _GAP_PAIRS:
-        try:
-            BOUNDS[inner].admit(ch0, warn=False)
-        except InapplicableBoundError:
-            continue
-        labels_in, rows_in, labels_out, rows_out = zip(*pairs)
-        gaps = (outer[:, list(rows_out)]
-                - BOUNDS[inner].rows(terms, ch0)[:, list(rows_in)])
-        req, worst = required(ch), betas[gaps.argmax(axis=0)].tolist()
-        found = [{"inner_row": li, "outer_row": lo, "gap_bits": g,
-                  "worst_beta": w, "required_bits": req,
-                  "slack_bits": math.inf if math.isinf(req) else req - g}
-                 for li, lo, g, w in zip(labels_in, labels_out,
-                                         gaps.max(axis=0).tolist(), worst)]
-        sections.append({"name": name, "required_bits": req, "pairs": found,
-                         "pass": all(q["slack_bits"] >= -1e-9 for q in found)})
-    return {"channel": ch.to_json_dict(), "beta_step": beta_step,
-            "sections": sections,
-            "pass": all(s["pass"] for s in sections)}
+    per_block = max(1, _GAP_BLOCK_ROWS // betas.size)
+    blocks = [(admitted, members[lo:lo + per_block])
+              for admitted, members in groups.items()
+              for lo in range(0, len(members), per_block)]
+    sections = [[] for _ in channels]
+    for admitted, members in blocks:
+        stack = _channel_stack([copies[i] for i in members], betas.size)
+        split = np.tile(betas, len(members))[:, None]
+        terms = _beta_terms(stack, split)
+        outer = BOUNDS["outer"].rows(np.column_stack([np.zeros_like(split), split]), stack)
+        for (name, inner, required, pairs), ok in zip(_GAP_PAIRS, admitted):
+            if not ok:
+                continue
+            labels_in, rows_in, labels_out, rows_out = zip(*pairs)
+            gaps = (outer[:, list(rows_out)]
+                    - BOUNDS[inner].rows(terms, stack)[:, list(rows_in)]).reshape(
+                        len(members), betas.size, len(pairs))
+            worst = betas[gaps.argmax(axis=1)].tolist()
+            for i, g, w in zip(members, gaps.max(axis=1).tolist(), worst):
+                sections[i].append(_section(name, required(channels[i]),
+                                            zip(labels_in, labels_out, g, w)))
+    return [{"channel": ch.to_json_dict(), "beta_step": beta_step, "sections": secs,
+             "pass": all(s["pass"] for s in secs)}
+            for ch, secs in zip(channels, sections)]
 
+
+def _admits(bound, ch):
+    try:
+        bound.admit(ch, warn=False)
+    except InapplicableBoundError:
+        return False
+    return True
+
+
+def _channel_stack(channels, ticks):
+    """A stand-in channel for the row functions: each field an array
+    holding every channel's value once per tick, channel-major; c12 is
+    0, as on every copy gap_certificates prices."""
+    def field(name):
+        return np.repeat([getattr(ch, name) for ch in channels], ticks)
+    return SimpleNamespace(a=field("a"), b=field("b"), lam=field("lam"),
+                           power=field("power"), c12=0.0, c21=field("c21"))
+
+
+def _section(name, req, pairs):
+    """One certificate section from its (inner label, outer label, gap,
+    worst beta) pairs."""
+    found = [{"inner_row": li, "outer_row": lo, "gap_bits": g, "worst_beta": w,
+              "required_bits": req,
+              "slack_bits": math.inf if math.isinf(req) else req - g}
+             for li, lo, g, w in pairs]
+    return {"name": name, "required_bits": req, "pairs": found,
+            "pass": all(q["slack_bits"] >= -1e-9 for q in found)}

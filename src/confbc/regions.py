@@ -25,8 +25,19 @@ Primal vertex enumeration stays for a polytope's own vertices, for the
 general-sign systems, and as the oracle envelopes are checked against;
 an LP solver only appears in the test suite.  A general-sign system's
 vertices and its Farkas boundedness test come from one basis pass of
-its matrix (_basis_pass), memoised, so every rhs and every block of
-directions on that matrix share it.
+its matrix (_basis_pass), memoised with every basis' inverse, so every
+rhs and every block of directions on that matrix share it, and a rhs
+costs a gather and a product rather than a solve per basis.
+
+Fourier-Motzkin elimination splits the same way.  Which rows pair, how
+they scale and which proportional rows merge depend on the matrix (and
+on which rows are absent), never on the rhs values, so that plan
+(_fm_plan) is memoised next to the basis pass and each system replays
+only its rhs through it.  The replay is exact: each paired rhs is a
+combination with nonnegative weights, computed by the same products
+and sums as a fresh elimination, and because the weights are
+nonnegative a merged group's tightest row is its least rhs, which the
+replay picks as a fresh elimination does.
 
 Every bound the CLI evaluates is a Bound record in its module's BOUNDS
 table: a fixed coefficient matrix and a row function of a parameter
@@ -190,30 +201,41 @@ def enumerate_vertices(a, b, tol=_FEAS_TOL):
     """Feasible basic solutions of the rate region a @ x <= b, x >= 0.
 
     Exact-ish for the 1-3 dimensional systems used here; returns an
-    (n, k) array of distinct vertices (possibly empty).
+    (n, k) array of distinct vertices (possibly empty).  Each basis is
+    solved afresh, so this stays the oracle for the cached inverses
+    the general-sign systems use.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     k = a.shape[1]
     a = np.vstack([a, -np.eye(k)])
     b = np.concatenate([b, np.zeros(k)])
-    return _feasible_vertices(a, b, *_bases(a, k), tol)
+    b = np.where(np.isfinite(b), b, _BIG)
+    idx, mats = _bases(a, k)
+    return _feasible_vertices(a, b, np.linalg.solve(mats, b[idx][..., None])[..., 0], tol)
 
 
-def _feasible_vertices(a, b, idx, mats, tol=_FEAS_TOL):
-    """The distinct feasible basic solutions of a @ x <= b at the given
-    bases of a (as _bases returns them), in basis order."""
-    b_solve = np.where(np.isfinite(b), b, _BIG)
-    if idx.shape[0] == 0:
+def _feasible_vertices(a, b, verts, tol=_FEAS_TOL):
+    """The distinct basic solutions verts (one per basis, in basis
+    order) that satisfy a @ x <= b, with b finite.  The rows are checked
+    a block of _PRICE_CELLS values at a time, for the memory reason
+    batch_support prices in such blocks."""
+    if verts.shape[0] == 0:
         return np.empty((0, a.shape[1]))
-    verts = np.linalg.solve(mats, b_solve[idx][..., None])[..., 0]
-    margin = tol * (1.0 + np.abs(b_solve))
-    feas = np.all(verts @ a.T <= b_solve[None, :] + margin[None, :], axis=1)
-    verts = verts[feas]
+    limit = b + tol * (1.0 + np.abs(b))
+    step = max(1, _PRICE_CELLS // max(a.shape[0], 1))
+    verts = verts[np.concatenate([np.all(verts[lo:lo + step] @ a.T <= limit, axis=1)
+                                  for lo in range(0, verts.shape[0], step)])]
     if verts.shape[0] == 0:
         return verts
     # dedup at 1e-9 granularity but hand back full-precision points
     _, first = np.unique(np.round(verts, 9), axis=0, return_index=True)
     return verts[np.sort(first)]
+
+
+def _basic_solutions(inv, idx, b):
+    """The basic solution of a @ x <= b at each cached basis: the basis
+    inverse (as _basis_pass keeps it) applied to the basis' rhs."""
+    return np.einsum("tij,tj->ti", inv, b[idx])
 
 
 def _combos(n, k):
@@ -314,7 +336,7 @@ def _dual_vertices(a, dirs):
     from several bases fills one slot per basis."""
     m, k = a.shape
     idx, mats = _bases(np.vstack([a, -np.eye(k)]), k)
-    y, tol = _multipliers(mats, dirs)
+    y, tol = _multipliers(np.linalg.inv(mats), dirs)
     feas = np.all(y >= -tol, axis=2)
     # scatter each basis' multipliers onto the coefficient rows; the -I
     # rows carry surplus with zero rhs, so they drop out of the price
@@ -332,20 +354,19 @@ def _dual_vertices(a, dirs):
     return lam[pick, col], used[pick, col], has
 
 
-def _multipliers(mats, dirs):
-    """Weights y with y @ basis = d for every basis and direction, as a
-    (T, D, k) array, and the rounding tolerance of each weight: a
-    multiplier within it of zero is zero.  The tolerance scales with the
-    terms that make the multiplier up, so tiny direction components
-    count."""
-    inv = np.linalg.inv(mats)
+def _multipliers(inv, dirs):
+    """Weights y with y @ basis = d for every basis (given by its (T, k,
+    k) inverses) and direction, as a (T, D, k) array, and the rounding
+    tolerance of each weight: a multiplier within it of zero is zero.
+    The tolerance scales with the terms that make the multiplier up, so
+    tiny direction components count."""
     return dirs @ inv, _DUAL_TOL * (np.abs(dirs) @ np.abs(inv))
 
 
-def _in_cone(mats, dirs):
+def _in_cone(inv, dirs):
     """For each direction d, is d a nonnegative combination of the rows
-    of one of the (T, k, k) bases?"""
-    y, tol = _multipliers(mats, dirs)
+    of one of the bases whose (T, k, k) inverses are given?"""
+    y, tol = _multipliers(inv, dirs)
     bounded = np.any(np.all(y >= -tol, axis=2), axis=0)
     if not np.all(bounded):
         # a weight that is zero in exact arithmetic can come out as rounding
@@ -389,13 +410,12 @@ def support_of_system(system, directions, tol=_FEAS_TOL):
         return np.full(dirs.shape[0], -INF)
     keep = ~zero_rows & np.isfinite(b)
     a, b = a[keep], b[keep]
-    span, rows, idx, _ = _basis_pass(a.shape, a.tobytes())
-    mats = rows[idx]
-    verts = _feasible_vertices(rows, b, idx, mats, tol)
+    span, rows, idx, inv, _ = _basis_pass(a.shape, a.tobytes())
+    verts = _feasible_vertices(rows, b, _basic_solutions(inv, idx, b), tol)
     if verts.shape[0] == 0:
         return np.full(dirs.shape[0], -INF)
     on = dirs if span is None else dirs @ span
-    bounded = _in_cone(mats, on)
+    bounded = _in_cone(inv, on)
     if span is not None:
         bounded &= np.linalg.norm(dirs - on @ span.T, axis=1) <= _FEAS_TOL
     return np.where(bounded, (verts @ on.T).max(axis=0), INF)
@@ -622,41 +642,52 @@ def fm_eliminate(system, names, prune=True):
     witness row over the variables every name leaves.  Every name is
     checked first, so an unknown one raises even then.
 
-    The vertex sweep's basis pass -- which k-row bases are nonsingular,
-    is the system bounded along every axis both ways (Farkas' lemma) --
-    depends on the matrix alone, not on the rhs, the same argument as
-    batch_support's rhs-free dual vertices.  It is memoised per matrix,
-    so systems that differ only in their rhs (every appendix-B draw)
-    share it.
+    Everything but the rhs arithmetic depends on the matrix alone: a
+    step's pos/neg/zero split and pairing read the signs of one column,
+    and the dedup's row scales, groups and surviving rows read the
+    combined rows.  That plan (_fm_plan) is memoised per matrix, names
+    and +inf pattern, next to the vertex sweep's basis pass, so systems
+    that differ only in their rhs (every appendix-B draw) share both.
+    A call replays its rhs through the plan, and the replay is exact.
+    Each paired rhs is rhs[neg] * col[pos] + rhs[pos] * -col[neg], the
+    same products and sum a fresh step forms, with both weights
+    nonnegative.  A min commutes with nonnegative weights, so a merged
+    group's tightest row is its least scaled rhs for every rhs, and the
+    replay takes that least value without a sort, ties to the earliest
+    row as the sort kept them, signed zeros included.  Only an
+    overflowing pairing gives a later step a nonfinite rhs; such a step
+    leaves the plan and eliminates the remaining names afresh.
+
+    The basis pass -- which k-row bases are nonsingular, their
+    inverses, is the system bounded along every axis both ways
+    (Farkas' lemma) -- depends on the matrix alone too, the same
+    argument as batch_support's rhs-free dual vertices.
     """
-    variables, left = list(system.variables), list(system.variables)
+    names, left = tuple(names), list(system.variables)
     for name in names:
         if name not in left:
             raise ValueError("cannot eliminate unknown variable %r" % name)
         left.remove(name)
-    mat, rhs = system.matrix, system.rhs
-    for name in names:
+    variables, mat, rhs = system.variables, system.matrix, system.rhs
+    if names:
         if np.any(rhs == -INF):
             return _witness(left, -INF)
         live = rhs != INF
-        mat, rhs = mat[live], rhs[live]
-        j = variables.index(name)
-        col = mat[:, j]
-        pos = np.nonzero(col > 1e-12)[0]
-        neg = np.nonzero(col < -1e-12)[0]
-        zero = np.nonzero(np.abs(col) <= 1e-12)[0]
-        # every (pos, neg) pair, pos-major, scaled so column j cancels exactly
-        combo = (mat[None, neg] * col[pos, None, None]
-                 + mat[pos, None] * -col[None, neg, None]).reshape(-1, mat.shape[1])
-        combo[:, j] = 0.0
-        mat = np.delete(np.concatenate([mat[zero], combo]), j, axis=1)
-        rhs = np.concatenate([rhs[zero], (rhs[None, neg] * col[pos, None]
-                                          + rhs[pos, None] * -col[None, neg]).ravel()])
-        variables.pop(j)
-        mat, rhs = _dedup_rows(mat, rhs)
-        if rhs.size and not np.any(mat[-1]):
-            return _witness(left, rhs[-1])
-    out = LinearSystem(tuple(variables), mat, rhs)
+        steps, variables, mat = _fm_plan(mat.shape, mat.tobytes(), variables, names,
+                                         live.tobytes())
+        rhs = rhs[live]
+        for s, step in enumerate(steps):
+            if s and not np.all(np.isfinite(rhs)):
+                return fm_eliminate(LinearSystem(step.variables, step.matrix, rhs),
+                                    names[s:], prune)
+            rhs = np.concatenate([rhs[step.zero], rhs[step.neg] * step.at_neg
+                                  + rhs[step.pos] * step.at_pos])
+            nul = rhs[step.dedup.nul]
+            bad = nul[nul < -1e-12]
+            if bad.size:
+                return _witness(left, bad.min())
+            rhs = _dedup_values(step.dedup, rhs)
+    out = LinearSystem(variables, mat, rhs)
     if prune and len(variables) <= 3:
         out = _vertex_prune(out)
     return out
@@ -668,34 +699,86 @@ def _witness(variables, value):
     return LinearSystem(variables, np.zeros((1, len(variables))), [value])
 
 
-def _dedup_rows(mat, rhs):
-    """Drop tautologies, collapse proportional rows to the tightest one,
-    and keep at most one witness of infeasibility.
+# One step of an elimination plan, for the step's input rows (variables,
+# matrix): rows zero in the eliminated column, then every (pos, neg)
+# pair, pos-major, whose rhs is rhs[neg] * at_neg + rhs[pos] * at_pos;
+# dedup groups the rows that makes.
+_FmStep = namedtuple("_FmStep", ("variables", "matrix", "zero", "pos", "neg",
+                                 "at_pos", "at_neg", "dedup"))
+# The rhs-free half of a proportional-row dedup: the surviving rows, the
+# zero rows (nul), and the live rows (with their max-norm scales) listed
+# group by group, each group's rows in row order, groups in order of
+# first occurrence; group is each listed row's group, starts each
+# group's first slot.
+_Dedup = namedtuple("_Dedup", ("rows", "nul", "live", "scale", "group", "starts"))
 
-    Rows are scaled to a max-norm of 1 and grouped on their 9-digit
-    rounding; each group keeps its first row, in first-occurrence
-    order, with the group's least rhs.  The witness, the least rhs of
-    the zero rows when that is negative, comes last as 0 <= rhs."""
+
+@functools.lru_cache(maxsize=4)
+def _fm_plan(shape, data, variables, names, live):
+    """The rhs-free half of fm_eliminate, for the float matrix with this
+    shape and these bytes over variables, the rows flagged in the bool
+    bytes live kept: (steps, variables left, projected matrix).  Steps
+    after the first take every row as live.  Read-only, as every call on
+    this matrix shares it."""
+    mat = np.frombuffer(data).reshape(shape)[np.frombuffer(live, dtype=bool)]
+    variables, steps = list(variables), []
+    for name in names:
+        j = variables.index(name)
+        col = mat[:, j]
+        pos = np.nonzero(col > 1e-12)[0]
+        neg = np.nonzero(col < -1e-12)[0]
+        zero = np.nonzero(np.abs(col) <= 1e-12)[0]
+        # every (pos, neg) pair, pos-major, scaled so column j cancels exactly
+        pos, neg = np.repeat(pos, neg.size), np.tile(neg, pos.size)
+        combo = mat[neg] * col[pos, None] + mat[pos] * -col[neg, None]
+        combo[:, j] = 0.0
+        step = (tuple(variables), mat, zero, pos, neg, -col[neg], col[pos])
+        variables.pop(j)
+        dedup = _dedup_groups(np.delete(np.concatenate([mat[zero], combo]), j, axis=1))
+        steps.append(_FmStep(*step, dedup))
+        mat = dedup.rows
+    for arr in chain.from_iterable(chain(st[1:7], st.dedup) for st in steps):
+        arr.flags.writeable = False
+    return tuple(steps), tuple(variables), mat
+
+
+def _dedup_groups(mat):
+    """The rhs-free half of the proportional-row dedup of mat, as a
+    _Dedup: rows are scaled to a max-norm of 1 and grouped on their
+    9-digit rounding, and each group keeps its first row, in
+    first-occurrence order; rows whose scale is 1e-12 or less are the
+    zero rows."""
     scale = np.abs(mat).max(axis=1, initial=0.0)
     zero = scale <= 1e-12
-    bad = rhs[zero][rhs[zero] < -1e-12]
     live = np.nonzero(~zero)[0]
     rows = mat[live] / scale[live, None]
-    vals = rhs[live] / scale[live]
+    group = starts = np.empty(0, dtype=np.intp)
     if live.size:
         key = np.round(rows, 9)
-        # sorted by key, then rhs; the stable sort leaves equal rhs in row order
-        order = np.lexsort(np.vstack([vals, key.T[::-1]]))
+        order = np.lexsort(key.T[::-1])           # by key, then row order
         key = key[order]
-        starts = np.flatnonzero(np.concatenate(
-            [[True], np.any(key[1:] != key[:-1], axis=1)]))
-        first = np.minimum.reduceat(order, starts)
-        by_row = np.argsort(first)
-        rows, vals = rows[first[by_row]], vals[order[starts]][by_row]
-    if bad.size:
-        rows = np.vstack([rows, np.zeros(mat.shape[1])])
-        vals = np.append(vals, bad.min())
-    return rows, vals
+        new = np.concatenate([[True], np.any(key[1:] != key[:-1], axis=1)])
+        first = order[new]                        # each group's first row
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        by_key = rank[np.cumsum(new) - 1]
+        slots = np.argsort(by_key, kind="stable")
+        live, group = live[order[slots]], by_key[slots]
+        starts = np.flatnonzero(np.concatenate([[True], group[1:] != group[:-1]]))
+        rows = rows[np.sort(first)]
+    return _Dedup(rows, np.nonzero(zero)[0], live, scale[live], group, starts)
+
+
+def _dedup_values(dedup, rhs):
+    """Each group's rhs, scaled as its rows: the least, the earliest row
+    among equal least ones (so a -0.0 and a 0.0 keep whichever comes
+    first), NaN only when the whole group is."""
+    vals = rhs[dedup.live] / dedup.scale
+    if not vals.size:
+        return vals
+    least = np.fmin.reduceat(vals, dedup.starts)
+    hit = np.flatnonzero((vals <= least[dedup.group]) | np.isnan(least)[dedup.group])
+    return vals[hit[np.searchsorted(hit, dedup.starts)]]
 
 
 def _vertex_prune(system):
@@ -705,10 +788,10 @@ def _vertex_prune(system):
     a, b = system.matrix, system.rhs
     if not np.all(np.isfinite(b)) or np.any(np.all(np.abs(a) <= 1e-12, axis=1)):
         return system
-    _, rows, idx, bounded = _basis_pass(a.shape, a.tobytes())
+    _, rows, idx, inv, bounded = _basis_pass(a.shape, a.tobytes())
     if not bounded:
         return system
-    verts = _feasible_vertices(rows, b, idx, rows[idx])
+    verts = _feasible_vertices(rows, b, _basic_solutions(inv, idx, b))
     if verts.shape[0] == 0:
         return system
     act = np.abs(verts @ a.T - b[None, :]) <= 1e-7 * (1.0 + np.abs(b[None, :]))
@@ -722,23 +805,28 @@ def _vertex_prune(system):
 def _basis_pass(shape, data):
     """The rhs-free half of a general-sign system's vertex work, for the
     float matrix a with this shape and these bytes: (span, rows, idx,
-    bounded).  span is _row_span(a), rows is a in span coordinates (a
-    itself when span is None), idx the (T, r) row indices of the
-    nonsingular bases of rows, as _bases picks them, and bounded whether
-    every system on a is bounded along every axis both ways, which needs
-    full rank.  A function of its own, so the pass's temporaries go when
-    it returns; its results are read-only, as every call on this matrix
-    shares them."""
+    inv, bounded).  span is _row_span(a), rows is a in span coordinates
+    (a itself when span is None), idx the (T, r) row indices of the
+    nonsingular bases of rows, as _bases picks them, inv their (T, r, r)
+    inverses, and bounded whether every system on a is bounded along
+    every axis both ways, which needs full rank.  Each basis is inverted
+    here once: a rhs's basic solutions are then one gather and one
+    product (_basic_solutions) and a direction's multipliers one
+    product, where a solve per rhs would factor every basis again.  A
+    function of its own, so the pass's temporaries go when it returns;
+    its results are read-only, as every call on this matrix shares
+    them."""
     a = np.frombuffer(data).reshape(shape)
     span = _row_span(a)
     rows = a if span is None else a @ span
     idx, mats = _bases(rows, rows.shape[1])
+    inv = np.linalg.inv(mats)
     axes = np.eye(shape[1])
-    bounded = span is None and bool(np.all(_in_cone(mats, np.vstack([axes, -axes]))))
-    for arr in (span, rows, idx):
+    bounded = span is None and bool(np.all(_in_cone(inv, np.vstack([axes, -axes]))))
+    for arr in (span, rows, idx, inv):
         if arr is not None:
             arr.flags.writeable = False
-    return span, rows, idx, bounded
+    return span, rows, idx, inv, bounded
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,74 @@ def test_gap_certificate_structure_and_pass():
         min(gb.gap_bound_t11(ch), 0.5 * math.log2(2.0 / (1 - ch.lam ** 2))))
 
 
+def _certificate_from_rows(ch, beta_step):
+    """One certificate assembled channel by channel from the scalar
+    BOUNDS rows of ch's c12 = 0 copy: what gap_certificates stacks."""
+    ch0 = GaussianBc(ch.a, ch.b, ch.lam, ch.power, c21=ch.c21)
+    betas = gb._ticks(beta_step)
+    terms = gb._beta_terms(ch0, betas[:, None])
+    outer = gb.BOUNDS["outer"].rows(np.column_stack([np.zeros_like(betas), betas]), ch0)
+    sections = []
+    for name, inner, required, pairs in gb._GAP_PAIRS:
+        try:
+            gb.BOUNDS[inner].admit(ch0, warn=False)
+        except InapplicableBoundError:
+            continue
+        rows, req, found = gb.BOUNDS[inner].rows(terms, ch0), required(ch), []
+        for label_in, row_in, label_out, row_out in pairs:
+            gap = outer[:, row_out] - rows[:, row_in]
+            found.append({"inner_row": label_in, "outer_row": label_out,
+                          "gap_bits": float(gap.max()),
+                          "worst_beta": float(betas[gap.argmax()]), "required_bits": req,
+                          "slack_bits": math.inf if math.isinf(req) else req - gap.max()})
+        sections.append({"name": name, "required_bits": req, "pairs": found,
+                         "pass": all(q["slack_bits"] >= -1e-9 for q in found)})
+    return {"channel": ch.to_json_dict(), "beta_step": beta_step, "sections": sections,
+            "pass": all(sec["pass"] for sec in sections)}
+
+
+def _mixed_channels():
+    """|lam| < 1, lam = +-1 with misaligned gains, lam = 0, b = 0, c12 > 0,
+    |a| = |b|, then random partial ones, enough for several blocks."""
+    chs = [GaussianBc(1.5, 0.8, 0.4, 5.0, c12=0.3, c21=0.9),
+           GaussianBc(2.0, -1.0, 1.0, 3.0, c21=0.2),
+           example_channel("g-mirror", power=2.0, c12=0.5, c21=0.4),
+           GaussianBc(1.2, 0.5, 0.0, 1.0),
+           GaussianBc(1.0, 0.0, 0.5, 2.0, c21=0.7),
+           GaussianBc(0.9, -0.9, 0.3, 10.0, c12=1.5, c21=0.1)]
+    rng = np.random.default_rng(7)
+    for _ in range(90):
+        a = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
+        chs.append(GaussianBc(a, a * rng.uniform(-1.0, 1.0), rng.uniform(-0.99, 0.99),
+                              rng.uniform(0.01, 100.0), c12=rng.uniform(0.0, 2.0),
+                              c21=rng.uniform(0.0, 2.0)))
+    return chs
+
+
+@pytest.mark.parametrize("block_rows", [1, None])
+def test_gap_certificates_equal_the_scalar_rows(block_rows, monkeypatch):
+    if block_rows is not None:                 # one channel per block
+        monkeypatch.setattr(gb, "_GAP_BLOCK_ROWS", block_rows)
+    chs = _mixed_channels()
+    for step in (0.01, 0.25):
+        want = [_certificate_from_rows(ch, step) for ch in chs]
+        assert gb.gap_certificates(chs, beta_step=step) == want
+    assert gb.gap_certificate(chs[1], beta_step=0.25) == _certificate_from_rows(chs[1], 0.25)
+    assert [s["name"] for s in want[1]["sections"]] == ["decode-forward-vs-converse"]
+    assert gb.gap_certificates([], beta_step=0.01) == []
+
+
+def test_gap_certificates_check_order_before_pricing(monkeypatch):
+    def priced(*args):
+        raise AssertionError("priced before every channel was checked")
+    monkeypatch.setattr(gb, "_channel_stack", priced)
+    monkeypatch.setattr(gb, "_beta_terms", priced)
+    chs = _mixed_channels()[:4]
+    chs.insert(2, GaussianBc(0.5, 1.0, 0.2, 1.0))          # |a| < |b|
+    with pytest.raises(InapplicableBoundError, match="gap_certificate"):
+        gb.gap_certificates(chs)
+
+
 def test_gap_certificate_separable_edge():
     # mirrored outputs: the half-bit sections need partial correlation,
     # so only the converse comparison survives -- with an infinite

@@ -404,6 +404,44 @@ def _dedup_rows_loop(mat, rhs):
     return np.array(keep_mat), np.array(keep_rhs)
 
 
+def _dedup_rows_sorted(mat, rhs):
+    """The one-sort dedup fm_eliminate ran per step before its plan was
+    memoised, kept for the reference stepper below."""
+    scale = np.abs(mat).max(axis=1, initial=0.0)
+    zero = scale <= 1e-12
+    bad = rhs[zero][rhs[zero] < -1e-12]
+    live = np.nonzero(~zero)[0]
+    rows = mat[live] / scale[live, None]
+    vals = rhs[live] / scale[live]
+    if live.size:
+        key = np.round(rows, 9)
+        # sorted by key, then rhs; the stable sort leaves equal rhs in row order
+        order = np.lexsort(np.vstack([vals, key.T[::-1]]))
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(
+            [[True], np.any(key[1:] != key[:-1], axis=1)]))
+        first = np.minimum.reduceat(order, starts)
+        by_row = np.argsort(first)
+        rows, vals = rows[first[by_row]], vals[order[starts]][by_row]
+    if bad.size:
+        rows = np.vstack([rows, np.zeros(mat.shape[1])])
+        vals = np.append(vals, bad.min())
+    return rows, vals
+
+
+def _dedup_rows_planned(mat, rhs):
+    """The dedup as an elimination plan replays it: the rhs-free groups
+    of mat, then rhs through them, and the witness last."""
+    dedup = regions._dedup_groups(mat)
+    rows, vals = dedup.rows, regions._dedup_values(dedup, rhs)
+    nul = rhs[dedup.nul]
+    bad = nul[nul < -1e-12]
+    if bad.size:
+        rows = np.vstack([rows, np.zeros(mat.shape[1])])
+        vals = np.append(vals, bad.min())
+    return rows, vals
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_dedup_rows_matches_the_loop(seed):
     rng = np.random.default_rng(seed)
@@ -415,9 +453,158 @@ def test_dedup_rows_matches_the_loop(seed):
     mat[rng.random(pick.size) < 0.15] = 0.0
     rhs = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0], size=pick.size)
     rhs = rhs * np.abs(mat).max(axis=1, initial=1.0) if seed % 2 else rhs
-    got, want = regions._dedup_rows(mat, rhs), _dedup_rows_loop(mat, rhs)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    want = _dedup_rows_loop(mat, rhs)
+    for got in (_dedup_rows_planned(mat, rhs), _dedup_rows_sorted(mat, rhs)):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _fm_reference(system, names, prune=True):
+    """fm_eliminate as it stepped before its plan was memoised: every
+    step pairs, dedups and checks the rhs afresh.  The oracle of the
+    plan's replay; the vertex prune is shared."""
+    variables, left = list(system.variables), list(system.variables)
+    for name in names:
+        if name not in left:
+            raise ValueError("cannot eliminate unknown variable %r" % name)
+        left.remove(name)
+    mat, rhs = system.matrix, system.rhs
+    for name in names:
+        if np.any(rhs == -math.inf):
+            return regions._witness(left, -math.inf)
+        live = rhs != math.inf
+        mat, rhs = mat[live], rhs[live]
+        j = variables.index(name)
+        col = mat[:, j]
+        pos = np.nonzero(col > 1e-12)[0]
+        neg = np.nonzero(col < -1e-12)[0]
+        zero = np.nonzero(np.abs(col) <= 1e-12)[0]
+        combo = (mat[None, neg] * col[pos, None, None]
+                 + mat[pos, None] * -col[None, neg, None]).reshape(-1, mat.shape[1])
+        combo[:, j] = 0.0
+        mat = np.delete(np.concatenate([mat[zero], combo]), j, axis=1)
+        rhs = np.concatenate([rhs[zero], (rhs[None, neg] * col[pos, None]
+                                          + rhs[pos, None] * -col[None, neg]).ravel()])
+        variables.pop(j)
+        mat, rhs = _dedup_rows_sorted(mat, rhs)
+        if rhs.size and not np.any(mat[-1]):
+            return regions._witness(left, rhs[-1])
+    out = LinearSystem(tuple(variables), mat, rhs)
+    if prune and len(variables) <= 3:
+        out = regions._vertex_prune(out)
+    return out
+
+
+def _same_system(got, want):
+    return (got.variables == want.variables
+            and got.matrix.shape == want.matrix.shape
+            and got.matrix.tobytes() == want.matrix.tobytes()
+            and got.rhs.tobytes() == want.rhs.tobytes())
+
+
+def _planned_cold_and_warm(system, names, prune=True):
+    """fm_eliminate with its plan cache cleared, then again warm; both
+    must be the same bytes, and the warm call must build no plan."""
+    regions._fm_plan.cache_clear()
+    cold = fm_eliminate(system, names, prune=prune)
+    warm = fm_eliminate(system, names, prune=prune)
+    info = regions._fm_plan.cache_info()
+    assert info.hits == info.misses
+    assert _same_system(cold, warm)
+    return cold
+
+
+_APPENDIX_B_NAMES = ("R10", "R11", "R20", "R22", "B1", "B2")
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("seed", range(3))
+def test_fm_plan_replays_appendix_b_draws(seed, prune):
+    from confbc import dm_bounds as dmb
+    from confbc.channels import example_channel
+    ch = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.5)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        f = dmb.random_factorization(rng, ch)
+        for alpha in (0.0, 0.5, 1.0):
+            system = dmb.appendixB_system(ch, f, alpha)
+            got = _planned_cold_and_warm(system, _APPENDIX_B_NAMES, prune)
+            assert _same_system(got, _fm_reference(system, _APPENDIX_B_NAMES, prune))
+
+
+def test_fm_plan_replays_random_integer_systems():
+    rng = np.random.default_rng(2024)
+    values = [-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf, -math.inf]
+    for i in range(400):
+        k = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 9))
+        a = rng.integers(-2, 3, size=(m, k)) * rng.choice([1.0, 0.5, 3.0], size=(m, 1))
+        b = rng.choice(values, size=m, p=[.1, .1, .1, .1, .15, .15, .15, .1, .05])
+        names = ("x0", "x1", "x2", "x3")[:k]
+        gone = [names[j] for j in rng.permutation(k)[:int(rng.integers(1, k))]]
+        system = LinearSystem(names, a, b)
+        prune = bool(i % 2)
+        got = _planned_cold_and_warm(system, gone, prune)
+        assert _same_system(got, _fm_reference(system, gone, prune)), (a, b, gone)
+
+
+def test_fm_plan_witness_at_step_two():
+    # B1 pairs into the tautology 0 <= 1; only eliminating B2 shows the
+    # system empty: 2 B2 <= -3, scaled to B2 <= -1.5 by the first step's
+    # dedup, against -B2 <= 0.5 gives 0 <= -1
+    system = LinearSystem.from_rows(
+        ("R", "B1", "B2"),
+        [({"B1": 1}, 1.0), ({"B1": -1}, 0.0), ({"R": 1}, 1.0),
+         ({"B2": 2}, -3.0), ({"B2": -1}, 0.5)])
+    want = _fm_reference(system, ("B1", "B2"))
+    assert want.variables == ("R",) and want.rhs.tolist() == [-1.0]
+    for prune in (True, False):
+        got = _planned_cold_and_warm(system, ("B1", "B2"), prune)
+        assert _same_system(got, want)
+        assert regions._fm_plan.cache_info().misses == 1
+        assert got.variables == ("R",) and got.rhs.tolist() == [-1.0]
+
+
+def test_fm_plan_keys_on_the_inf_pattern():
+    a = [[1, 1, 0], [1, 0, -1], [0, -1, 0], [0, 1, 1], [0, 0, -1], [1, 0, 0]]
+    names = ("B", "C")
+    absent = LinearSystem(("R", "B", "C"), a, [math.inf, 1.0, 0.0, 2.0, 0.0, 3.0])
+    present = LinearSystem(("R", "B", "C"), a, [1.0, 1.0, 0.0, 2.0, 0.0, 3.0])
+    regions._fm_plan.cache_clear()
+    got = [fm_eliminate(s, names, prune=False) for s in (absent, present, absent)]
+    info = regions._fm_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    for g, s in zip(got, (absent, present, absent)):
+        assert _same_system(g, _fm_reference(s, names, prune=False))
+    assert support_of_system(got[0], (1.0,)).tolist() == [3.0]
+    assert support_of_system(got[1], (1.0,)).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("first", [-0.0, 0.0])
+def test_fm_plan_signed_zero_tie_keeps_the_earlier_row(first):
+    # R <= first and 2 R <= -first are one dedup group with equal rhs
+    system = LinearSystem.from_rows(
+        ("R", "B"), [({"R": 1}, first), ({"R": 2}, -first), ({"B": 1}, 1.0),
+                     ({"B": -1}, 0.0)])
+    got = _planned_cold_and_warm(system, ("B",), prune=False)
+    assert _same_system(got, _fm_reference(system, ("B",), prune=False))
+    assert got.rhs.shape == (1,) and math.copysign(1.0, got.rhs[0]) == math.copysign(1.0, first)
+
+
+def test_fm_plan_leaves_the_plan_when_a_pairing_overflows():
+    # the first step pairs 1e308 + 1e308 into R + C <= +inf, an absent
+    # row the second step drops; the replay hands that step to a plan of
+    # its own, so two plans are built
+    system = LinearSystem.from_rows(
+        ("R", "B", "C"),
+        [({"R": 1, "B": 1, "C": 1}, 1e308), ({"B": -1}, 1e308), ({"R": 1, "C": -1}, 1.0),
+         ({"C": 1}, 2.0), ({"B": 1}, 1.0), ({"R": -1}, 0.0)])
+    with np.errstate(over="ignore"):
+        want = _fm_reference(system, ("B", "C"), prune=False)
+        got = _planned_cold_and_warm(system, ("B", "C"), prune=False)
+    assert _same_system(got, want)
+    assert regions._fm_plan.cache_info().misses == 2
+    assert support_of_system(got, (1.0,)).tolist() == [3.0]
 
 
 @st.composite
@@ -455,6 +642,47 @@ def test_fm_projection_keeps_supports(case, prune):
     want = support_of_system(sys, [padded, -padded])
     assert got.shape == want.shape == (2,)
     assert got == pytest.approx(want, abs=1e-9)       # +-inf must match exactly
+
+
+@st.composite
+def _bounded_systems(draw):
+    """Integer rows in 2-3 variables plus the box |x_i| <= c, so every
+    system is bounded (and full rank); the rhs may still leave it
+    empty."""
+    k = draw(st.integers(2, 3))
+    m = draw(st.integers(0, 6))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(-2, 4).map(float), min_size=m, max_size=m))
+    box = float(draw(st.integers(0, 3)))
+    return (np.vstack([np.reshape(a, (m, k)), np.eye(k), -np.eye(k)]),
+            np.concatenate([b, np.full(2 * k, box)]))
+
+
+@given(system=_bounded_systems())
+@settings(max_examples=200, deadline=None)
+def test_vertex_prune_cached_inverses_match_solve(system):
+    a, b = system
+    if np.any(np.all(a == 0.0, axis=1)):
+        return                              # the prune leaves such systems alone
+    sys = LinearSystem(("x", "y", "z")[:a.shape[1]], a, b)
+    regions._basis_pass.cache_clear()
+    cached = regions._basis_pass(sys.matrix.shape, sys.matrix.tobytes())
+    for arr in cached[:4]:
+        assert arr is None or not arr.flags.writeable
+    span, rows, idx, inv, bounded = cached
+    assert span is None and bounded
+    # the oracle solves every basis afresh
+    want = regions._feasible_vertices(
+        rows, sys.rhs, np.linalg.solve(rows[idx], sys.rhs[idx][..., None])[..., 0])
+    got = regions._feasible_vertices(rows, sys.rhs, regions._basic_solutions(inv, idx, sys.rhs))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12)
+    active = np.any(np.abs(want @ a.T - b) <= 1e-7 * (1.0 + np.abs(b)), axis=0)
+    pruned = regions._vertex_prune(sys)
+    keep = active if want.shape[0] and np.any(active) else np.ones(a.shape[0], dtype=bool)
+    assert pruned.matrix.tobytes() == a[keep].tobytes()
+    assert pruned.rhs.tobytes() == b[keep].tobytes()
 
 
 def test_system_json_round_trip():
