@@ -20,14 +20,16 @@ support of an empty region is -inf and envelopes skip such members.
 
 Supports come from the LP dual: a sweep shares one coefficient matrix
 and varies only the rhs, so batch_support enumerates each direction's
-dual vertices once and prices every rhs with one matrix product.
-Primal vertex enumeration stays for a polytope's own vertices, for the
-general-sign systems, and as the oracle envelopes are checked against;
-an LP solver only appears in the test suite.  A general-sign system's
-vertices and its Farkas boundedness test come from one basis pass of
-its matrix (_basis_pass), memoised with every basis' inverse, so every
-rhs and every block of directions on that matrix share it, and a rhs
-costs a gather and a product rather than a solve per basis.
+dual vertices once per matrix and direction list (_dual_vertices,
+memoised, one candidate per vertex) and prices every rhs with one
+matrix product.  Primal vertex enumeration stays for a polytope's own
+vertices, for the general-sign systems, and as the oracle envelopes
+are checked against; an LP solver only appears in the test suite.  A
+general-sign system's vertices and its Farkas boundedness test come
+from one basis pass of its matrix (_basis_pass), memoised with every
+basis' inverse, so every rhs and every block of directions on that
+matrix share it, and a rhs costs a gather and a product rather than a
+solve per basis.
 
 Fourier-Motzkin elimination splits the same way.  Which rows pair, how
 they scale and which proportional rows merge depend on the matrix (and
@@ -85,6 +87,8 @@ class ConstraintPolytope:
             raise ValueError("coefficients must be nonnegative integers")
         if not np.all(np.any(self.matrix, axis=1)):
             raise ValueError("every row needs at least one nonzero coefficient")
+        if np.any(np.isnan(self.rhs)):
+            raise ValueError("rhs must be numbers or +-inf, not NaN")
         self._verts = None
 
     def coeff_matrix(self):
@@ -274,15 +278,19 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
     whose vertices depend on (coeffs, d) but not on b.  Identical
     coefficient rows are first merged into one row carrying the
     row-wise min rhs.  The dual vertices of each direction are then
-    enumerated once, from the nonsingular k-row bases of [coeffs; -I],
-    so every right-hand side costs one GEMM against them plus a min
+    enumerated from the nonsingular k-row bases of [coeffs; -I], one
+    candidate per vertex however many bases reach it (_dual_vertices),
+    and memoised on the merged rows and the directions, so every block
+    of a sweep on one matrix shares one enumeration and every
+    right-hand side costs one GEMM against the candidates plus a min
     over each direction's vertices.  This is exact: an optimal basis of
-    the LP is dual feasible, so it is among the candidates, and by weak
-    duality no candidate undercuts the LP value.  A candidate that puts
-    weight on an absent row is dropped for that polytope (the dual of
-    the system without the row is the face lam_row = 0), so +inf rows
-    never enter the arithmetic; a direction left with no candidate is
-    unbounded.
+    the LP is dual feasible, so its vertex is among the candidates, and
+    by weak duality no candidate undercuts the LP value.  A candidate
+    that puts weight on an absent row is dropped for that polytope (the
+    dual of the system without the row is the face lam_row = 0), so
+    +inf rows never enter the arithmetic; a direction left with no
+    candidate is unbounded.  A NaN anywhere in the input raises
+    ValueError, as it would otherwise read as an absent row.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
@@ -290,6 +298,9 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
     if dirs.shape[1] != coeffs.shape[1]:
         raise ValueError("directions have %d components but the polytopes "
                          "have %d variables" % (dirs.shape[1], coeffs.shape[1]))
+    for name, arr in (("coeffs", coeffs), ("rhs", rhs), ("dirs", dirs)):
+        if np.any(np.isnan(arr)):
+            raise ValueError("%s has a NaN entry" % name)
     n_poly, n_dirs = rhs.shape[0], dirs.shape[0]
     empty = np.any(rhs < -1e-12, axis=1)
     copies = {}
@@ -301,7 +312,8 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
         else np.zeros((n_poly, 0))
     absent = ~np.isfinite(rhs)
     rhs = np.where(absent, 0.0, rhs)
-    lam, used, has = _dual_vertices(rows, dirs)
+    lam, used, has = _dual_vertices(rows.shape, rows.tobytes(), dirs.shape,
+                                    dirs.tobytes())
     n_cand, n_has, m = lam.shape
     lam = lam.reshape(n_cand * n_has, m)
     used = used.reshape(n_cand * n_has, m).astype(float)
@@ -324,34 +336,68 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
     return out
 
 
-def _dual_vertices(a, dirs):
-    """Vertices of {lam >= 0 : a^T lam >= d} for every direction d.
+@functools.lru_cache(maxsize=8)
+def _dual_vertices(shape, data, dirs_shape, dirs_data):
+    """Vertices of {lam >= 0 : a^T lam >= d} for every direction d, for
+    the float matrix a with this shape and these bytes and the float
+    directions with theirs.
 
     Returns (lam, used, has).  has is a bool mask over dirs; a direction
     without any vertex has an infeasible dual, i.e. an unbounded LP.
     lam is (C, H, m): slot j of direction h (the h-th one in has) holds
     a vertex, and directions with fewer than C vertices repeat their
     last one, which leaves the min over slots unchanged.  used flags
-    the rows each slot puts weight on.  A degenerate vertex reached
-    from several bases fills one slot per basis."""
-    m, k = a.shape
+    the rows each slot puts weight on.
+
+    A vertex fills one slot, however many bases reach it.  With the
+    surplus s = a^T lam - d, a vertex is a basic feasible solution z =
+    (lam, s) of {z >= 0 : [a; -I]^T z = d}, and such a solution is the
+    only one with its support (the columns of its support are
+    independent, so they fix it).  A basis' multipliers y are z on the
+    basis' rows, so two dual-feasible bases reach the same vertex
+    exactly when the rows their y put weight on (y > tol) are the same;
+    each direction keeps the first basis of every such pattern, in
+    basis order, and the multipliers its pattern leaves out, all within
+    tol of zero, are zero in lam.  Memoised, as
+    a sweep prices every block on one matrix and one direction list:
+    the arrays are read-only, as every call shares them."""
+    a = np.frombuffer(data).reshape(shape)
+    dirs = np.frombuffer(dirs_data).reshape(dirs_shape)
+    m, k = shape
     idx, mats = _bases(np.vstack([a, -np.eye(k)]), k)
     y, tol = _multipliers(np.linalg.inv(mats), dirs)
     feas = np.all(y >= -tol, axis=2)
-    # scatter each basis' multipliers onto the coefficient rows; the -I
-    # rows carry surplus with zero rhs, so they drop out of the price
-    spread = np.zeros((idx.shape[0], k, m))
-    t, p = np.nonzero(idx < m)
-    spread[t, p, idx[t, p]] = 1.0
-    lam = y @ spread                                # (T, D, m)
-    used = (y > tol) @ spread > 0.0
-    count = feas.sum(axis=0)
+    pos = y > tol
+    # each (basis, direction)'s support over the rows of [a; -I] is its
+    # row indices, sorted, with m + k for the rows y puts no weight on.
+    # A stable sort on (direction, infeasible, support) leaves each
+    # group's first basis at its head.
+    support = np.sort(np.where(pos, idx[:, None, :], m + k), axis=2)
+    key = np.vstack([np.broadcast_to(np.arange(dirs_shape[0]), feas.shape).ravel(),
+                     ~feas.ravel(), support.reshape(-1, k).T])
+    order = np.lexsort(key[::-1])
+    key = key[:, order]
+    head = np.ones(order.size, dtype=bool)
+    head[1:] = np.any(key[:, 1:] != key[:, :-1], axis=0)
+    keep = np.zeros(feas.size, dtype=bool)
+    keep[order[head]] = True
+    keep = keep.reshape(feas.shape) & feas
+    count = keep.sum(axis=0)
     has = count > 0
-    first = np.argsort(~feas[:, has], axis=0, kind="stable")   # vertices first
+    first = np.argsort(~keep[:, has], axis=0, kind="stable")   # vertices first
     slot = np.minimum(np.arange(count.max(initial=0))[:, None], count[has] - 1)
     pick = np.take_along_axis(first, slot, axis=0)             # (C, H)
     col = np.nonzero(has)[0][None, :]
-    return lam[pick, col], used[pick, col], has
+    # scatter each slot's multipliers on its support onto the rows of
+    # [a; -I]; the -I rows carry surplus with zero rhs, so they drop
+    # out of the price
+    z = np.zeros(pick.shape + (m + k,))
+    np.put_along_axis(z, idx[pick], np.where(pos[pick, col], y[pick, col], 0.0), axis=2)
+    lam = np.ascontiguousarray(z[..., :m])
+    out = lam, lam > 0.0, has
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _multipliers(inv, dirs):

@@ -250,6 +250,156 @@ def test_batch_support_unbounded_direction():
     assert sups[3].tolist() == [math.inf] * 3
 
 
+def _dual_vertices_per_basis(a, dirs):
+    """_dual_vertices as it enumerated before it kept one slot per
+    vertex: one slot for every dual-feasible basis, in basis order, so a
+    degenerate vertex reached from several bases fills several.  The
+    oracle of the per-vertex slots."""
+    m, k = a.shape
+    idx, mats = regions._bases(np.vstack([a, -np.eye(k)]), k)
+    y, tol = regions._multipliers(np.linalg.inv(mats), dirs)
+    feas = np.all(y >= -tol, axis=2)
+    spread = np.zeros((idx.shape[0], k, m))
+    t, p = np.nonzero(idx < m)
+    spread[t, p, idx[t, p]] = 1.0
+    lam = y @ spread
+    used = (y > tol) @ spread > 0.0
+    count = feas.sum(axis=0)
+    has = count > 0
+    first = np.argsort(~feas[:, has], axis=0, kind="stable")
+    slot = np.minimum(np.arange(count.max(initial=0))[:, None], count[has] - 1)
+    pick = np.take_along_axis(first, slot, axis=0)
+    col = np.nonzero(has)[0][None, :]
+    return lam[pick, col], used[pick, col], has
+
+
+def _dual_vertices_of(a, dirs):
+    return regions._dual_vertices(a.shape, a.tobytes(), dirs.shape, dirs.tobytes())
+
+
+def _dual_cases():
+    """(merged rows, directions) pairs: the dm converse's rows, random
+    real and 0/1 systems of 2-7 rows (the 0/1 ones have degenerate
+    vertices, as the bounds' rows do), no rows at all, against the fan
+    plus zero, negative and mixed-sign directions."""
+    rng = np.random.default_rng(17)
+    dirs = np.vstack([default_dirs_3d(40), rng.uniform(-1.0, 1.0, size=(12, 3)),
+                      [(0.0, 0.0, 0.0), (-1.0, -2.0, 0.0), (1.0, 0.0, -1.0)]])
+    systems = [np.unique(_DUP_ROWS, axis=0), np.zeros((0, 3))]
+    for _ in range(12):
+        n = rng.integers(2, 8)
+        systems.append(rng.uniform(0.0, 1.0, size=(n, 3)))
+        rows = rng.integers(0, 2, size=(n, 3)).astype(float)
+        rows[rows.sum(axis=1) == 0, rng.integers(0, 3)] = 1.0
+        systems.append(np.unique(rows, axis=0))
+    return [(a, dirs) for a in systems]
+
+
+def _distinct_slots(lam, h):
+    """Direction h's slots, each vertex once, in slot order (the first
+    slot of a vertex kept): slots within 1e-9 of each other are one."""
+    out = []
+    for row in lam[:, h]:
+        if not any(np.allclose(row, o, rtol=1e-9, atol=1e-9) for o in out):
+            out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("case", range(len(_dual_cases())))
+def test_dual_vertices_keeps_one_slot_per_vertex(case):
+    a, dirs = _dual_cases()[case]
+    lam, used, has = _dual_vertices_of(a, dirs)
+    ref_lam, ref_used, ref_has = _dual_vertices_per_basis(a, dirs)
+    assert np.array_equal(has, ref_has)
+    assert lam.shape[0] <= ref_lam.shape[0]
+    # each vertex's slot is the reference's first slot on it, bytes and
+    # all, once the multipliers within rounding of zero are zero
+    ref_lam = np.where(ref_used, ref_lam, 0.0)
+    for h in range(lam.shape[1]):
+        want = _distinct_slots(ref_lam, h)
+        got = [row for j, row in enumerate(lam[:, h])
+               if j == 0 or row.tobytes() != lam[j - 1, h].tobytes()]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (case, h)
+        for j in range(lam.shape[0]):
+            ref_j = [r.tobytes() for r in ref_lam[:, h]].index(lam[j, h].tobytes())
+            assert np.array_equal(used[j, h], ref_used[ref_j, h])
+
+
+@pytest.mark.parametrize("case", range(len(_dual_cases())))
+def test_batch_support_matches_the_per_basis_kernel(case, monkeypatch):
+    a, dirs = _dual_cases()[case]
+    rng = np.random.default_rng(case)
+    m = a.shape[0]
+    rhs = rng.uniform(0.0, 3.0, size=(200, m))
+    rhs[rng.random(rhs.shape) < 0.15] = np.inf           # absent rows
+    rhs[::23] = np.inf                                     # no row at all
+    rhs[::17] = np.round(rhs[::17])                        # ties between vertices
+    if m:
+        rhs[5::29, rng.integers(0, m)] = -0.5              # empty polytopes
+    got = [batch_support(a, rhs, dirs, reduce_max=r) for r in (False, True)]
+    with monkeypatch.context() as mp:
+        mp.setattr(regions, "_dual_vertices", lambda shape, data, dshape, ddata:
+                   _dual_vertices_per_basis(np.frombuffer(data).reshape(shape),
+                                            np.frombuffer(ddata).reshape(dshape)))
+        want = [batch_support(a, rhs, dirs, reduce_max=r) for r in (False, True)]
+    rtol = 2 * max(m, 1) * np.finfo(float).eps
+    for w, g in zip(want, got):
+        assert np.array_equal(np.isposinf(w), np.isposinf(g))
+        assert np.array_equal(np.isneginf(w), np.isneginf(g))
+        np.testing.assert_allclose(g, w, rtol=rtol, atol=0.0)
+
+
+def test_dual_vertices_memo_is_shared_and_read_only():
+    a, dirs = np.unique(_DUP_ROWS, axis=0), default_dirs_3d()
+    regions._dual_vertices.cache_clear()
+    cold = _dual_vertices_of(a, dirs)
+    snapshot = [arr.tobytes() for arr in cold]
+    warm = _dual_vertices_of(a, dirs)
+    info = regions._dual_vertices.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    regions._dual_vertices.cache_clear()
+    again = _dual_vertices_of(a, dirs)
+    for c, w, g, b in zip(cold, warm, again, snapshot):
+        assert w is c and g.tobytes() == b == w.tobytes()
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c.flat[0] = c.flat[0]
+
+
+def test_fm_equivalence_enumerates_once_per_matrix_and_directions(monkeypatch):
+    from confbc.suites import run_suite
+    cached = regions._dual_vertices
+    keys = []
+
+    def counted(*key):
+        keys.append(key)
+        return cached(*key)
+
+    cached.cache_clear()
+    monkeypatch.setattr(regions, "_dual_vertices", counted)
+    assert run_suite("fm-equivalence", seed=0, trials=10).passed
+    assert len(keys) > len(set(keys))
+    assert cached.cache_info().misses == len(set(keys))
+
+
+@pytest.mark.parametrize("where", ["coeffs", "rhs", "dirs"])
+def test_batch_support_rejects_nan(where):
+    args = {"coeffs": np.array([[1.0, 1.0], [1.0, 0.0]]),
+            "rhs": np.array([[2.0, 1.0]]), "dirs": np.array([[1.0, 1.0], [0.0, 1.0]])}
+    args[where] = args[where].copy()
+    args[where][0, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        batch_support(args["coeffs"], args["rhs"], args["dirs"])
+
+
+def test_constraint_polytope_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        ConstraintPolytope(("R1", "R2"), [[1, 1], [1, 0]], [math.nan, 1.0])
+    p = ConstraintPolytope(("R1", "R2"), [[1, 1], [1, 0]], [2.0, 1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        p.support([math.nan, 1.0])
+
+
 @given(r=st.tuples(st.floats(0.1, 5), st.floats(0.1, 5), st.floats(0.1, 5)),
        d=st.tuples(st.floats(0, 2), st.floats(0, 2), st.floats(0, 2)))
 @example(r=(1.0, 1.0, 5.0), d=(0.0, 1.0, 1e-12))   # a component near rounding
