@@ -21,14 +21,14 @@ from .info_core import (Pmf, JointPmf, entropy, conditional_entropy,
                         mutual_information, compose_joint, binary_entropy,
                         xlog2x)
 from .gridding import (simplex_grid, simplex_grid_chunks, simplex_grid_size,
-                       check_budget, EVAL_BUDGET)
+                       EVAL_BUDGET)
 from .channels import (DmBroadcastChannel, GaussianBc, load_channel,
                        dump_channel, example_channel, is_semi_deterministic,
                        more_capable_evidence, kappa)
 from .regions import (ConstraintPolytope, RegionEnvelope, LinearSystem,
                       enumerate_vertices, batch_support, support_of_system,
-                      envelope_of_union, envelope_dominates, project_r2_zero,
-                      fm_eliminate, fan_2d, octant_fibonacci, default_dirs_2d,
+                      envelope_dominates, project_r2_zero, fm_eliminate,
+                      fan_2d, octant_fibonacci, default_dirs_2d,
                       default_dirs_3d, CANONICAL_DIRS_2D, CANONICAL_DIRS_3D,
                       write_support_csv, write_boundary_csv,
                       envelope_boundary_2d)
@@ -36,16 +36,10 @@ from .dm_bounds import (AuxFactorization, OuterAux, factorization_terms,
                         random_factorization, t4_substitution,
                         inner1_polytope, inner1_alpha_polytope, alpha1_star,
                         inner2_polytope, inner2_alpha_polytope, alpha2_star,
-                        appendixB_system, outer_polytope, outer_envelope,
-                        theorem4_polytope, theorem4_envelope,
-                        theorem4_envelope_multi, theorem5_polytope,
-                        theorem5_envelope, inner1_envelope, inner2_envelope,
-                        primitive_relay_rate)
-from .gaussian_bounds import (psi, outer_polytope_g, outer_envelope_g,
-                              capacity_t7_polytope, capacity_t7_envelope,
-                              capacity_t8_polytope, capacity_t8_envelope,
-                              approx_t9_polytope, approx_t9_envelope,
-                              approx_t10_polytope, approx_t10_envelope,
-                              df_inner_polytope, df_envelope, gap_bound_t11,
-                              gap_certificate, gap_certificates)
+                        appendixB_system, outer_polytope, theorem4_polytope,
+                        theorem5_polytope, primitive_relay_rate)
+from .gaussian_bounds import (psi, outer_polytope_g, capacity_t7_polytope,
+                              capacity_t8_polytope, approx_t9_polytope,
+                              approx_t10_polytope, df_inner_polytope,
+                              gap_bound_t11, gap_certificate, gap_certificates)
 from .suites import SuiteReport, run_suite, suite_names

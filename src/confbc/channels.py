@@ -31,9 +31,13 @@ class DmBroadcastChannel:
         transition = np.asarray(transition, dtype=float)
         if transition.ndim != 3:
             raise ChannelFormatError("transition must be (x, y1, y2) shaped")
+        if not np.all(np.isfinite(transition)):
+            raise ChannelFormatError("transition entries must be finite")
         rows = transition.sum(axis=(1, 2))
         if np.any(np.abs(rows - 1.0) > 1e-9) or np.any(transition < -1e-12):
             raise ChannelFormatError("each P(.,.|x) must be a distribution")
+        if not (math.isfinite(c12) and math.isfinite(c21)):
+            raise ChannelFormatError("conference rates must be finite")
         if c12 < 0 or c21 < 0:
             raise ChannelFormatError("conference rates must be nonnegative")
         self.transition = transition
@@ -55,6 +59,10 @@ class GaussianBc:
     kind = "gaussian"
 
     def __init__(self, a, b, lam, power, c12=0.0, c21=0.0):
+        fields = {"a": a, "b": b, "lambda": lam, "power": power, "c12": c12, "c21": c21}
+        bad = [name for name, v in fields.items() if not math.isfinite(v)]
+        if bad:
+            raise ChannelFormatError("%s must be finite" % ", ".join(bad))
         if power <= 0:
             raise ChannelFormatError("power must be positive")
         if abs(lam) > 1:
@@ -145,23 +153,12 @@ def more_capable_evidence(ch, grid_step=0.05):
     receiver 1's marginal channel is more capable than receiver 2's.
     Returns {"min_gap", "argmin_px", "grid_step"}.
     """
-    t = ch.transition
-    p1 = t.sum(axis=2)          # P(y1|x)
-    p2 = t.sum(axis=1)          # P(y2|x)
     px = simplex_grid(ch.x_card, grid_step)
-    gaps = _mi_rows(px, p1) - _mi_rows(px, p2)
+    table = info_core._price_rows(ch.transition, px)
+    gaps = (table[2] - table[5]) - (table[3] - table[6])
     k = int(np.argmin(gaps))
     return {"min_gap": float(gaps[k]), "argmin_px": px[k].tolist(),
             "grid_step": float(grid_step)}
-
-
-def _mi_rows(px, cond):
-    """I(X;Y) for a batch of input pmfs against one P(y|x) matrix."""
-    joint = px[:, :, None] * cond[None, :, :]
-    py = joint.sum(axis=1)
-    hy = -info_core.xlog2x(py).sum(axis=1)
-    hyx = -(px * info_core.xlog2x(cond).sum(axis=1)[None, :]).sum(axis=1)
-    return hy - hyx
 
 
 def kappa(a, b, lam):

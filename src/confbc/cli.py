@@ -7,9 +7,10 @@ Verbs:
   fm       Fourier-Motzkin elimination on a JSON inequality system
   plot     draw a region boundary SVG from a support CSV
 
-Exit codes: 0 ok / 1 failure (including failed verify) /
-2 bound not applicable to this channel / 3 malformed channel or JSON /
-4 parameter grid larger than the evaluation budget.
+Exit codes: 0 ok / 1 failure (including failed verify, and a file that
+cannot be read or written) / 2 bound not applicable to this channel /
+3 malformed channel or JSON / 4 parameter grid larger than the
+evaluation budget.
 """
 
 import argparse
@@ -189,11 +190,23 @@ def _cmd_fm(args):
 # ---------------------------------------------------------------------------
 
 def _read_support_csv(path):
+    """Boundary points of a support CSV's 2-d region, or a boundary
+    CSV's points as written.  ValueError on any other header, on a row
+    whose width is not the header's, and on a support CSV with no rows."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    head, body = rows[0], rows[1:]
-    if head[:2] == ["R0", "R1"]:                     # boundary file
+    head, body = (rows[0], rows[1:]) if rows else ([], [])
+    if head not in (["R0", "R1"], ["dir0", "dir1", "dir2", "support_bits"]):
+        raise ValueError("%s: not a support or boundary CSV (header %r)"
+                         % (path, ",".join(head)))
+    for line, r in enumerate(body, start=2):
+        if len(r) != len(head):
+            raise ValueError("%s line %d: %d fields under a %d-field header"
+                             % (path, line, len(r), len(head)))
+    if head == ["R0", "R1"]:                         # boundary file
         return np.array([[float(a), float(b)] for a, b in body])
+    if not body:
+        raise ValueError("%s: a support CSV with no rows" % path)
     vals = np.array([[float(x) for x in r] for r in body])
     dirs, sup = vals[:, :3], vals[:, 3]
     if np.any(dirs[:, 2] != 0.0):
@@ -349,7 +362,7 @@ def main(argv=None):
     except ConfbcError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

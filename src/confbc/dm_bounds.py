@@ -4,16 +4,18 @@ with bidirectional conferencing decoders.
 The evaluators here turn one choice of auxiliary distribution into a
 ConstraintPolytope over (R0, R1, R2) (or (R0, R1) for the
 degraded-message-set results): the bound's fixed coefficient matrix and
-one row of right-hand sides, stored as arrays.  The *_envelope
-functions sweep a simplex grid of auxiliaries and return the
-pointwise-max support record, i.e. the computable face of the union
-region.  appendixB_system is the one general-sign LinearSystem.
+one row of right-hand sides, stored as arrays.  appendixB_system is
+the one general-sign LinearSystem.
 
 BOUNDS is the table of the swept bounds (outer, inner1, inner2, t4,
 cutset-fig3, t5), one regions.Bound each: a coefficient matrix, a grid
 of P(aux..., x), the batch information terms of a grid block, a row
 function of those terms, a default step and the applicability check.
-*_polytope and *_envelope are thin calls into it.  inner1_polytope and
+BOUNDS[name].envelope(ch, step, directions, **cards) sweeps a bound's
+simplex grid of auxiliaries and returns the pointwise-max support
+record, i.e. the computable face of the union region; regions.sweep
+walks one grid for several (bound, channel) entries at once.
+*_polytope are thin calls into the table.  inner1_polytope and
 inner2_polytope price full factorizations instead and stay the
 independent oracle for the substitution sweeps.
 
@@ -56,12 +58,11 @@ from functools import partial
 
 import numpy as np
 
-from .channels import (DmBroadcastChannel, is_semi_deterministic,
-                       more_capable_evidence)
+from .channels import is_semi_deterministic, more_capable_evidence
 from .errors import InapplicableBoundError
 from .gridding import _budgeted_chunks, _units, sorted_grid_chunks
-from .info_core import JointPmf, compose_joint, mutual_information, xlog2x
-from .regions import Bound, ConstraintPolytope, LinearSystem, sweep
+from .info_core import JointPmf, _price_rows, compose_joint, mutual_information
+from .regions import Bound, ConstraintPolytope, LinearSystem
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +322,10 @@ class _Counts(namedtuple("_Counts", ("counts", "n"))):
     (N, *aux_cards, X).  _entropies prices it from the lattice table."""
 
 
-# the row table's columns: f_Y for each output set Y, then sum_x r(x) H(Y|X=x)
+# the row table's columns (info_core._price_rows): f_Y for each output set
+# Y, then sum_x r(x) H(Y|X=x)
 _OUTS = ("", "X", "Y1", "Y2", "Y1Y2")
 _CONDS = ("Y1", "Y2", "Y1Y2")
-
-
-def _price_rows(t, rows):
-    """The row table of (R, X) rows r of P(a, x) under the transition t,
-    one row per column r: (8, R), f_Y(r) for Y in _OUTS, then
-    r @ H(Y | X=x) for Y in _CONDS.  One GEMM against the blocks T_Y side
-    by side, one xlog2x, and one GEMM against a -1 segment matrix; the
-    unit rows e_x ride along, as f_Y(e_x) = H(Y | X=x)."""
-    nx = t.shape[0]
-    outs = [np.ones((nx, 1)), np.eye(nx), t.sum(axis=2), t.sum(axis=1),
-            t.reshape(nx, -1)]
-    widths = [o.shape[1] for o in outs]
-    seg = np.zeros((len(outs), sum(widths)))
-    seg[np.repeat(np.arange(len(outs)), widths), np.arange(seg.shape[1])] = -1.0
-    f = seg @ xlog2x(np.vstack([rows, np.eye(nx)]) @ np.hstack(outs)).T
-    return np.vstack([f[:, :-nx], f[2:, -nx:] @ rows.T])
 
 
 def _gather(table, idx):
@@ -638,22 +624,12 @@ BOUNDS = {b.name: b for b in (
 
 
 # ---------------------------------------------------------------------------
-# single-point evaluators and grid sweeps
+# single-point evaluators
 # ---------------------------------------------------------------------------
 
 def outer_polytope(ch, outer_aux):
     """Converse polytope for one P(u,v,x)."""
     return BOUNDS["outer"].polytope(ch, outer_aux.puvx)
-
-
-def outer_envelope(ch, grid_step=None, u_card=None, v_card=None,
-                   directions=None):
-    """Support record of the converse region over the simplex grid of
-    P(u,v,x), one point or more per relabelling of U (see _AuxGrid).
-    Grid size explodes fast; the evaluation budget guard throws rather
-    than letting a sweep run for days."""
-    return BOUNDS["outer"].envelope(ch, grid_step, directions,
-                                    u_card=u_card, v_card=v_card)
 
 
 def theorem4_polytope(ch, pvx, include_joint_row=True):
@@ -665,45 +641,11 @@ def theorem4_polytope(ch, pvx, include_joint_row=True):
     return BOUNDS["t4" if include_joint_row else "cutset-fig3"].polytope(ch, pvx)
 
 
-def theorem4_envelope(ch, grid_step=None, v_card=None, include_joint_row=True,
-                      directions=None):
-    return BOUNDS["t4" if include_joint_row else "cutset-fig3"].envelope(
-        ch, grid_step, directions, v_card=v_card)
-
-
-def theorem4_envelope_multi(ch, configs, grid_step=None, v_card=None,
-                            directions=None):
-    """Sweep the P(v,x) grid once and price several (c12, c21,
-    include_joint_row) configurations off the same mutual-information
-    arrays.  This is what makes the side-by-side region plots cheap:
-    the grid walk dominates and is shared."""
-    return sweep([(BOUNDS["t4" if cfg.get("include_joint_row", True)
-                         else "cutset-fig3"],
-                   DmBroadcastChannel(ch.transition, cfg["c12"], cfg["c21"]))
-                  for cfg in configs], grid_step, directions, v_card=v_card)
-
-
 def theorem5_polytope(ch, pvx, warn_checks=True):
     """Exact (R0,R1,R2) evaluator for one-sided cooperation (link to
     receiver 1 only) on semi-deterministic channels whose first output
     is the stronger one.  Any c12 on the channel is ignored."""
     return BOUNDS["t5"].polytope(ch, pvx, warn=warn_checks)
-
-
-def theorem5_envelope(ch, grid_step=None, v_card=None, directions=None):
-    return BOUNDS["t5"].envelope(ch, grid_step, directions, v_card=v_card)
-
-
-def inner1_envelope(ch, grid_step=None, v_card=None, directions=None):
-    """Default search space for the family-1 inner bound: the
-    substitution that is exact in the semi-deterministic case, swept
-    over a P(v,x) grid.  Works (as a plain inner bound) for any
-    discrete channel."""
-    return BOUNDS["inner1"].envelope(ch, grid_step, directions, v_card=v_card)
-
-
-def inner2_envelope(ch, grid_step=None, v_card=None, directions=None):
-    return BOUNDS["inner2"].envelope(ch, grid_step, directions, v_card=v_card)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ regions.Bound: a coefficient matrix, a vectorised row function of the
 power splits (alpha for receiver 1's side split, beta for the
 superposition split) on a grid of split ticks 0, 1/n, ..., 1, a default
 step and its applicability checks.  *_polytope prices one split and
-*_envelope sweeps the ticks through regions.sweep.  The standing
+BOUNDS[name].envelope(ch, step, directions) sweeps the ticks through
+regions.sweep.  The standing
 labeling convention is |a| >= |b| (receiver 1 is the stronger one);
 evaluators raise InapplicableBoundError and tell you to swap the
 receivers when it fails rather than silently relabeling.
@@ -247,17 +248,12 @@ BOUNDS = {b.name: b for b in (
 
 
 # ---------------------------------------------------------------------------
-# single-split polytopes and swept envelopes
+# single-split polytopes
 # ---------------------------------------------------------------------------
 
 def outer_polytope_g(ch, alpha, beta):
     """Converse polytope at one (alpha, beta) split pair."""
     return BOUNDS["outer"].polytope(ch, (alpha, beta))
-
-
-def outer_envelope_g(ch, param_step=None, directions=None):
-    """Support record of the converse over the full (alpha, beta) grid."""
-    return BOUNDS["outer"].envelope(ch, param_step, directions)
 
 
 def capacity_t7_polytope(ch, beta):
@@ -268,19 +264,11 @@ def capacity_t7_polytope(ch, beta):
     return BOUNDS["t7"].polytope(ch, beta)
 
 
-def capacity_t7_envelope(ch, beta_step=None, directions=None):
-    return BOUNDS["t7"].envelope(ch, beta_step, directions)
-
-
 def capacity_t8_polytope(ch, beta):
     """Exact (R0, R1, R2) region slice for one-sided cooperation toward
     the stronger receiver (c12 must be zero) at perfectly correlated
     noises."""
     return BOUNDS["t8"].polytope(ch, beta)
-
-
-def capacity_t8_envelope(ch, beta_step=None, directions=None):
-    return BOUNDS["t8"].envelope(ch, beta_step, directions)
 
 
 def approx_t9_polytope(ch, beta):
@@ -291,18 +279,10 @@ def approx_t9_polytope(ch, beta):
     return BOUNDS["t9"].polytope(ch, beta)
 
 
-def approx_t9_envelope(ch, beta_step=None, directions=None):
-    return BOUNDS["t9"].envelope(ch, beta_step, directions)
-
-
 def approx_t10_polytope(ch, beta):
     """Triple-rate analogue of the half-bit result for one-sided
     cooperation (c12 must be zero)."""
     return BOUNDS["t10"].polytope(ch, beta)
-
-
-def approx_t10_envelope(ch, beta_step=None, directions=None):
-    return BOUNDS["t10"].envelope(ch, beta_step, directions)
 
 
 def df_inner_polytope(ch, beta):
@@ -310,10 +290,6 @@ def df_inner_polytope(ch, beta):
     stronger receiver decodes everything, so no combined-output term
     ever appears.  Valid for every noise correlation."""
     return BOUNDS["df"].polytope(ch, beta)
-
-
-def df_envelope(ch, beta_step=None, directions=None):
-    return BOUNDS["df"].envelope(ch, beta_step, directions)
 
 
 # ---------------------------------------------------------------------------

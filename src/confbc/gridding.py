@@ -46,12 +46,6 @@ def simplex_grid_size(cells, step):
     return sorted_grid_size(1, cells, step)
 
 
-def check_budget(n_points, budget=EVAL_BUDGET):
-    if n_points > budget:
-        raise GridTooLargeError(
-            "sweep needs %d evaluations, over the %d budget" % (n_points, budget))
-
-
 def _budgeted_chunks(parts, cells, step):
     """(size, sorted_grid_chunks in _SWEEP_CHUNK blocks) after the budget
     check; a grid over the budget fails naming the finest step 1/n whose

@@ -5,6 +5,11 @@ dense numpy arrays with one axis per variable, which is fine for the
 small alphabets this package sweeps over; a guard refuses tables whose
 total size would exceed MAX_CELLS.
 
+_price_rows is the one batch information-term kernel: the output
+entropies of many rows of P(a, x) through one channel, without forming
+any joint.  The dm_bounds grid sweeps and
+channels.more_capable_evidence both read it.
+
 Conventions:
   * 0 * log 0 = 0
   * mutual informations that land in (-1e-12, 0) from rounding are
@@ -133,6 +138,25 @@ def mutual_information(p, a, b, given=()):
     if -NEG_TOL < v < 0.0:
         return 0.0
     return v
+
+
+def _price_rows(t, rows):
+    """The row table of (R, X) rows r of P(a, x) under the transition t
+    of shape (|X|, |Y1|, |Y2|), one column per row r: (8, R), f_Y(r) =
+    -sum_y xlog2x((r T_Y)_y) for the output sets Y = none, X, Y1, Y2,
+    Y1Y2, then r @ H(Y | X=x) for Y = Y1, Y2, Y1Y2.  For an input pmf r,
+    rows 2 - 5 and 3 - 6 are I(X;Y1) and I(X;Y2).  One GEMM against the
+    blocks T_Y side by side, one xlog2x, and one GEMM against a -1
+    segment matrix; the unit rows e_x ride along, as f_Y(e_x) =
+    H(Y | X=x)."""
+    nx = t.shape[0]
+    outs = [np.ones((nx, 1)), np.eye(nx), t.sum(axis=2), t.sum(axis=1),
+            t.reshape(nx, -1)]
+    widths = [o.shape[1] for o in outs]
+    seg = np.zeros((len(outs), sum(widths)))
+    seg[np.repeat(np.arange(len(outs)), widths), np.arange(seg.shape[1])] = -1.0
+    f = seg @ xlog2x(np.vstack([rows, np.eye(nx)]) @ np.hstack(outs)).T
+    return np.vstack([f[:, :-nx], f[2:, -nx:] @ rows.T])
 
 
 # ---------------------------------------------------------------------------

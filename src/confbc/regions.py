@@ -471,28 +471,6 @@ def support_of_system(system, directions, tol=_FEAS_TOL):
 # envelopes
 # ---------------------------------------------------------------------------
 
-def envelope_of_union(polytopes, directions, meta=None):
-    """Support of the union of polytopes in each direction (equivalently
-    of its convex hull).  Empty members are skipped.  Members sharing a
-    coefficient matrix are priced together in one batch_support call."""
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    polys = list(polytopes)
-    if not polys:
-        raise ValueError("need at least one polytope")
-    variables = polys[0].variables
-    groups = {}
-    for p in polys:
-        if p.variables != variables:
-            raise ValueError("mixed variable sets in union")
-        key = (p.matrix.shape, p.matrix.tobytes())
-        groups.setdefault(key, (p.matrix, []))[1].append(p.rhs)
-    sups = np.full(directions.shape[0], -np.inf)
-    for a, rhs in groups.values():
-        sups = np.maximum(sups, batch_support(a, np.array(rhs), directions,
-                                              reduce_max=True))
-    return RegionEnvelope(variables, directions, sups, meta=meta)
-
-
 def envelope_dominates(cover, inner, slack=0.0):
     """Is inner's support <= cover's support + slack in every direction?
 

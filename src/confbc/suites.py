@@ -23,7 +23,7 @@ from .info_core import (JointPmf, binary_entropy, compose_joint,
                         mutual_information)
 from .regions import (CANONICAL_DIRS_3D, batch_support, default_dirs_2d,
                       default_dirs_3d, envelope_dominates, fm_eliminate,
-                      support_of_system)
+                      support_of_system, sweep)
 
 
 class SuiteReport:
@@ -227,14 +227,13 @@ def _suite_dm_example1(seed, grid_step=1e-3):
     del seed        # fully deterministic
     ch = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.5)
     dirs = np.array([(1.0, 0.0), (1.0, 1.0)])
-    env = dmb.theorem4_envelope(ch, grid_step=grid_step, v_card=1,
-                                directions=dirs)
+    t4 = dmb.BOUNDS["t4"]
+    env = t4.envelope(ch, grid_step, dirs, v_card=1)
     r0 = env.support_at((1, 0))
     r01 = env.support_at((1, 1))
     want_r01 = 1.0 - binary_entropy(0.2) + 0.5
     ch_hot = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.9)
-    env_hot = dmb.theorem4_envelope(ch_hot, grid_step=grid_step, v_card=1,
-                                    directions=dirs)
+    env_hot = t4.envelope(ch_hot, grid_step, dirs, v_card=1)
     r01_hot = env_hot.support_at((1, 1))
     poly = dmb.theorem4_polytope(ch, np.array([[0.5, 0.5]]))
     rhs = sorted(poly.rhs.tolist())
@@ -256,14 +255,14 @@ def _suite_dm_example1(seed, grid_step=1e-3):
 def _suite_dm_fig3(seed, grid_step=0.02, v_card=3):
     del seed
     ch = example_channel("dm-ex2", p=0.2, c12=0.0, c21=0.9)
+    ch_fwd = DmBroadcastChannel(ch.transition, 0.1, 0.9)
     dirs = default_dirs_2d()
     norms = np.linalg.norm(dirs, axis=1)
-    cap, cut, cap_fwd = dmb.theorem4_envelope_multi(
-        ch,
-        [{"c12": 0.0, "c21": 0.9, "include_joint_row": True},
-         {"c12": 0.0, "c21": 0.9, "include_joint_row": False},
-         {"c12": 0.1, "c21": 0.9, "include_joint_row": True}],
-        grid_step=grid_step, v_card=v_card, directions=dirs)
+    # one walk of the P(v, x) grid prices all three regions
+    t4 = dmb.BOUNDS["t4"]
+    cap, cut, cap_fwd = sweep(
+        [(t4, ch), (dmb.BOUNDS["cutset-fig3"], ch), (t4, ch_fwd)],
+        grid_step, dirs, v_card=v_card)
     inside, rep_in = envelope_dominates(cut, cap, slack=1e-9)
     margin = float(((cut.supports - cap.supports) / norms).max())
     grows, rep_gr = envelope_dominates(cap_fwd, cap, slack=1e-9)
@@ -344,10 +343,8 @@ def _suite_gauss_t7(seed, beta_step=1e-3, param_step=1e-2,
     norms = np.linalg.norm(dirs2, axis=1)
     for power in powers:
         chp = GaussianBc(1.0, 0.5, 1.0, power, c12=0.2, c21=0.7)
-        env7 = gb.capacity_t7_envelope(chp, beta_step=beta_step,
-                                       directions=dirs2)
-        env_out = gb.outer_envelope_g(chp, param_step=param_step,
-                                      directions=dirs3)
+        env7 = gb.BOUNDS["t7"].envelope(chp, beta_step, dirs2)
+        env_out = gb.BOUNDS["outer"].envelope(chp, param_step, dirs3)
         diff = env7.supports - env_out.supports
         checks.append(_check(
             "exact-region-contains-converse-grid-P%g" % power,
@@ -364,15 +361,15 @@ def _suite_gauss_t8(seed, beta_step=1e-2):
     del seed
     ch = GaussianBc(1.0, 0.5, 1.0, 4.0, c12=0.0, c21=0.3)
     dirs = default_dirs_3d()[:72]      # canonical eight + a fibonacci slice
-    env = gb.capacity_t8_envelope(ch, beta_step=beta_step, directions=dirs)
+    env = gb.BOUNDS["t8"].envelope(ch, beta_step, dirs)
     betas = np.linspace(0.0, 1.0, int(round(1 / beta_step)) + 1)
     # primal vertices, so the oracle shares no code with batch_support
     oracle = np.max([(gb.capacity_t8_polytope(ch, b).vertices() @ dirs.T)
                      .max(axis=0) for b in betas], axis=0)
     dev = float(np.abs(env.supports - oracle).max())
-    env_df = gb.df_envelope(ch, beta_step=beta_step, directions=dirs)
+    env_df = gb.BOUNDS["df"].envelope(ch, beta_step, dirs)
     inner_ok, rep_in = envelope_dominates(env, env_df, slack=1e-12)
-    env_out = gb.outer_envelope_g(ch, param_step=beta_step, directions=dirs)
+    env_out = gb.BOUNDS["outer"].envelope(ch, beta_step, dirs)
     out_dev = float(np.abs(env.supports - env_out.supports).max())
     return [
         _check("closed-form-vs-vertex-oracle", dev <= 1e-9, max_abs_dev=dev,
@@ -415,10 +412,8 @@ def _suite_gauss_degraded(seed, param_step=1e-2):
     for a, b, lam, power, c21 in ((2.0, 1.0, 0.5, 2.0, 0.7),
                                   (1.0, -0.5, -0.5, 1.0, 0.6)):
         ch = GaussianBc(a, b, lam, power, c12=0.0, c21=c21)
-        env_out = gb.outer_envelope_g(ch, param_step=param_step,
-                                      directions=CANONICAL_DIRS_3D)
-        env_df = gb.df_envelope(ch, beta_step=param_step,
-                                directions=CANONICAL_DIRS_3D)
+        env_out = gb.BOUNDS["outer"].envelope(ch, param_step, CANONICAL_DIRS_3D)
+        env_df = gb.BOUNDS["df"].envelope(ch, param_step, CANONICAL_DIRS_3D)
         dev = float(np.abs(env_out.supports - env_df.supports).max())
         checks.append(_check("aligned-noise-converse-meets-decode-forward"
                              "-a%g-b%g" % (a, b), dev <= 1e-6,
@@ -431,17 +426,16 @@ def _suite_gauss_vanishing_power(seed, beta_step=1e-3, param_step=1e-2):
     dirs3 = np.array([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0)])
     dirs2 = np.array([(1.0, 0.0), (1.0, 1.0)])
     ch = example_channel("g-mirror", power=1.0, c12=1.0, c21=1.0)
-    env_out = gb.outer_envelope_g(ch, param_step=param_step, directions=dirs3)
-    env7 = gb.capacity_t7_envelope(ch, beta_step=beta_step, directions=dirs2)
+    outer, t7 = gb.BOUNDS["outer"], gb.BOUNDS["t7"]
+    env_out = outer.envelope(ch, param_step, dirs3)
+    env7 = t7.envelope(ch, beta_step, dirs2)
     vals = [env_out.support_at((1, 0, 0)), env_out.support_at((1, 1, 0)),
             env7.support_at((1, 0)), env7.support_at((1, 1))]
     dev = max(abs(v - 1.5) for v in vals)
 
     ch_low = example_channel("g-mirror", power=1e-6, c12=1.0, c21=1.0)
-    lo = gb.outer_envelope_g(ch_low, param_step=param_step,
-                             directions=dirs3).support_at((1, 0, 0))
-    lo7 = gb.capacity_t7_envelope(ch_low, beta_step=beta_step,
-                                  directions=dirs2).support_at((1, 0))
+    lo = outer.envelope(ch_low, param_step, dirs3).support_at((1, 0, 0))
+    lo7 = t7.envelope(ch_low, beta_step, dirs2).support_at((1, 0))
     in_range = all(0.999 <= v <= 1.0 + 1e-6 for v in (lo, lo7))
     return [
         _check("unit-power-supports-exact", dev <= 1e-9, max_abs_dev=dev,

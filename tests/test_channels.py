@@ -17,6 +17,8 @@ from confbc.channels import (
     more_capable_evidence,
 )
 from confbc.errors import ChannelFormatError
+from confbc.gridding import simplex_grid
+from confbc.info_core import JointPmf, mutual_information
 
 
 def test_dm_validation():
@@ -122,6 +124,19 @@ def test_more_capable_evidence_signs():
     assert ev1["min_gap"] >= -1e-12
     assert len(ev1["argmin_px"]) == 2
     assert ev1["grid_step"] == 0.1
+    # the gaps come from info_core's row table; the oracle prices each
+    # grid point's mutual informations on the dense joint
+    rng = np.random.default_rng(2)
+    for nx, n1, n2 in ((2, 2, 2), (3, 2, 3), (4, 3, 2)):
+        t = rng.dirichlet(np.ones(n1 * n2), size=nx).reshape(nx, n1, n2)
+        ev = more_capable_evidence(DmBroadcastChannel(t), grid_step=0.1)
+        gap = {}
+        for px in simplex_grid(nx, 0.1):
+            p = JointPmf(("X", "Y1", "Y2"), px[:, None, None] * t)
+            gap[tuple(px)] = (mutual_information(p, ("X",), ("Y1",))
+                              - mutual_information(p, ("X",), ("Y2",)))
+        assert ev["min_gap"] == pytest.approx(min(gap.values()), abs=1e-12)
+        assert gap[tuple(ev["argmin_px"])] == pytest.approx(ev["min_gap"], abs=1e-12)
 
 
 def test_kappa_cases():

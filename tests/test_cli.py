@@ -121,6 +121,66 @@ def test_region_bad_channel_is_exit_3(tmp_path):
                  "--bound", "t4"]) == 3
 
 
+_DM_DOC = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.5).to_json_dict()
+_G_DOC = GaussianBc(1.2, 0.7, 0.3, 2.0, c12=0.2, c21=0.6).to_json_dict()
+
+
+@pytest.mark.parametrize("doc,field,value", [
+    (_DM_DOC, "transition", math.nan), (_DM_DOC, "c12", math.nan),
+    (_DM_DOC, "c12", math.inf), (_DM_DOC, "c21", math.nan),
+    (_DM_DOC, "c21", math.inf), (_G_DOC, "a", math.nan), (_G_DOC, "a", math.inf),
+    (_G_DOC, "b", math.nan), (_G_DOC, "b", -math.inf), (_G_DOC, "lambda", math.nan),
+    (_G_DOC, "power", math.nan), (_G_DOC, "power", math.inf),
+    (_G_DOC, "c12", math.nan), (_G_DOC, "c12", math.inf),
+    (_G_DOC, "c21", math.nan), (_G_DOC, "c21", math.inf)],
+    ids=lambda v: v["type"] if isinstance(v, dict) else str(v))
+def test_region_non_finite_channel_is_exit_3(tmp_path, capsys, doc, field, value):
+    # Python's json reads the NaN and Infinity literals json.dumps writes
+    doc = json.loads(json.dumps(doc))
+    if field == "transition":
+        doc["transition"][0][0] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(doc))
+    bound = "inner1" if doc["type"] == "dm" else "df"
+    assert main(["region", "--channel", str(path), "--bound", bound,
+                 "--grid", "0.25", "--dirs", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["region", "sweep", "fm", "plot", "region-out"])
+def test_unreadable_file_is_exit_1(tmp_path, capsys, g_channel, verb):
+    missing = str(tmp_path / "missing")
+    argv = {"region": ["region", "--channel", missing, "--bound", "t7"],
+            "sweep": ["sweep", "--channel", missing, "--vary", "c12",
+                      "--start", "0", "--stop", "1", "--metric", "sumrate-gap"],
+            "fm": ["fm", "--system", missing, "--eliminate", "B1"],
+            "plot": ["plot", "--in", missing, "--svg", str(tmp_path / "x.svg")],
+            "region-out": ["region", "--channel", g_channel, "--bound", "t7",
+                           "--grid", "0.25", "--out", missing + "/sup.csv"]}[verb]
+    assert main(argv) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", [
+    "", "dir0,dir1,dir2,support_bits\n", "dir0,dir1,dir2,support_bits\n1,0,0\n",
+    "dir0,dir1,dir2,support_bits\n1,0,0,1,2\n", "a,b,c\n1,2,3\n"],
+    ids=["empty", "header-only", "short-row", "long-row", "unknown-header"])
+def test_plot_malformed_csv_is_exit_1(tmp_path, capsys, text):
+    path = tmp_path / "sup.csv"
+    path.write_text(text)
+    assert main(["plot", "--in", str(path), "--svg", str(tmp_path / "x.svg")]) == 1
+    _one_error_line(capsys)
+
+
 def test_region_budget_is_exit_4(dm_channel):
     assert main(["region", "--channel", dm_channel, "--bound", "t4",
                  "--grid", "1e-6"]) == 4

@@ -31,8 +31,10 @@ from confbc.regions import (
     envelope_dominates,
     fm_eliminate,
     support_of_system,
+    sweep,
 )
 import confbc.dm_bounds as dmb
+import confbc.info_core as info_core
 import confbc.gaussian_bounds as gb
 
 MI_BSC = 1.0 - binary_entropy(0.2)          # 0.2780719051126377
@@ -69,15 +71,13 @@ def test_t4_rows_aux_equals_input():
 
 
 def test_t4_envelope_frozen_supports():
-    env = dmb.theorem4_envelope(_ex1(), grid_step=0.05,
-                                directions=[(1, 0), (1, 1)])
+    env = dmb.BOUNDS["t4"].envelope(_ex1(), 0.05, [(1, 0), (1, 1)])
     assert env.supports[0] == pytest.approx(0.3, abs=1e-9)
     assert env.supports[1] == pytest.approx(MI_BSC + 0.5, abs=1e-9)
 
 
 def test_t4_envelope_covers_single_evaluations():
-    env = dmb.theorem4_envelope(_ex1(), grid_step=0.1,
-                                directions=[(1, 0), (1, 1), (0, 1)])
+    env = dmb.BOUNDS["t4"].envelope(_ex1(), 0.1, [(1, 0), (1, 1), (0, 1)])
     for pvx in (np.full((2, 2), 0.25), np.eye(2) * 0.5):
         poly = dmb.theorem4_polytope(_ex1(), pvx)
         for d, s in zip(env.directions, env.supports):
@@ -88,7 +88,7 @@ def test_t4_needs_semi_deterministic():
     with pytest.raises(InapplicableBoundError):
         dmb.theorem4_polytope(_noisy(), np.full((2, 2), 0.25))
     with pytest.raises(InapplicableBoundError):
-        dmb.theorem4_envelope(_noisy())
+        dmb.BOUNDS["t4"].envelope(_noisy())
 
 
 def _primal_support(poly, dirs):
@@ -196,7 +196,7 @@ def test_table_envelopes_match_primal_vertices(case):
 
 def test_t4_grid_budget_guard():
     with pytest.raises(GridTooLargeError):
-        dmb.theorem4_envelope(_ex1(), grid_step=1e-6)
+        dmb.BOUNDS["t4"].envelope(_ex1(), 1e-6)
 
 
 def _semi_det(seed):
@@ -255,9 +255,9 @@ def test_default_grids_fit_the_budget():
 
 
 def test_t4_multi_shares_grid():
-    cfgs = [{"c12": 0.3, "c21": 0.5}, {"c12": 0.0, "c21": 0.0}]
-    envs = dmb.theorem4_envelope_multi(_ex1(), cfgs, grid_step=0.1,
-                                       directions=[(1, 0), (1, 1)])
+    t4 = dmb.BOUNDS["t4"]
+    envs = sweep([(t4, _ex1()), (t4, _ex1(c12=0.0, c21=0.0))], 0.1,
+                 [(1, 0), (1, 1)])
     assert len(envs) == 2
     # no conferencing: R0 cap is I(V;Y2) = 0 on this channel
     assert envs[1].supports[0] == pytest.approx(0.0, abs=1e-9)
@@ -289,7 +289,7 @@ def test_t5_warnings():
 def test_t5_envelope_matches_pointwise():
     ch = _ex1(c12=0.0)
     dirs = CANONICAL_DIRS_3D
-    env = dmb.theorem5_envelope(ch, grid_step=0.25, directions=dirs)
+    env = dmb.BOUNDS["t5"].envelope(ch, 0.25, dirs)
     # the envelope must dominate the uniform-aux evaluation everywhere
     poly = dmb.theorem5_polytope(ch, np.full((2, 2), 0.25))
     for d, s in zip(env.directions, env.supports):
@@ -384,8 +384,8 @@ def test_t4_substitution_is_exact_inner_point():
 def test_inner_envelopes_run_small():
     ch = _ex1()
     dirs = CANONICAL_DIRS_3D
-    e1 = dmb.inner1_envelope(ch, grid_step=0.25, v_card=2, directions=dirs)
-    e2 = dmb.inner2_envelope(ch, grid_step=0.25, v_card=2, directions=dirs)
+    e1 = dmb.BOUNDS["inner1"].envelope(ch, 0.25, dirs, v_card=2)
+    e2 = dmb.BOUNDS["inner2"].envelope(ch, 0.25, dirs, v_card=2)
     assert np.all(np.isfinite(e1.supports))
     assert np.all(np.isfinite(e2.supports))
     assert np.all(e1.supports >= -1e-12)
@@ -435,9 +435,8 @@ def test_appendixB_projection_infeasible_draw_is_empty():
 def test_outer_polytope_contains_inner():
     ch = _ex1()
     dirs = CANONICAL_DIRS_3D
-    outer = dmb.outer_envelope(ch, grid_step=0.25, u_card=2, v_card=2,
-                               directions=dirs)
-    inner = dmb.inner1_envelope(ch, grid_step=0.25, v_card=2, directions=dirs)
+    outer = dmb.BOUNDS["outer"].envelope(ch, 0.25, dirs, u_card=2, v_card=2)
+    inner = dmb.BOUNDS["inner1"].envelope(ch, 0.25, dirs, v_card=2)
     ok, rep = envelope_dominates(outer, inner, slack=1e-9)
     assert ok, rep
 
@@ -445,7 +444,7 @@ def test_outer_polytope_contains_inner():
 def test_outer_aux_card_guard():
     ch = _ex1()
     with pytest.raises(ValueError):
-        dmb.outer_envelope(ch, grid_step=0.5, u_card=7)
+        dmb.BOUNDS["outer"].envelope(ch, 0.5, u_card=7)
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
         dmb.OuterAux(rng.dirichlet(np.ones(50)).reshape(5, 5, 2))
@@ -453,7 +452,7 @@ def test_outer_aux_card_guard():
 
 def test_outer_grid_budget_guard():
     with pytest.raises(GridTooLargeError):
-        dmb.outer_envelope(_ex1(), grid_step=0.01)
+        dmb.BOUNDS["outer"].envelope(_ex1(), 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -594,16 +593,16 @@ def test_t4_sweep_prices_the_lattice_not_the_grid(monkeypatch):
         cells.append(np.size(p))
         return xlog2x(p)
 
-    monkeypatch.setattr(dmb, "xlog2x", counted)
+    monkeypatch.setattr(info_core, "xlog2x", counted)
     per_card = {}
     for v in (2, 3):
         dmb._lattice_table.cache_clear()
         cells.clear()
-        dmb.theorem4_envelope(_ex1(), 1 / 30, v_card=v)
+        dmb.BOUNDS["t4"].envelope(_ex1(), 1 / 30, v_card=v)
         per_card[v] = sum(cells)
     width = 1 + 2 + 2 + 2 + 4        # "", X, Y1, Y2, Y1Y2 marginals of a row
     assert sorted_grid_size(3, 2, 1 / 30) == 60_737
-    assert per_card[2] == per_card[3] <= width * (math.comb(32, 2) + 2) < 60_737
+    assert 0 < per_card[2] == per_card[3] <= width * (math.comb(32, 2) + 2) < 60_737
 
 
 def _table_rows(monkeypatch):
@@ -641,7 +640,7 @@ def test_one_letter_aux_prices_its_own_rows(monkeypatch):
 def test_outer_table_never_outgrows_the_grid(monkeypatch, cards, step):
     built = _table_rows(monkeypatch)
     ch = _random_dm(np.random.default_rng(3), 3, 2, 2)
-    env = dmb.outer_envelope(ch, step, directions=CANONICAL_DIRS_3D, **cards)
+    env = dmb.BOUNDS["outer"].envelope(ch, step, CANONICAL_DIRS_3D, **cards)
     u, v = (cards.get(c) or 5 for c in ("u_card", "v_card"))
     aux_rows = sorted_grid_size(u, v * 3, step) * (u + v)
     assert all(rows <= aux_rows for rows in built)

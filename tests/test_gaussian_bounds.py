@@ -60,15 +60,14 @@ def test_outer_rows_go_infinite_at_misaligned_unit_correlation():
 
 def test_outer_envelope_frozen_sum_rate():
     ch = GaussianBc(1.0, 1.0, 0.0, 1.0, c12=0.5, c21=0.5)
-    env = gb.outer_envelope_g(ch, param_step=0.25,
-                              directions=[(1.0, 1.0, 1.0)])
+    env = gb.BOUNDS["outer"].envelope(ch, 0.25, [(1.0, 1.0, 1.0)])
     assert env.supports[0] == pytest.approx(PSI2, abs=1e-9)
 
 
 def test_outer_envelope_step_validation():
     ch = GaussianBc(1.0, 0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
-        gb.outer_envelope_g(ch, param_step=0.3)    # not 1/n
+        gb.BOUNDS["outer"].envelope(ch, 0.3)    # not 1/n
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +87,7 @@ def test_t7_rows_noise_only_second_output():
 
 def test_t7_envelope_attains_best_split():
     ch = example_channel("g-noise-at-2", power=3.0, c12=0.25, c21=0.5)
-    env = gb.capacity_t7_envelope(ch, beta_step=0.125,
-                                  directions=[(1, 0), (0, 1), (1, 1)])
+    env = gb.BOUNDS["t7"].envelope(ch, 0.125, [(1, 0), (0, 1), (1, 1)])
     assert env.supports[0] == pytest.approx(0.25, abs=1e-12)
     assert env.supports[1] == pytest.approx(1.5, abs=1e-12)
     assert env.supports[2] == pytest.approx(1.5, abs=1e-12)
@@ -111,7 +109,7 @@ def test_t7_needs_unit_correlation():
         gb.capacity_t7_polytope(ch, 0.5)
     aligned = GaussianBc(1.0, 1.0, 1.0, 1.0)       # b = lam a: not separable
     with pytest.raises(InapplicableBoundError):
-        gb.capacity_t7_envelope(aligned)
+        gb.BOUNDS["t7"].envelope(aligned)
 
 
 def test_t8_rows_and_preconditions():
@@ -126,19 +124,19 @@ def test_t8_rows_and_preconditions():
         gb.capacity_t8_polytope(
             example_channel("g-noise-at-2", power=3.0, c12=0.2), 0.5)
     with pytest.raises(InapplicableBoundError):
-        gb.capacity_t8_envelope(example_channel("g-noise-at-1", power=3.0))
+        gb.BOUNDS["t8"].envelope(example_channel("g-noise-at-1", power=3.0))
 
 
 def test_relabel_hint_for_swapped_receivers():
     ch = example_channel("g-noise-at-1", power=1.0)    # |a| < |b|
     with pytest.raises(InapplicableBoundError, match="receiver labels"):
-        gb.capacity_t8_envelope(ch)
+        gb.BOUNDS["t8"].envelope(ch)
 
 
 def test_t8_envelope_equals_union_of_slices():
     ch = GaussianBc(1.0, 0.5, 1.0, 4.0, c21=0.3)
     dirs = np.array([(1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0), (1.0, 1, 1)])
-    env = gb.capacity_t8_envelope(ch, beta_step=0.25, directions=dirs)
+    env = gb.BOUNDS["t8"].envelope(ch, 0.25, dirs)
     betas = np.linspace(0, 1, 5)
     # primal vertices, so the oracle shares no code with batch_support
     want = np.max([(gb.capacity_t8_polytope(ch, b).vertices() @ dirs.T).max(axis=0)
@@ -154,7 +152,7 @@ def test_t9_needs_partial_correlation():
     with pytest.raises(InapplicableBoundError):
         gb.approx_t9_polytope(GaussianBc(1.0, 0.5, 1.0, 1.0), 0.5)
     with pytest.raises(InapplicableBoundError):
-        gb.approx_t10_envelope(GaussianBc(1.0, 0.5, -1.0, 1.0))
+        gb.BOUNDS["t10"].envelope(GaussianBc(1.0, 0.5, -1.0, 1.0))
 
 
 def test_t10_needs_no_forward_link():
@@ -181,11 +179,11 @@ def test_t9_halves_the_relay_link():
 def test_inner_envelopes_sit_inside_outer():
     ch = GaussianBc(1.2, 0.7, 0.3, 2.0, c12=0.2, c21=0.6)
     dirs = np.array([(1.0, 0, 0), (0, 1.0, 0), (1.0, 1, 1), (2.0, 1, 1)])
-    outer = gb.outer_envelope_g(ch, param_step=0.05, directions=dirs)
+    outer = gb.BOUNDS["outer"].envelope(ch, 0.05, dirs)
     # t9 is a two-rate region: its R2 = 0 embedding is priced by the
     # (d0, d1) part of each direction, since every d2 >= 0
-    t9 = gb.approx_t9_envelope(ch, beta_step=0.05, directions=dirs[:, :2])
-    df = gb.df_envelope(ch, beta_step=0.05, directions=dirs)
+    t9 = gb.BOUNDS["t9"].envelope(ch, 0.05, dirs[:, :2])
+    df = gb.BOUNDS["df"].envelope(ch, 0.05, dirs)
     assert np.all(t9.supports <= outer.supports + 1e-9)
     assert np.all(df.supports <= outer.supports + 1e-9)
 
@@ -194,11 +192,11 @@ def test_envelope_rejects_direction_width_mismatch():
     sep = example_channel("g-noise-at-2", power=3.0, c12=0.25, c21=0.5)
     part = GaussianBc(1.2, 0.7, 0.3, 2.0, c12=0.2, c21=0.6)
     with pytest.raises(ValueError, match="3 components .* 2 variables"):
-        gb.capacity_t7_envelope(sep, beta_step=0.25, directions=[(1.0, 1.0, 0.0)])
+        gb.BOUNDS["t7"].envelope(sep, 0.25, [(1.0, 1.0, 0.0)])
     with pytest.raises(ValueError, match="3 components .* 2 variables"):
-        gb.approx_t9_envelope(part, beta_step=0.25, directions=[(1.0, 1.0, 1.0)])
+        gb.BOUNDS["t9"].envelope(part, 0.25, [(1.0, 1.0, 1.0)])
     with pytest.raises(ValueError, match="2 components .* 3 variables"):
-        gb.df_envelope(part, beta_step=0.25, directions=[(1.0, 1.0)])
+        gb.BOUNDS["df"].envelope(part, 0.25, [(1.0, 1.0)])
 
 
 def test_df_rows():
@@ -371,10 +369,10 @@ def test_gap_claims_hold_direction_wise():
                                  outer.rows(grid, ch)[:, in_slice], dirs2,
                                  reduce_max=True)
         for h_out, inner, dirs, g in (
-                (r2_slice, gb.approx_t9_envelope(ch, step, dirs2), dirs2, 0.5),
-                (gb.outer_envelope_g(ch0, step, dirs3).supports,
-                 gb.approx_t10_envelope(ch0, step, dirs3), dirs3, 0.5),
-                (gb.outer_envelope_g(ch, step, dirs3).supports,
-                 gb.df_envelope(ch, step, dirs3), dirs3, g_df)):
+                (r2_slice, gb.BOUNDS["t9"].envelope(ch, step, dirs2), dirs2, 0.5),
+                (outer.envelope(ch0, step, dirs3).supports,
+                 gb.BOUNDS["t10"].envelope(ch0, step, dirs3), dirs3, 0.5),
+                (outer.envelope(ch, step, dirs3).supports,
+                 gb.BOUNDS["df"].envelope(ch, step, dirs3), dirs3, g_df)):
             excess = h_out - inner.supports - g * dirs.sum(axis=1)
             assert excess.max() <= 1e-9, (ch.to_json_dict(), excess.max())

@@ -7,12 +7,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import confbc.gridding as gridding
 from confbc.errors import GridTooLargeError
 from confbc.gridding import (
     _SWEEP_CHUNK,
     EVAL_BUDGET,
     _budgeted_chunks,
-    check_budget,
     simplex_grid,
     simplex_grid_chunks,
     simplex_grid_size,
@@ -70,12 +70,14 @@ def test_step_validation():
         simplex_grid(3, 0.0)
 
 
-def test_budget_guard():
-    check_budget(EVAL_BUDGET)              # at the line is fine
+def test_budget_guard(monkeypatch):
+    # a grid of exactly the budget's size passes; one point over fails
+    size = sorted_grid_size(2, 3, 1 / 6)
+    monkeypatch.setattr(gridding, "EVAL_BUDGET", size)
+    assert _budgeted_chunks(2, 3, 1 / 6)[0] == size
+    monkeypatch.setattr(gridding, "EVAL_BUDGET", size - 1)
     with pytest.raises(GridTooLargeError):
-        check_budget(EVAL_BUDGET + 1)
-    with pytest.raises(GridTooLargeError):
-        check_budget(10, budget=5)
+        _budgeted_chunks(2, 3, 1 / 6)
     assert simplex_grid_size(32, 0.001) > EVAL_BUDGET   # why the guard exists
 
 

@@ -26,7 +26,6 @@ from confbc.regions import (
     enumerate_vertices,
     envelope_boundary_2d,
     envelope_dominates,
-    envelope_of_union,
     fan_2d,
     fm_eliminate,
     octant_fibonacci,
@@ -43,6 +42,14 @@ def _box(r0=1.0, r1=2.0, r2=3.0, extra=()):
     """R <= (r0, r1, r2) plus extra (coefficient row, rhs) pairs."""
     a = np.vstack([np.eye(3)] + [c for c, _ in extra])
     return ConstraintPolytope(VARS3, a, [r0, r1, r2] + [r for _, r in extra])
+
+
+def _union(polys, dirs):
+    """Support record of the union of polytopes sharing one matrix."""
+    dirs = np.asarray(dirs, dtype=float)
+    rhs = np.array([p.rhs for p in polys])
+    return RegionEnvelope(polys[0].variables, dirs,
+                          batch_support(polys[0].matrix, rhs, dirs, reduce_max=True))
 
 
 # ---------------------------------------------------------------------------
@@ -955,19 +962,19 @@ def test_pareto_corner_mask_keeps_the_merge_bytes(seed, sizes):
         assert acc.tobytes() == want.tobytes()
 
 
-def test_envelope_of_union_is_pointwise_max():
+def test_union_envelope_is_pointwise_max():
     p1 = _box(1.0, 3.0, 0.5)
     p2 = _box(2.0, 1.0, 0.5)
     dirs = CANONICAL_DIRS_3D
-    env = envelope_of_union([p1, p2], dirs)
+    env = _union([p1, p2], dirs)
     for d, s in zip(env.directions, env.supports):
         assert s == pytest.approx(max(p1.support(d), p2.support(d)), abs=1e-12)
 
 
 def test_envelope_dominates_and_slack():
     dirs = CANONICAL_DIRS_3D
-    cover = envelope_of_union([_box(2.0, 2.0, 2.0)], dirs)
-    inner = envelope_of_union([_box(1.0, 1.0, 1.0)], dirs)
+    cover = _union([_box(2.0, 2.0, 2.0)], dirs)
+    inner = _union([_box(1.0, 1.0, 1.0)], dirs)
     ok, rep = envelope_dominates(cover, inner)
     assert ok and rep["max_violation_bits"] <= 0.0
     flipped, rep2 = envelope_dominates(inner, cover)
@@ -978,14 +985,14 @@ def test_envelope_dominates_and_slack():
 
 
 def test_envelope_dominates_needs_matching_dirs():
-    cover = envelope_of_union([_box()], CANONICAL_DIRS_3D)
-    inner = envelope_of_union([_box()], CANONICAL_DIRS_3D[:4])
+    cover = _union([_box()], CANONICAL_DIRS_3D)
+    inner = _union([_box()], CANONICAL_DIRS_3D[:4])
     with pytest.raises(ValueError):
         envelope_dominates(cover, inner)
 
 
 def test_support_at_exact_lookup():
-    env = envelope_of_union([_box()], CANONICAL_DIRS_3D)
+    env = _union([_box()], CANONICAL_DIRS_3D)
     assert env.support_at((1, 1, 1)) == pytest.approx(6.0)
     with pytest.raises(KeyError):
         env.support_at((3, 1, 4))
@@ -1060,6 +1067,6 @@ def test_boundary_walk_square(tmp_path):
 
 
 def test_boundary_walk_needs_2d():
-    env = envelope_of_union([_box()], CANONICAL_DIRS_3D)
+    env = _union([_box()], CANONICAL_DIRS_3D)
     with pytest.raises(ValueError):
         envelope_boundary_2d(env)
