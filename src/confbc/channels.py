@@ -104,19 +104,39 @@ def load_channel(source):
     kind = doc.get("type")
     try:
         if kind == "dm":
+            if any(isinstance(v, bool) for v in
+                   np.asarray(doc["transition"], dtype=object).ravel()):
+                raise ChannelFormatError("transition entries must be numbers, not booleans")
             flat = np.asarray(doc["transition"], dtype=float)
-            shape = (int(doc["x_card"]), int(doc["y1_card"]), int(doc["y2_card"]))
+            shape = tuple(_card(doc, key) for key in ("x_card", "y1_card", "y2_card"))
             if flat.shape != (shape[0], shape[1] * shape[2]):
                 raise ChannelFormatError(
                     "transition must be %d rows of %d entries" % (shape[0], shape[1] * shape[2]))
-            return DmBroadcastChannel(flat.reshape(shape),
-                                      doc.get("c12", 0.0), doc.get("c21", 0.0))
+            return DmBroadcastChannel(flat.reshape(shape), _number(doc, "c12", 0.0),
+                                      _number(doc, "c21", 0.0))
         if kind == "gaussian":
-            return GaussianBc(doc["a"], doc["b"], doc["lambda"], doc["power"],
-                              doc.get("c12", 0.0), doc.get("c21", 0.0))
+            return GaussianBc(*(_number(doc, key) for key in ("a", "b", "lambda", "power")),
+                              _number(doc, "c12", 0.0), _number(doc, "c21", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ChannelFormatError("channel JSON missing/invalid field: %s" % exc) from exc
     raise ChannelFormatError("unknown channel type %r" % kind)
+
+
+def _number(doc, key, default=None):
+    """doc[key] (default when absent and given), refusing a boolean: JSON
+    true and false are not numbers, though Python reads them as 1 and 0."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if isinstance(value, bool):
+        raise ChannelFormatError("%s must be a number, not a boolean" % key)
+    return value
+
+
+def _card(doc, key):
+    """doc[key] as an alphabet size: a whole number, never truncated."""
+    value = _number(doc, key)
+    if not float(value).is_integer():
+        raise ChannelFormatError("%s must be a whole number, got %r" % (key, value))
+    return int(value)
 
 
 def dump_channel(ch, path):

@@ -43,15 +43,17 @@ p(a, .) of P(a, x),
     H(A, Y) = sum_a f_Y(p(a, .)),   f_Y(r) = -sum_y xlog2x((r T_Y)_y),
 with H(Y) = f_Y(p(.)).  On a grid of step 1/n every such row -- a row
 of P(v, x), of P(u, x) = sum_v P(u, v, x), or P(x) itself -- is a count
-vector over X with sum <= n, divided by n.  That lattice has
-C(n + |X|, |X|) rows whatever the auxiliary alphabets are (496 at
-n = 30 with binary X, against 60,737 points of the t4 grid with
-|V| = 3), so a sweep prices f_Y once per lattice row and then reads a
-grid block's entropies by gathering and adding table rows.
+vector r over X with entries in 0 .. n, divided by n.  A sweep keys it
+by its code c(r) = sum_j r_j (n + 1)^j, which is one to one on those
+rows, and as no entry of a marginal exceeds n no digit carries, so a
+marginal's code is the sum of its cells' codes.  The lattice table
+prices all (n + 1)^|X| codes once, whatever the auxiliary alphabets are
+(961 at n = 30 with binary X, against 60,737 points of the t4 grid with
+|V| = 3), and a grid block reads its entropies by summing codes over
+auxiliary axes and gathering and adding table columns.
 """
 
 import functools
-import math
 import warnings
 from collections import namedtuple
 from functools import partial
@@ -60,8 +62,9 @@ import numpy as np
 
 from .channels import is_semi_deterministic, more_capable_evidence
 from .errors import InapplicableBoundError
-from .gridding import _budgeted_chunks, _units, sorted_grid_chunks
-from .info_core import JointPmf, _price_rows, compose_joint, mutual_information
+from .gridding import _SWEEP_CHUNK, _budgeted_chunks, _units
+from .info_core import (JointPmf, _check_mass, _price_rows, compose_joint,
+                        mutual_information)
 from .regions import Bound, ConstraintPolytope, LinearSystem
 
 
@@ -319,7 +322,8 @@ def appendixB_system(ch, f, alpha1, variant="clipped", terms=None):
 
 class _Counts(namedtuple("_Counts", ("counts", "n"))):
     """A grid block as integer counts: the points counts / n, shape
-    (N, *aux_cards, X).  _entropies prices it from the lattice table."""
+    (N, *aux_cards, X).  _entropies keys its rows by lattice code and
+    prices them from the lattice table."""
 
 
 # the row table's columns (info_core._price_rows): f_Y for each output set
@@ -339,60 +343,30 @@ def _gather(table, idx):
     return out
 
 
-def _row_blocks(p, k):
-    """The rows of a (N, *aux_cards, X) block: for each of the first k
-    auxiliaries, one (N, X) block per letter a holding the rows p(a, .)
-    of its marginal, then [p(x)].  Sums of strided slices, so no axis of
-    the block is reduced in place; a block is a view when nothing is
-    summed."""
-    q = p.reshape(p.shape[0], -1, p.shape[-1])
-    digits = np.unravel_index(np.arange(q.shape[1]), p.shape[1:-1])
-    blocks = [[functools.reduce(np.add, (q[:, c] for c in
-                                         np.flatnonzero(digits[i] == a)))
-               for a in range(p.shape[1 + i])] for i in range(k)]
-    return blocks + [[functools.reduce(np.add, blocks[0])]]
-
-
-@functools.lru_cache(maxsize=4)
-def _rank_weights(nx, n):
-    """w[j, s] = C(s + j, j + 1), for _lattice_rank; read-only."""
-    w = np.array([[math.comb(s + j, j + 1) for s in range(n + 1)]
-                  for j in range(nx)], dtype=np.int64)
-    w.flags.writeable = False
-    return w
-
-
-def _lattice_rank(blocks, n):
-    """Lattice-table columns of the count rows (entries summing to <= n)
-    of k (N, X) blocks, as a (k, N) array.  With prefix sums s_j (j = 0
-    .. |X|-1), s_j + j is strictly increasing in j and below n + |X|, so
-    sum_j C(s_j + j, j + 1) -- the combinatorial number system -- maps
-    the lattice one to one onto 0 .. C(n + |X|, |X|) - 1.  The j = 0
-    term is s_0 itself."""
-    w = _rank_weights(blocks[0].shape[1], n)
-    rank = np.empty((len(blocks), blocks[0].shape[0]), dtype=np.int64)
-    for out, r in zip(rank, blocks):
-        s = r[:, 0]
-        out[:] = s
-        for j in range(1, w.shape[0]):
-            s = s + r[:, j]
-            out += w[j][s]
-    return rank
+def _marginals(q, k):
+    """The marginals of the k auxiliaries of a (*aux_cards, N, ...) block,
+    (a, N, ...) each, then P(x)'s as a one-letter marginal of the first,
+    (1, N, ...).  Each sums whole leading axes, so a letter's cells are
+    added in order."""
+    others = [tuple(j for j in range(k) if j != i) for i in range(k)]
+    margs = [q.sum(axis=axes) if axes else q for axes in others]
+    return margs + [margs[0].sum(axis=0, keepdims=True)]
 
 
 @functools.lru_cache(maxsize=4)
 def _lattice_table(shape, data, n):
-    """The row table of every count row over X with sum <= n, divided by
-    n, in the column of its _lattice_rank, for the transition with this
-    shape and these bytes.  Read-only, as every sweep at this step
-    shares it."""
+    """The row table of every row over X with entries in 0 .. n, divided
+    by n, in the column of its code, for the transition with this shape
+    and these bytes; the rows summing past n are priced but never read.
+    Read-only, as every sweep at this step shares it."""
     t = np.frombuffer(data).reshape(shape)
     nx = shape[0]
-    table = np.empty((len(_OUTS) + len(_CONDS), math.comb(n + nx, nx)))
-    # the lattice is the compositions of n into |X| + 1 cells, less the last
-    for c in sorted_grid_chunks(1, nx + 1, 1.0 / n):
-        rows = c[:, :nx]
-        table[:, _lattice_rank([rows], n)[0]] = _price_rows(t, rows / n)
+    size = (n + 1) ** nx
+    table = np.empty((len(_OUTS) + len(_CONDS), size))
+    for lo in range(0, size, _SWEEP_CHUNK):
+        codes = np.arange(lo, min(lo + _SWEEP_CHUNK, size))
+        rows = np.stack(np.unravel_index(codes, (n + 1,) * nx)[::-1], axis=1)
+        table[:, codes] = _price_rows(t, rows / n)
     table.flags.writeable = False
     return table
 
@@ -401,7 +375,7 @@ def _entropies(ch, block, names):
     """Marginal entropies (bits) of p(aux, x) T(y1, y2 | x) for a batch.
 
     block -- a float (N, *aux_cards, X) array, one auxiliary axis per
-             entry of names, or a _Counts block of that shape
+             entry of names, or a _Counts block of those points
     returns a dict of (N,) arrays keyed by an aux name ("" for none)
     followed by the outputs, for the aux subsets {none, each single
     name} and the output sets X, Y1, Y2, Y1Y2, XY1, XY2, XY1Y2 (and none
@@ -410,22 +384,22 @@ def _entropies(ch, block, names):
 
     Every term is a sum of row-table entries (see the module docstring):
     for each name the rows p(a, .) of its marginal, then the one row
-    p(x).  A _Counts block reads them from the lattice table at their
-    ranks; a float block prices its own rows and reads them in order.
-    The terms with X and an output use H(A,X,Y) = H(A,X) + H(Y|X).
+    p(x).  Both kinds of block take them by the same axis sums: a
+    _Counts block turns its cells into codes, sums those and reads the
+    lattice table at the sums; a float block sums rows, prices them
+    letter by letter and reads them in order.  The terms with X and an
+    output use H(A,X,Y) = H(A,X) + H(Y|X).
     """
-    lattice = isinstance(block, _Counts)
-    blocks = _row_blocks(block.counts if lattice else np.asarray(block, float),
-                         len(names))
-    if lattice:
+    if isinstance(block, _Counts):
         t = ch.transition
         table = _lattice_table(t.shape, t.tobytes(), block.n)
-        idx = [_lattice_rank(rows, block.n) for rows in blocks]
+        radix = (block.n + 1) ** np.arange(ch.x_card)
+        idx = _marginals(radix @ np.moveaxis(block.counts, 0, -1), len(names))
     else:
-        table = _price_rows(ch.transition, np.concatenate(sum(blocks, [])))
-        n_pts, ends = blocks[0][0].shape[0], np.cumsum([len(b) for b in blocks])
-        idx = [np.arange((e - len(b)) * n_pts, e * n_pts).reshape(len(b), n_pts)
-               for b, e in zip(blocks, ends)]
+        rows = _marginals(np.moveaxis(np.asarray(block, float), 0, -2), len(names))
+        table = _price_rows(ch.transition, np.concatenate(rows).reshape(-1, ch.x_card))
+        idx = np.split(np.arange(table.shape[1]).reshape(-1, len(block)),
+                       np.cumsum([len(r) for r in rows[:-1]]))
     h = {}
     for a, i in zip(names, idx):
         h.update(zip((a + y for y in _OUTS), _gather(table[:len(_OUTS)], i)))
@@ -457,12 +431,13 @@ class _AuxGrid:
     one point, so the envelope is the full grid's up to the order in
     which a point's entropies are summed.
 
-    Blocks are _Counts, priced from the lattice table of the module
-    docstring, when that table has no more rows than the sweep has
-    auxiliary rows (points times the auxiliary alphabets, summed).  A
-    grid with fewer -- a one-letter auxiliary, whose rows are whole
-    points, or a short sweep -- comes as float blocks that price their
-    own rows, so the table never costs more than the grid."""
+    Blocks are _Counts, keyed by lattice code and priced from the
+    lattice table of the module docstring, when that table's (n + 1)^|X|
+    columns are no more than the sweep's auxiliary rows (points times
+    the auxiliary alphabets, summed).  A grid with fewer -- a one-letter
+    auxiliary, whose rows are whole points, or a short sweep -- comes as
+    float blocks that price their own rows, so the table never costs
+    more than the grid.  A single point must be a pmf with these axes."""
 
     step_key = "grid_step"
 
@@ -478,14 +453,20 @@ class _AuxGrid:
         size, chunks = _budgeted_chunks(shape[0], int(np.prod(shape[1:])) * ch.x_card,
                                         step)
         shaped = (c.reshape(-1, *shape, ch.x_card) for c in chunks)
-        if math.comb(n + ch.x_card, ch.x_card) <= size * sum(shape):
+        if (n + 1) ** ch.x_card <= size * sum(shape):
             blocks = (_Counts(c, n) for c in shaped)
         else:
             blocks = (c / n for c in shaped)
         return blocks, dict(zip(self.cards, shape))
 
     def point(self, ch, p):
-        return np.asarray(p, dtype=float)[None, ...]
+        p = np.asarray(p, dtype=float)
+        if p.ndim != len(self.cards) + 1 or p.shape[-1] != ch.x_card:
+            raise ValueError("a point needs axes (%s, X) with |X| = %d, got shape %s"
+                             % (", ".join(c[0].upper() for c in self.cards),
+                                ch.x_card, p.shape))
+        _check_mass(p)
+        return p[None, ...]
 
 
 _OUTER_COEFFS = np.array([

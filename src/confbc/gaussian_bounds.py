@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import GaussianBc, kappa
 from .errors import InapplicableBoundError
-from .gridding import _units
+from .gridding import _fit_budget, _units
 from .regions import Bound
 
 _RATE3 = ("R0", "R1", "R2")
@@ -88,7 +88,9 @@ class _Splits:
     def blocks(self, ch, step, cards):
         if self.weak_at_zero and abs(ch.a) < abs(ch.b):
             return [np.zeros((1, 1))], {}
-        grid = np.meshgrid(*[_ticks(step)] * len(self.names), indexing="ij")
+        k = len(self.names)
+        _fit_budget(_units(step), lambda m: ((m + 1) ** k, True))
+        grid = np.meshgrid(*[_ticks(step)] * k, indexing="ij")
         return [np.column_stack([g.ravel() for g in grid])], {}
 
     def point(self, ch, p):

@@ -48,17 +48,23 @@ def simplex_grid_size(cells, step):
 
 def _budgeted_chunks(parts, cells, step):
     """(size, sorted_grid_chunks in _SWEEP_CHUNK blocks) after the budget
-    check; a grid over the budget fails naming the finest step 1/n whose
-    point count fits.  The budget counts points, not seconds: what a
-    point costs depends on the bound, so a step that fits may still run
-    long."""
-    n = _units(step)
-    size, exact = _count(parts, cells, n)
+    check of _fit_budget."""
+    size = _fit_budget(_units(step), lambda m: _count(parts, cells, m))
+    return size, sorted_grid_chunks(parts, cells, step)
+
+
+def _fit_budget(n, count):
+    """The size of a grid at step 1/n, whose size at step 1/m is count(m)
+    -> (size, exact), rising with m.  A grid over the budget fails
+    naming the finest step 1/m whose point count fits.  The budget
+    counts points, not seconds: what a point costs depends on the bound,
+    so a step that fits may still run long."""
+    size, exact = count(n)
     if size > EVAL_BUDGET:
-        lo, hi = 1, n - 1               # the size rises with n
+        lo, hi = 1, n - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if _count(parts, cells, mid)[0] <= EVAL_BUDGET:
+            if count(mid)[0] <= EVAL_BUDGET:
                 lo = mid
             else:
                 hi = mid - 1
@@ -67,8 +73,8 @@ def _budgeted_chunks(parts, cells, step):
             "finest step within that point budget is 1/%d = %r (%d points), "
             "which bounds the grid, not the run time"
             % ("" if exact else "at least ", size, EVAL_BUDGET, lo, 1.0 / lo,
-               sorted_grid_size(parts, cells, 1.0 / lo)))
-    return size, sorted_grid_chunks(parts, cells, step)
+               count(lo)[0]))
+    return size
 
 
 def _count(parts, cells, n):

@@ -20,6 +20,7 @@ import pytest
 import confbc
 import confbc.dm_bounds as dmb
 import confbc.gaussian_bounds as gb
+import confbc.gridding as gridding
 from confbc.channels import GaussianBc, dump_channel, example_channel
 from confbc.cli import _build_parser, main
 from confbc.regions import LinearSystem, support_of_system
@@ -150,6 +151,32 @@ def test_region_non_finite_channel_is_exit_3(tmp_path, capsys, doc, field, value
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("doc,field,value,words", [
+    (_DM_DOC, "x_card", 2.5, "whole number"), (_DM_DOC, "y2_card", 2.0001, "whole number"),
+    (_DM_DOC, "y1_card", math.inf, "whole number"),
+    (_DM_DOC, "x_card", True, "boolean"), (_DM_DOC, "transition", True, "boolean"),
+    (_DM_DOC, "c12", True, "boolean"), (_DM_DOC, "c21", False, "boolean"),
+    (_G_DOC, "a", True, "boolean"), (_G_DOC, "power", True, "boolean"),
+    (_G_DOC, "lambda", False, "boolean"), (_G_DOC, "c12", True, "boolean")],
+    ids=lambda v: v["type"] if isinstance(v, dict) else str(v))
+def test_region_boolean_or_fractional_channel_field_is_exit_3(tmp_path, capsys, doc,
+                                                             field, value, words):
+    # a fractional cardinality was truncated, an infinite one raised a
+    # traceback, and a JSON true read as 1
+    doc = json.loads(json.dumps(doc))
+    if field == "transition":
+        doc["transition"][0] = [value, 0.0, 0.0, 0.0]
+    else:
+        doc[field] = value
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(doc))
+    bound = "inner1" if doc["type"] == "dm" else "df"
+    assert main(["region", "--channel", str(path), "--bound", bound,
+                 "--grid", "0.25", "--dirs", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err and field in err
+
+
 def _one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -224,6 +251,17 @@ def test_region_budget_names_a_step_that_fits(dm_channel, capsys):
     err = capsys.readouterr().err
     assert "1200487746 evaluations" in err
     assert "1/68 = %r (95457983 points)" % (1 / 68) in err
+
+
+def test_region_gaussian_budget_is_exit_4(g_channel, capsys, monkeypatch):
+    # the (alpha, beta) grid at 0.1 is 121 points; with a 120-point budget
+    # the finest step that fits is 1/9 (100 points)
+    monkeypatch.setattr(gridding, "EVAL_BUDGET", 120)
+    assert main(["region", "--channel", g_channel, "--bound", "outer",
+                 "--grid", "0.1"]) == 4
+    err = capsys.readouterr().err
+    assert "121 evaluations" in err
+    assert "1/9 = %r (100 points)" % (1 / 9) in err
 
 
 def test_bound_choices_and_default_steps_come_from_the_tables(g_channel,

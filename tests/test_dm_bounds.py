@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from confbc.channels import DmBroadcastChannel, GaussianBc, example_channel
 from confbc.errors import GridTooLargeError, InapplicableBoundError
@@ -578,10 +578,43 @@ def test_lattice_terms_match_joint_pmf(seed, cards, nu, nv, n):
 @pytest.mark.parametrize("nx,n", [(1, 5), (2, 30), (3, 7), (4, 6)])
 def test_lattice_rank_is_one_to_one(nx, n):
     # the count rows over X with sum <= n, i.e. the compositions of n
-    # into |X| + 1 cells less the last, rank onto 0 .. C(n + |X|, |X|) - 1
+    # into |X| + 1 cells less the last, take C(n + |X|, |X|) distinct
+    # codes inside the lattice table, and the table decodes each code
+    # back to its row
     rows = np.concatenate(list(sorted_grid_chunks(1, nx + 1, 1 / n)))[:, :nx]
-    rank = dmb._lattice_rank([rows], n)[0]
-    assert np.array_equal(np.sort(rank), np.arange(math.comb(n + nx, nx)))
+    assert rows.shape[0] == math.comb(n + nx, nx)
+    code = rows @ (n + 1) ** np.arange(nx)
+    assert np.unique(code).size == rows.shape[0]
+    assert code.min() >= 0 and code.max() < (n + 1) ** nx
+    back = np.stack(np.unravel_index(code, (n + 1,) * nx)[::-1], axis=1)
+    assert np.array_equal(back, rows)
+
+
+@given(seed=st.integers(0, 2 ** 31), nx=st.integers(1, 4), n=st.integers(1, 30))
+@example(seed=0, nx=4, n=30)
+@example(seed=1, nx=1, n=1)
+@settings(max_examples=30, deadline=None)
+def test_lattice_code_is_one_to_one_additive_and_priced(seed, nx, n):
+    # c(r) = sum_j r_j (n + 1)^j: one to one on the rows with entries in
+    # 0 .. n, additive on rows whose sum stays <= n, and the lattice
+    # table's column at a valid row's code is that row's pricing
+    rng = np.random.default_rng(seed)
+    radix = (n + 1) ** np.arange(nx)
+    every = np.indices((n + 1,) * nx).reshape(nx, -1).T
+    assert np.array_equal(np.sort(every @ radix), np.arange((n + 1) ** nx))
+    # three cells of nx entries, and the slack, summing to n
+    cells = rng.multinomial(n, np.ones(3 * nx + 1) / (3 * nx + 1), size=4)
+    cells = cells[:, :-1].reshape(4, 3, nx)
+    marginal = cells.sum(axis=1)
+    assert np.array_equal((cells @ radix).sum(axis=1), marginal @ radix)
+    ch = _random_dm(rng, nx, 2, 3)
+    t = ch.transition
+    dmb._lattice_table.cache_clear()
+    table = dmb._lattice_table(t.shape, t.tobytes(), n)
+    assert table.shape[1] == (n + 1) ** nx
+    want = info_core._price_rows(t, marginal / n)
+    assert np.allclose(table[:, marginal @ radix], want, rtol=0.0, atol=1e-12)
+    dmb._lattice_table.cache_clear()
 
 
 def test_t4_sweep_prices_the_lattice_not_the_grid(monkeypatch):
@@ -602,7 +635,7 @@ def test_t4_sweep_prices_the_lattice_not_the_grid(monkeypatch):
         per_card[v] = sum(cells)
     width = 1 + 2 + 2 + 2 + 4        # "", X, Y1, Y2, Y1Y2 marginals of a row
     assert sorted_grid_size(3, 2, 1 / 30) == 60_737
-    assert 0 < per_card[2] == per_card[3] <= width * (math.comb(32, 2) + 2) < 60_737
+    assert 0 < per_card[2] == per_card[3] <= width * (31 ** 2 + 2) < 60_737
 
 
 def _table_rows(monkeypatch):
@@ -610,7 +643,7 @@ def _table_rows(monkeypatch):
     built, real = [], dmb._lattice_table
 
     def recorded(shape, data, n):
-        built.append(math.comb(n + shape[0], shape[0]))
+        built.append((n + 1) ** shape[0])
         return real(shape, data, n)
 
     dmb._lattice_table.cache_clear()
@@ -618,9 +651,22 @@ def _table_rows(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize("bound,point", [
+    ("t4", [[0.7, 0.7]]), ("t4", [[1.5, -0.5]]), ("t5", [[0.5, 0.25]]),
+    ("outer", np.full((2, 2, 2), 0.3)), ("t4", [[0.25, 0.25, 0.5]]),
+    ("t4", [0.5, 0.5]), ("outer", np.full((2, 2), 0.25))],
+    ids=["mass-1.4", "negative", "mass-0.75", "outer-mass-2.4", "wrong-x", "no-aux-axis",
+         "outer-one-aux-axis"])
+def test_single_points_must_be_pmfs_of_the_bounds_shape(bound, point):
+    # such tables once priced into polytopes whose rows mean nothing
+    with pytest.raises(ValueError, match="negative probability|probability mass|"
+                                          "a point needs axes"):
+        dmb.BOUNDS[bound].polytope(_ex1(), point, warn=False)
+
+
 def test_one_letter_aux_prices_its_own_rows(monkeypatch):
     # with |V| = 1 every row is a whole point and the lattice outgrows
-    # the grid, C(n + 4, 4) against C(n + 3, 3) rows at |X| = 4: at the
+    # the grid, (n + 1)^4 against C(n + 3, 3) rows at |X| = 4: at the
     # finest step the budget admits the blocks price their own rows
     built = _table_rows(monkeypatch)
     rng = np.random.default_rng(4)
@@ -645,7 +691,7 @@ def test_outer_table_never_outgrows_the_grid(monkeypatch, cards, step):
     aux_rows = sorted_grid_size(u, v * 3, step) * (u + v)
     assert all(rows <= aux_rows for rows in built)
     # the lattice is used exactly when it is no larger
-    assert (built != []) == (math.comb(round(1 / step) + 3, 3) <= aux_rows)
+    assert (built != []) == ((round(1 / step) + 1) ** 3 <= aux_rows)
     assert np.all(np.isfinite(env.supports))
 
 

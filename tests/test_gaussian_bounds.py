@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from confbc.channels import GaussianBc, example_channel, kappa
-from confbc.errors import InapplicableBoundError
+from confbc.errors import GridTooLargeError, InapplicableBoundError
 from confbc.regions import batch_support, default_dirs_2d, default_dirs_3d
 import confbc.gaussian_bounds as gb
+import confbc.gridding as gridding
 
 PSI2 = 0.7924812503605781          # psi(2), frozen by hand
 
@@ -68,6 +69,19 @@ def test_outer_envelope_step_validation():
     ch = GaussianBc(1.0, 0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         gb.BOUNDS["outer"].envelope(ch, 0.3)    # not 1/n
+
+
+def test_split_grid_budget_guard(monkeypatch):
+    # the (alpha, beta) grid at step 1/10 is 11^2 points: a budget of
+    # exactly that passes, one less fails before any grid is built
+    ch = GaussianBc(1.0, 0.5, 0.0, 1.0)
+    space = gb.BOUNDS["outer"].space
+    monkeypatch.setattr(gridding, "EVAL_BUDGET", 121)
+    blocks, _ = space.blocks(ch, 0.1, {})
+    assert sum(len(b) for b in blocks) == 121
+    monkeypatch.setattr(gridding, "EVAL_BUDGET", 120)
+    with pytest.raises(GridTooLargeError, match="finest step"):
+        space.blocks(ch, 0.1, {})
 
 
 # ---------------------------------------------------------------------------
