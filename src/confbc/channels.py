@@ -174,8 +174,8 @@ def more_capable_evidence(ch, grid_step=0.05):
     Returns {"min_gap", "argmin_px", "grid_step"}.
     """
     px = simplex_grid(ch.x_card, grid_step)
-    table = info_core._price_rows(ch.transition, px)
-    gaps = (table[2] - table[5]) - (table[3] - table[6])
+    h = dict(zip(info_core.ROWS, info_core._price_rows(ch.transition, px)))
+    gaps = (h["Y1"] - h["Y1|X"]) - (h["Y2"] - h["Y2|X"])
     k = int(np.argmin(gaps))
     return {"min_gap": float(gaps[k]), "argmin_px": px[k].tolist(),
             "grid_step": float(grid_step)}

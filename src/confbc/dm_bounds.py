@@ -33,15 +33,15 @@ poke above the optimized region).
 
 The grid sweeps take their information terms from one batch kernel,
 _entropies.  Given X the outputs do not depend on the auxiliaries, so
-every entropy with X and an output splits as
-    H(A, X, Y) = H(A, X) + sum_x p(x) H(Y | X=x)
-for any auxiliary set A and output set Y, and the broadcast joint
-p(a, x, y1, y2) is never formed.  The rest are entropies of one
-auxiliary A (or none) with an output set Y in {none, X, Y1, Y2, Y1Y2},
-and as p(a, y) = sum_x p(a, x) T_Y(y | x) involves only the row
-p(a, .) of P(a, x),
-    H(A, Y) = sum_a f_Y(p(a, .)),   f_Y(r) = -sum_y xlog2x((r T_Y)_y),
-with H(Y) = f_Y(p(.)).  On a grid of step 1/n every such row -- a row
+H(Y | A, X) = H(Y | X) for any auxiliary A and output set Y, and
+    I(X; Y | A) = H(Y | A) - H(Y | X),    I(A; Y) = H(Y) - H(Y | A),
+with I(X; Y1 | Y2, A) = I(X; Y1Y2 | A) - I(X; Y2 | A) by the chain rule.
+So the rows need only H(Y | A), H(Y) and H(Y | X) = sum_x p(x) H(Y | X=x)
+for Y in {Y1, Y2, Y1Y2}: never H(A), H(X) or the joint p(a, x, y1, y2).
+As p(a, y) = sum_x p(a, x) T_Y(y | x) involves only the row p(a, .) of
+P(a, x), H(Y | A) = sum_a g_Y(p(a, .)) with g_Y(r) = f_Y(r) - f(r),
+f_Y(r) = -sum_y xlog2x((r T_Y)_y) and f(r) = -xlog2x(sum_x r_x), and
+H(Y) = g_Y(p(.)).  On a grid of step 1/n every such row -- a row
 of P(v, x), of P(u, x) = sum_v P(u, v, x), or P(x) itself -- is a count
 vector r over X with entries in 0 .. n, divided by n.  A sweep keys it
 by its code c(r) = sum_j r_j (n + 1)^j, which is one to one on those
@@ -63,8 +63,8 @@ import numpy as np
 from .channels import is_semi_deterministic, more_capable_evidence
 from .errors import InapplicableBoundError
 from .gridding import _SWEEP_CHUNK, _budgeted_chunks, _units
-from .info_core import (JointPmf, _check_mass, _price_rows, compose_joint,
-                        mutual_information)
+from .info_core import (OUTPUTS, ROWS, JointPmf, _check_mass, _price_rows,
+                        compose_joint, mutual_information)
 from .regions import Bound, ConstraintPolytope, LinearSystem
 
 
@@ -326,12 +326,6 @@ class _Counts(namedtuple("_Counts", ("counts", "n"))):
     prices them from the lattice table."""
 
 
-# the row table's columns (info_core._price_rows): f_Y for each output set
-# Y, then sum_x r(x) H(Y|X=x)
-_OUTS = ("", "X", "Y1", "Y2", "Y1Y2")
-_CONDS = ("Y1", "Y2", "Y1Y2")
-
-
 def _gather(table, idx):
     """sum_j table[:, idx[j]]: the table rows' sums over the (k, N) index
     block idx, one column per point."""
@@ -355,14 +349,14 @@ def _marginals(q, k):
 
 @functools.lru_cache(maxsize=4)
 def _lattice_table(shape, data, n):
-    """The row table of every row over X with entries in 0 .. n, divided
-    by n, in the column of its code, for the transition with this shape
-    and these bytes; the rows summing past n are priced but never read.
-    Read-only, as every sweep at this step shares it."""
+    """The row table (info_core._price_rows) of every row over X with
+    entries in 0 .. n, divided by n, in the column of its code, for the
+    transition with this shape and these bytes; the rows summing past n
+    are priced but never read.  Read-only: every sweep at n shares it."""
     t = np.frombuffer(data).reshape(shape)
     nx = shape[0]
     size = (n + 1) ** nx
-    table = np.empty((len(_OUTS) + len(_CONDS), size))
+    table = np.empty((len(ROWS), size))
     for lo in range(0, size, _SWEEP_CHUNK):
         codes = np.arange(lo, min(lo + _SWEEP_CHUNK, size))
         rows = np.stack(np.unravel_index(codes, (n + 1,) * nx)[::-1], axis=1)
@@ -372,23 +366,21 @@ def _lattice_table(shape, data, n):
 
 
 def _entropies(ch, block, names):
-    """Marginal entropies (bits) of p(aux, x) T(y1, y2 | x) for a batch.
+    """Conditional output entropies (bits) of p(aux, x) T(y1, y2 | x)
+    for a batch.
 
     block -- a float (N, *aux_cards, X) array, one auxiliary axis per
              entry of names, or a _Counts block of those points
-    returns a dict of (N,) arrays keyed by an aux name ("" for none)
-    followed by the outputs, for the aux subsets {none, each single
-    name} and the output sets X, Y1, Y2, Y1Y2, XY1, XY2, XY1Y2 (and none
-    for a named aux): "V", "UXY1", "Y1Y2", ...  It also holds the
-    channel-only terms "Y1|X", "Y2|X", "Y1Y2|X" = sum_x p(x) H(Y | X=x).
+    returns a dict of (N,) arrays, for each output set Y in OUTPUTS:
+    "Y|A" = H(Y | A) for each auxiliary name A ("Y1|V", "Y1Y2|U", ...),
+    "Y" = H(Y) and "Y|X" = H(Y | X) = sum_x p(x) H(Y | X=x).
 
     Every term is a sum of row-table entries (see the module docstring):
     for each name the rows p(a, .) of its marginal, then the one row
     p(x).  Both kinds of block take them by the same axis sums: a
     _Counts block turns its cells into codes, sums those and reads the
     lattice table at the sums; a float block sums rows, prices them
-    letter by letter and reads them in order.  The terms with X and an
-    output use H(A,X,Y) = H(A,X) + H(Y|X).
+    letter by letter and reads them in order.
     """
     if isinstance(block, _Counts):
         t = ch.transition
@@ -400,15 +392,9 @@ def _entropies(ch, block, names):
         table = _price_rows(ch.transition, np.concatenate(rows).reshape(-1, ch.x_card))
         idx = np.split(np.arange(table.shape[1]).reshape(-1, len(block)),
                        np.cumsum([len(r) for r in rows[:-1]]))
-    h = {}
+    h = dict(zip(ROWS, _gather(table, idx[-1])))      # H(Y), then H(Y | X)
     for a, i in zip(names, idx):
-        h.update(zip((a + y for y in _OUTS), _gather(table[:len(_OUTS)], i)))
-    # p(x)'s sums; given X the outputs ignore the aux
-    h.update(zip(_OUTS[1:] + tuple(y + "|X" for y in _CONDS),
-                 _gather(table[1:], idx[-1])))
-    for y in _CONDS:
-        for a in names + ("",):
-            h[a + "X" + y] = h[a + "X"] + h[y + "|X"]
+        h.update(zip((y + "|" + a for y in OUTPUTS), _gather(table[:len(OUTPUTS)], i)))
     return h
 
 
@@ -481,17 +467,17 @@ _OUTER_COEFFS = np.array([
 def _outer_rows(h, ch):
     """Entropies of an (N, U, V, X) block -> (N, 11) converse rows."""
     c12, c21 = ch.c12, ch.c21
-    iU_Y1 = h["U"] + h["Y1"] - h["UY1"]
-    iV_Y2 = h["V"] + h["Y2"] - h["VY2"]
-    iX_Y1 = h["X"] + h["Y1"] - h["XY1"]
-    iX_Y2 = h["X"] + h["Y2"] - h["XY2"]
-    iX_Y1_given_Y2V = h["VXY2"] + h["VY1Y2"] - h["VXY1Y2"] - h["VY2"]
-    iX_Y2_given_Y1V = h["VXY1"] + h["VY1Y2"] - h["VXY1Y2"] - h["VY1"]
-    iX_Y2_given_Y1U = h["UXY1"] + h["UY1Y2"] - h["UXY1Y2"] - h["UY1"]
-    iX_Y1_given_Y2U = h["UXY2"] + h["UY1Y2"] - h["UXY1Y2"] - h["UY2"]
-    iX_Y1_given_V = h["VX"] + h["VY1"] - h["VXY1"] - h["V"]
-    iX_Y2_given_U = h["UX"] + h["UY2"] - h["UXY2"] - h["U"]
-    iX_Y1Y2 = h["X"] + h["Y1Y2"] - h["XY1Y2"]
+    iU_Y1 = h["Y1"] - h["Y1|U"]
+    iV_Y2 = h["Y2"] - h["Y2|V"]
+    iX_Y1 = h["Y1"] - h["Y1|X"]
+    iX_Y2 = h["Y2"] - h["Y2|X"]
+    iX_Y1_given_Y2V = h["Y1Y2|V"] - h["Y2|V"] - (h["Y1Y2|X"] - h["Y2|X"])
+    iX_Y2_given_Y1V = h["Y1Y2|V"] - h["Y1|V"] - (h["Y1Y2|X"] - h["Y1|X"])
+    iX_Y2_given_Y1U = h["Y1Y2|U"] - h["Y1|U"] - (h["Y1Y2|X"] - h["Y1|X"])
+    iX_Y1_given_Y2U = h["Y1Y2|U"] - h["Y2|U"] - (h["Y1Y2|X"] - h["Y2|X"])
+    iX_Y1_given_V = h["Y1|V"] - h["Y1|X"]
+    iX_Y2_given_U = h["Y2|U"] - h["Y2|X"]
+    iX_Y1Y2 = h["Y1Y2"] - h["Y1Y2|X"]
     return np.stack([
         iU_Y1 + c21,
         iX_Y1_given_Y2V + iX_Y2,
@@ -519,11 +505,11 @@ def _t4_mi_batch(ch, pvx):
     pvx: (N, V, X) -> dict of (N,) arrays."""
     h = _entropies(ch, pvx, ("V",))
     return {
-        "v_y2": h["V"] + h["Y2"] - h["VY2"],
-        "x_y1": h["X"] + h["Y1"] - h["XY1"],
-        "x_y1_v": h["VX"] + h["VY1"] - h["VXY1"] - h["V"],
-        "xj_v": h["VX"] + h["VY1Y2"] - h["VXY1Y2"] - h["V"],
-        "x_j": h["X"] + h["Y1Y2"] - h["XY1Y2"],
+        "v_y2": h["Y2"] - h["Y2|V"],
+        "x_y1": h["Y1"] - h["Y1|X"],
+        "x_y1_v": h["Y1|V"] - h["Y1|X"],
+        "xj_v": h["Y1Y2|V"] - h["Y1Y2|X"],
+        "x_j": h["Y1Y2"] - h["Y1Y2|X"],
         "y2_xy1": h["Y1Y2|X"] - h["Y1|X"],
     }
 

@@ -5,9 +5,9 @@ dense numpy arrays with one axis per variable, which is fine for the
 small alphabets this package sweeps over; a guard refuses tables whose
 total size would exceed MAX_CELLS.
 
-_price_rows is the one batch information-term kernel: the output
-entropies of many rows of P(a, x) through one channel, without forming
-any joint.  The dm_bounds grid sweeps and
+_price_rows is the one batch information-term kernel: the conditional
+output entropies of many rows of P(a, x) through one channel, without
+forming any joint.  The dm_bounds grid sweeps and
 channels.more_capable_evidence both read it.
 
 Conventions:
@@ -22,6 +22,9 @@ import numpy as np
 MASS_TOL = 1e-12
 NEG_TOL = 1e-12
 MAX_CELLS = 10 ** 7
+# the output sets _price_rows prices, and its rows by name
+OUTPUTS = ("Y1", "Y2", "Y1Y2")
+ROWS = OUTPUTS + tuple(y + "|X" for y in OUTPUTS)
 
 
 def xlog2x(p):
@@ -142,21 +145,20 @@ def mutual_information(p, a, b, given=()):
 
 def _price_rows(t, rows):
     """The row table of (R, X) rows r of P(a, x) under the transition t
-    of shape (|X|, |Y1|, |Y2|), one column per row r: (8, R), f_Y(r) =
-    -sum_y xlog2x((r T_Y)_y) for the output sets Y = none, X, Y1, Y2,
-    Y1Y2, then r @ H(Y | X=x) for Y = Y1, Y2, Y1Y2.  For an input pmf r,
-    rows 2 - 5 and 3 - 6 are I(X;Y1) and I(X;Y2).  One GEMM against the
-    blocks T_Y side by side, one xlog2x, and one GEMM against a -1
-    segment matrix; the unit rows e_x ride along, as f_Y(e_x) =
-    H(Y | X=x)."""
+    of shape (|X|, |Y1|, |Y2|), one column per row r and a row per name
+    in ROWS: (6, R), g_Y(r) = f_Y(r) - f(r) = p(a) H(Y | A=a) for Y in
+    OUTPUTS, f_Y(r) = -sum_y xlog2x((r T_Y)_y), f(r) = -xlog2x(sum_x r_x),
+    then r @ H(Y | X=x).  For an input pmf r, "Y1" is H(Y1).  One GEMM
+    against a ones column and the blocks T_Y side by side, one xlog2x,
+    and one GEMM against a -1 segment matrix; the unit rows e_x ride
+    along, as g_Y(e_x) = H(Y | X=x)."""
     nx = t.shape[0]
-    outs = [np.ones((nx, 1)), np.eye(nx), t.sum(axis=2), t.sum(axis=1),
-            t.reshape(nx, -1)]
+    outs = [np.ones((nx, 1)), t.sum(axis=2), t.sum(axis=1), t.reshape(nx, -1)]
     widths = [o.shape[1] for o in outs]
     seg = np.zeros((len(outs), sum(widths)))
     seg[np.repeat(np.arange(len(outs)), widths), np.arange(seg.shape[1])] = -1.0
     f = seg @ xlog2x(np.vstack([rows, np.eye(nx)]) @ np.hstack(outs)).T
-    return np.vstack([f[:, :-nx], f[2:, -nx:] @ rows.T])
+    return np.vstack([f[1:, :-nx] - f[0, :-nx], f[1:, -nx:] @ rows.T])
 
 
 # ---------------------------------------------------------------------------

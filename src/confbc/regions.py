@@ -64,10 +64,12 @@ _INF_TOKENS = {"inf": INF, "Infinity": INF, "-inf": -INF, "-Infinity": -INF}
 
 
 def _system_arrays(variables, matrix, rhs):
-    """The (variables, A, b) form both region classes store: a name
-    tuple, an (m, k) float matrix and an (m,) float rhs, copied and
-    read-only, as every reader shares them."""
+    """The (variables, A, b) form both region classes store: a tuple of
+    distinct names, an (m, k) float matrix and an (m,) float rhs, copied
+    and read-only, as every reader shares them."""
     variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError("duplicate variable names in %s" % (variables,))
     matrix = np.array(matrix, dtype=float, ndmin=2)
     rhs = np.array(rhs, dtype=float)
     if rhs.ndim != 1 or matrix.shape != (rhs.shape[0], len(variables)):
@@ -97,8 +99,7 @@ class ConstraintPolytope:
 
     def vertices(self):
         if self._verts is None:
-            keep = np.isfinite(self.rhs)
-            self._verts = enumerate_vertices(self.matrix[keep], self.rhs[keep])
+            self._verts = enumerate_vertices(self.matrix, self.rhs)
         return self._verts
 
     def support(self, direction):
@@ -172,6 +173,9 @@ class LinearSystem:
                 and isinstance(doc.get("rows"), list)):
             raise ChannelFormatError("system JSON needs a 'variables' list and a 'rows' list")
         names, rows = doc["variables"], []
+        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+            raise ChannelFormatError(
+                "variables = %r: they must be distinct strings" % (names,))
         for i, row in enumerate(doc["rows"]):
             fields = row if isinstance(row, dict) else {}
             coeffs, rhs = fields.get("coeffs"), fields.get("rhs")
@@ -191,7 +195,6 @@ class LinearSystem:
 # vertex enumeration and supports
 # ---------------------------------------------------------------------------
 
-_BIG = 1e30
 _DUAL_TOL = 1e-12
 # Candidate values priced per GEMM block: 2 MiB of float64, plus a
 # same-sized +inf mask when a row is absent.  Whether malloc serves such
@@ -205,15 +208,18 @@ def enumerate_vertices(a, b, tol=_FEAS_TOL):
     """Feasible basic solutions of the rate region a @ x <= b, x >= 0.
 
     Exact-ish for the 1-3 dimensional systems used here; returns an
-    (n, k) array of distinct vertices (possibly empty).  Each basis is
-    solved afresh, so this stays the oracle for the cached inverses
-    the general-sign systems use.
+    (n, k) array of distinct vertices (possibly empty).  A +inf row is
+    absent and a -inf row leaves no vertex.  Each basis is solved afresh,
+    so this stays the oracle for the cached inverses the general-sign
+    systems use.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float)
     k = a.shape[1]
-    a = np.vstack([a, -np.eye(k)])
-    b = np.concatenate([b, np.zeros(k)])
-    b = np.where(np.isfinite(b), b, _BIG)
+    if np.any(b == -INF):
+        return np.empty((0, k))
+    a = np.vstack([a[b < INF], -np.eye(k)])
+    b = np.concatenate([b[b < INF], np.zeros(k)])
     idx, mats = _bases(a, k)
     return _feasible_vertices(a, b, np.linalg.solve(mats, b[idx][..., None])[..., 0], tol)
 
@@ -596,6 +602,8 @@ def sweep(entries, step=None, directions=None, **cards):
 def _fold(coeffs, rhs, pair, dirs, acc):
     """One block's rows folded into an entry's running max of supports,
     or (with a cap/total pair) into its running frontier."""
+    if np.any(np.isnan(rhs)):
+        raise ValueError("rhs has a NaN entry")
     if pair is None:
         return np.maximum(acc, batch_support(coeffs, rhs, dirs, reduce_max=True))
     cap = np.all(coeffs == pair[0], axis=1)
@@ -902,7 +910,7 @@ def write_support_csv(env, path):
         w = csv.writer(fh)
         w.writerow(["dir0", "dir1", "dir2", "support_bits"])
         for d, s in zip(dirs, env.supports):
-            w.writerow([_fmt(d[0]), _fmt(d[1]), _fmt(d[2]), _fmt(s)])
+            w.writerow(["%.9g" % x for x in (d[0], d[1], d[2], s)])
 
 
 def write_boundary_csv(points, path):
@@ -910,13 +918,7 @@ def write_boundary_csv(points, path):
         w = csv.writer(fh)
         w.writerow(["R0", "R1"])
         for r0, r1 in points:
-            w.writerow([_fmt(r0), _fmt(r1)])
-
-
-def _fmt(x):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "%.9g" % x
+            w.writerow(["%.9g" % r0, "%.9g" % r1])
 
 
 def envelope_boundary_2d(env):

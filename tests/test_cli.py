@@ -395,8 +395,11 @@ _FM_ROWS = [{"coeffs": {"R": 1, "B1": 1}, "rhs": 2.0},
      "rows[1]"),
     ({"variables": ["R", "B1"], "rows": [_FM_ROWS[0], {"coeffs": {"B1": -1}, "rhs": math.nan}]},
      "rows[1]"),
+    # the coefficients would land in one B1 column and --eliminate take the other
+    ({"variables": ["R", "B1", "B1"], "rows": _FM_ROWS}, "['R', 'B1', 'B1']"),
+    ({"variables": [1, "B1"], "rows": _FM_ROWS[1:]}, "[1, 'B1']"),
 ], ids=["no-variables", "no-rows", "undeclared-variable", "text-coefficient",
-        "text-rhs", "nan-rhs"])
+        "text-rhs", "nan-rhs", "repeated-variable", "non-string-variable"])
 def test_fm_malformed_system_is_exit_3(tmp_path, capsys, doc, where):
     sys_path = tmp_path / "sys.json"
     sys_path.write_text(json.dumps(doc))        # NaN goes out as the NaN literal

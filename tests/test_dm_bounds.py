@@ -475,7 +475,22 @@ def _random_dm(rng, nx, ny1, ny2):
     return DmBroadcastChannel(t, c12=rng.uniform(0, 1), c21=rng.uniform(0, 1))
 
 
-_CARDS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+_CARDS = st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3))
+
+
+@given(seed=st.integers(0, 2 ** 31), cards=_CARDS, nu=st.integers(1, 3),
+       nv=st.integers(1, 3))
+@settings(max_examples=10, deadline=None)
+def test_kernel_prices_conditional_output_entropies_only(seed, cards, nu, nv):
+    # six rows, H(Y | A) and H(Y | X) per output set Y, and nothing of
+    # H(A), H(X) or an entropy of X together with an output
+    rng = np.random.default_rng(seed)
+    ch = _random_dm(rng, *cards)
+    rows = _sparse_pmf(rng, (cards[0],), size=5)
+    assert info_core._price_rows(ch.transition, rows).shape == (6, len(rows))
+    h = dmb._entropies(ch, _sparse_pmf(rng, (nu, nv, cards[0]), size=2), ("U", "V"))
+    outs = ("Y1", "Y2", "Y1Y2")
+    assert set(h) == {y + c for y in outs for c in ("", "|X", "|U", "|V")}
 
 
 @given(seed=st.integers(0, 2 ** 31), cards=_CARDS, nv=st.integers(1, 4))
@@ -633,7 +648,7 @@ def test_t4_sweep_prices_the_lattice_not_the_grid(monkeypatch):
         cells.clear()
         dmb.BOUNDS["t4"].envelope(_ex1(), 1 / 30, v_card=v)
         per_card[v] = sum(cells)
-    width = 1 + 2 + 2 + 2 + 4        # "", X, Y1, Y2, Y1Y2 marginals of a row
+    width = 1 + 2 + 2 + 4            # a row's mass, then its Y1, Y2, Y1Y2 marginals
     assert sorted_grid_size(3, 2, 1 / 30) == 60_737
     assert 0 < per_card[2] == per_card[3] <= width * (31 ** 2 + 2) < 60_737
 

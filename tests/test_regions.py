@@ -17,6 +17,7 @@ import confbc.regions as regions
 from confbc.regions import (
     CANONICAL_DIRS_2D,
     CANONICAL_DIRS_3D,
+    Bound,
     ConstraintPolytope,
     LinearSystem,
     RegionEnvelope,
@@ -74,6 +75,8 @@ def test_constraint_polytope_validation():
             cls(VARS3, [[1, 0]], [1.0])
         with pytest.raises(ValueError, match="shape"):
             cls(VARS3, [[1, 0, 0]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            cls(("R0", "R0", "R1"), [[1, 0, 1]], [1.0])     # a column no name reaches
     ConstraintPolytope(VARS3, [[1, 0, 0]], [math.inf])      # inf rhs = absent row, fine
     LinearSystem(VARS3, [[-1, 0.5, 0]], [1.0])               # general sign is the system's
 
@@ -112,6 +115,19 @@ def test_enumerate_vertices_unit_square():
     want = {(0, 0), (0, 1), (1, 0), (1, 1)}
     got = {tuple(np.round(v, 12)) for v in verts}
     assert got == want
+
+
+def test_enumerate_vertices_drops_absent_rows():
+    # x <= 1 alone: the strip's two vertices, none out at the +inf row
+    verts = enumerate_vertices([[1.0, 0.0], [0.0, 1.0]], [1.0, math.inf])
+    assert {tuple(np.round(v, 12)) for v in verts} == {(0, 0), (1, 0)}
+
+
+def test_a_minus_inf_row_leaves_no_vertex():
+    p = ConstraintPolytope(("R0", "R1"), [[1, 0], [1, 1]], [-math.inf, 1.0])
+    assert p.support((1, 1)) == -math.inf
+    assert p.vertices().shape == (0, 2)
+    assert enumerate_vertices(p.matrix, p.rhs).shape == (0, 2)
 
 
 def test_support_of_system_general_sign():
@@ -960,6 +976,30 @@ def test_pareto_corner_mask_keeps_the_merge_bytes(seed, sizes):
         acc = regions._pareto_2d(s, a, acc)
         want = _pareto_unfiltered(s, a, want)
         assert acc.tobytes() == want.tobytes()
+
+
+class _ThreePoints:
+    """A parameter space of one block of three points, for toy bounds."""
+
+    cards = ()
+    step_key = "step"
+
+    def blocks(self, ch, step, cards):
+        return [np.arange(3.0)[:, None]], {}
+
+
+@pytest.mark.parametrize("coeffs", [[(1, 0), (1, 1)], [(1, 0), (0, 1), (1, 1)]],
+                         ids=["cap-total-frontier", "batch-support"])
+def test_a_nan_row_raises_one_error_on_both_sweep_paths(coeffs):
+    def rows(block, ch):
+        rhs = np.ones((block.shape[0], len(coeffs)))
+        rhs[1, 0] = math.nan
+        return rhs
+
+    bound = Bound("toy", ("R0", "R1"), np.array(coeffs, dtype=float), _ThreePoints(),
+                  rows, 1.0)
+    with pytest.raises(ValueError, match="rhs has a NaN entry"):
+        bound.envelope(None, directions=CANONICAL_DIRS_2D)
 
 
 def test_union_envelope_is_pointwise_max():
