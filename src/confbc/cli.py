@@ -334,7 +334,10 @@ def _build_parser():
     f.add_argument("--system", required=True, help="LinearSystem JSON file")
     f.add_argument("--eliminate", required=True,
                    help="comma-separated variable names to remove")
-    f.add_argument("--no-prune", action="store_true")
+    f.add_argument("--no-prune", action="store_true",
+                   help="skip the vertex sweep that drops rows never active "
+                        "at a vertex; tautology removal, proportional-row "
+                        "dedup and Chernikov's rule always run")
     f.add_argument("--out", help="write the projected system here")
     f.set_defaults(fn=_cmd_fm)
 

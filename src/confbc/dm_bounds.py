@@ -208,11 +208,17 @@ _INNER_COEFFS = np.array([
     (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 1, 1), (2, 1, 1)], dtype=float)
 
 
+def _inner_rhs(row1, row2, sum1, sum2, i0):
+    """The rhs of the inner region's _INNER_COEFFS rows: caps row1
+    (R0+R1), row2 (R0+R2), and the two sum-row partners, less the
+    Marton price i0."""
+    return [row1, row2, sum1 + row2 - i0, row1 + sum2 - i0, row1 + row2 - i0]
+
+
 def _inner_polytope(row1, row2, sum1, sum2, i0):
-    """The inner region with caps row1 (R0+R1), row2 (R0+R2), and the
-    two sum-row partners, less the Marton price i0."""
-    return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS, [
-        row1, row2, sum1 + row2 - i0, row1 + sum2 - i0, row1 + row2 - i0])
+    """The inner region with these caps (see _inner_rhs)."""
+    return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS,
+                              _inner_rhs(row1, row2, sum1, sum2, i0))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +229,18 @@ def inner1_alpha_polytope(ch, f, alpha1, variant="clipped", terms=None):
     """Achievable (R0,R1,R2) polytope for one factorization and one
     explicit link split alpha1 in [0,1].  terms: factorization_terms(ch,
     f) when the caller already has them."""
+    return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS,
+                              _inner1_alpha_rhs(ch, f, alpha1, variant, terms))
+
+
+def _inner1_alpha_rhs(ch, f, alpha1, variant="clipped", terms=None):
+    """inner1_alpha_polytope's rhs alone, for callers that price many
+    splits on the one _INNER_COEFFS matrix."""
     if not 0.0 <= alpha1 <= 1.0:
         raise ValueError("alpha1 must lie in [0, 1]")
     t = terms or factorization_terms(ch, f)
     m1, m2, m3, m4, i0 = _caps1(t, ch.c12, ch.c21, alpha1, variant)
-    return _inner_polytope(m2, m4, m1, m3, i0)
+    return _inner_rhs(m2, m4, m1, m3, i0)
 
 
 def alpha1_star(ch, f, terms=None):
@@ -257,13 +270,18 @@ def inner1_polytope(ch, f):
 # ---------------------------------------------------------------------------
 
 def inner2_alpha_polytope(ch, f, alpha2, variant="clipped", terms=None):
+    return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS,
+                              _inner2_alpha_rhs(ch, f, alpha2, variant, terms))
+
+
+def _inner2_alpha_rhs(ch, f, alpha2, variant="clipped", terms=None):
+    """inner2_alpha_polytope's rhs alone (see _inner1_alpha_rhs)."""
     if not 0.0 <= alpha2 <= 1.0:
         raise ValueError("alpha2 must lie in [0, 1]")
     if not f.q2_on_w and f.q2 is not None:
         raise ValueError("family 2 wants q2 conditioned on (W, Y2)")
     t = terms or factorization_terms(ch, f)
-    n1, n2, n3, n4, i0 = _caps2(t, ch.c12, ch.c21, alpha2, variant)
-    return _inner_polytope(n1, n2, n3, n4, i0)
+    return _inner_rhs(*_caps2(t, ch.c12, ch.c21, alpha2, variant))
 
 
 def alpha2_star(ch, f, terms=None):

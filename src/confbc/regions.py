@@ -31,15 +31,16 @@ basis' inverse, so every rhs and every block of directions on that
 matrix share it, and a rhs costs a gather and a product rather than a
 solve per basis.
 
-Fourier-Motzkin elimination splits the same way.  Which rows pair, how
-they scale and which proportional rows merge depend on the matrix (and
-on which rows are absent), never on the rhs values, so that plan
-(_fm_plan) is memoised next to the basis pass and each system replays
-only its rhs through it.  The replay is exact: each paired rhs is a
-combination with nonnegative weights, computed by the same products
-and sums as a fresh elimination, and because the weights are
-nonnegative a merged group's tightest row is its least rhs, which the
-replay picks as a fresh elimination does.
+Fourier-Motzkin elimination splits the same way.  Which rows pair
+(Chernikov's rule among them), how they scale and which proportional
+rows merge depend on the matrix (and on which rows are absent), never
+on the rhs values, so that plan (_fm_plan) is memoised next to the
+basis pass and each system replays only its rhs through it.  The
+replay is exact: each paired rhs is a combination with nonnegative
+weights, computed by the same products and sums as a fresh
+elimination, and because the weights are nonnegative a merged group's
+tightest row is its least rhs, which the replay picks as a fresh
+elimination does.
 
 Every bound the CLI evaluates is a Bound record in its module's BOUNDS
 table: a fixed coefficient matrix and a row function of a parameter
@@ -209,12 +210,13 @@ def enumerate_vertices(a, b, tol=_FEAS_TOL):
 
     Exact-ish for the 1-3 dimensional systems used here; returns an
     (n, k) array of distinct vertices (possibly empty).  A +inf row is
-    absent and a -inf row leaves no vertex.  Each basis is solved afresh,
-    so this stays the oracle for the cached inverses the general-sign
-    systems use.
+    absent and a -inf row leaves no vertex; a NaN one raises ValueError.
+    Each basis is solved afresh, so this stays the oracle for the cached
+    inverses the general-sign systems use.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
+    _reject_nan(rhs=b)
     k = a.shape[1]
     if np.any(b == -INF):
         return np.empty((0, k))
@@ -222,6 +224,14 @@ def enumerate_vertices(a, b, tol=_FEAS_TOL):
     b = np.concatenate([b[b < INF], np.zeros(k)])
     idx, mats = _bases(a, k)
     return _feasible_vertices(a, b, np.linalg.solve(mats, b[idx][..., None])[..., 0], tol)
+
+
+def _reject_nan(**arrays):
+    """Raise ValueError naming the first array with a NaN entry: a NaN
+    rhs would otherwise pass for an absent row, or for no row at all."""
+    for name, arr in arrays.items():
+        if np.any(np.isnan(arr)):
+            raise ValueError("%s has a NaN entry" % name)
 
 
 def _feasible_vertices(a, b, verts, tol=_FEAS_TOL):
@@ -304,9 +314,7 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
     if dirs.shape[1] != coeffs.shape[1]:
         raise ValueError("directions have %d components but the polytopes "
                          "have %d variables" % (dirs.shape[1], coeffs.shape[1]))
-    for name, arr in (("coeffs", coeffs), ("rhs", rhs), ("dirs", dirs)):
-        if np.any(np.isnan(arr)):
-            raise ValueError("%s has a NaN entry" % name)
+    _reject_nan(coeffs=coeffs, rhs=rhs, dirs=dirs)
     n_poly, n_dirs = rhs.shape[0], dirs.shape[0]
     empty = np.any(rhs < -1e-12, axis=1)
     copies = {}
@@ -452,10 +460,12 @@ def support_of_system(system, directions, tol=_FEAS_TOL):
     which extend to an r-row basis with zero weights; so it suffices to
     try every nonsingular r-row basis.  A system whose rows do not span
     the space has no vertex, so both the vertices and the cone test are
-    taken in coordinates of the row span, where it is pointed.
+    taken in coordinates of the row span, where it is pointed.  A NaN
+    rhs or direction raises ValueError.
     """
     a, b = system.matrix, system.rhs
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    _reject_nan(rhs=b, dirs=dirs)
     zero_rows = np.all(np.abs(a) <= 1e-12, axis=1)
     if np.any(b[zero_rows] < -1e-9) or np.any(b == -INF):
         # carries an inconsistent 0 <= negative row or a -inf row
@@ -602,8 +612,7 @@ def sweep(entries, step=None, directions=None, **cards):
 def _fold(coeffs, rhs, pair, dirs, acc):
     """One block's rows folded into an entry's running max of supports,
     or (with a cap/total pair) into its running frontier."""
-    if np.any(np.isnan(rhs)):
-        raise ValueError("rhs has a NaN entry")
+    _reject_nan(rhs=rhs)
     if pair is None:
         return np.maximum(acc, batch_support(coeffs, rhs, dirs, reduce_max=True))
     cap = np.all(coeffs == pair[0], axis=1)
@@ -659,10 +668,42 @@ def _pareto_2d(s, a, acc):
 def fm_eliminate(system, names, prune=True):
     """Project a LinearSystem onto the variables not listed in names.
 
-    Classic positive/negative pairing with three pruning passes: exact
+    Classic positive/negative pairing with four pruning passes: exact
     tautology removal, proportional-row dedup (keep the tightest rhs),
-    and -- once the dimension is small -- a vertex-activity sweep that
-    is exact for bounded systems.
+    Chernikov's rule, and -- once the dimension is small, unless prune
+    is off -- a vertex-activity sweep that is exact for bounded
+    systems.  The first three always run.
+
+    Chernikov's rule (Imbert's first acceleration theorem) keeps a row
+    count that would otherwise grow as a square per step: each row
+    carries its history, the input rows its multipliers combine, and
+    the step that leaves k names eliminated forms a (pos, neg) pair
+    only when the union of their histories has at most k + 1 rows.
+    Why nothing is lost: with E the k eliminated columns of the input
+    rows A, every row is lam^T (A, b) for some lam in the cone
+    C_k = {lam >= 0 : lam^T A_E = 0}, with the history as its support,
+    and the projection is cut out by the rows of the extreme rays of
+    C_k.  An extreme ray's support has at most rank(A_E) + 1 <= k + 1
+    rows: on a larger support S, the mu supported on S with
+    mu^T A_E = 0 span two dimensions or more, so lam can move both
+    ways along one that is not lam's own and stay in C_k.  Each
+    extreme ray of C_k is either one of C_{k-1} that is zero in the
+    new column or a (pos, neg) combination of two of C_{k-1}, with the
+    union of their supports, so by induction every extreme ray has a
+    kept row with the same coefficients, a history inside its support
+    and a rhs no greater; a dropped row is a nonnegative combination
+    of such rows, so it is implied.  Two details keep this true as the plan runs:
+    * Dedup groups.  The replay keeps a group's least rhs, which need
+      not be the row on the extreme ray, so the group's history is the
+      intersection of its members' histories: a subset of every
+      member's, so a pair that the member on the ray would form, the
+      survivor forms too, at a rhs no greater.
+    * Zero rows.  A pair whose combined row is zero in every column is
+      formed whatever its history, so the step's 0 <= negative check
+      sees every such row the kept rows make.  An empty projection can
+      still come back as rows with no common point, where the rule
+      left their cancelling combination unformed; every support
+      prices it -inf all the same.
 
     Infinite right-hand sides never enter the pairing: before each
     step a -inf row makes the system empty, and a +inf (absent) row is
@@ -676,10 +717,11 @@ def fm_eliminate(system, names, prune=True):
 
     Everything but the rhs arithmetic depends on the matrix alone: a
     step's pos/neg/zero split and pairing read the signs of one column,
-    and the dedup's row scales, groups and surviving rows read the
-    combined rows.  That plan (_fm_plan) is memoised per matrix, names
-    and +inf pattern, next to the vertex sweep's basis pass, so systems
-    that differ only in their rhs (every appendix-B draw) share both.
+    Chernikov's rule reads the histories, and the dedup's row scales,
+    groups and surviving rows read the combined rows.  That plan
+    (_fm_plan) is memoised per matrix, names and +inf pattern, next to
+    the vertex sweep's basis pass, so systems that differ only in their
+    rhs (every appendix-B draw) share both.
     A call replays its rhs through the plan, and the replay is exact.
     Each paired rhs is rhs[neg] * col[pos] + rhs[pos] * -col[neg], the
     same products and sum a fresh step forms, with both weights
@@ -750,25 +792,39 @@ def _fm_plan(shape, data, variables, names, live):
     """The rhs-free half of fm_eliminate, for the float matrix with this
     shape and these bytes over variables, the rows flagged in the bool
     bytes live kept: (steps, variables left, projected matrix).  Steps
-    after the first take every row as live.  Read-only, as every call on
-    this matrix shares it."""
+    after the first take every row as live.  The steps pair only what
+    Chernikov's rule keeps, histories kept as a bool (rows, live input
+    rows) array (see fm_eliminate).  Read-only, as every call on this
+    matrix shares it."""
     mat = np.frombuffer(data).reshape(shape)[np.frombuffer(live, dtype=bool)]
     variables, steps = list(variables), []
-    for name in names:
+    # each row's history: the input rows its multipliers combine
+    history = np.eye(mat.shape[0], dtype=bool)
+    for k, name in enumerate(names, 1):
         j = variables.index(name)
         col = mat[:, j]
         pos = np.nonzero(col > 1e-12)[0]
         neg = np.nonzero(col < -1e-12)[0]
         zero = np.nonzero(np.abs(col) <= 1e-12)[0]
-        # every (pos, neg) pair, pos-major, scaled so column j cancels exactly
+        # every (pos, neg) pair, pos-major, scaled so column j cancels
+        # exactly, that Chernikov's rule keeps: a history of at most
+        # k + 1 rows, or a combined row that is zero
         pos, neg = np.repeat(pos, neg.size), np.tile(neg, pos.size)
         combo = mat[neg] * col[pos, None] + mat[pos] * -col[neg, None]
         combo[:, j] = 0.0
+        union = history[pos] | history[neg]
+        kept = ((np.count_nonzero(union, axis=1) <= k + 1)
+                | (np.abs(combo).max(axis=1, initial=0.0) <= 1e-12))
+        pos, neg, combo = pos[kept], neg[kept], combo[kept]
         step = (tuple(variables), mat, zero, pos, neg, -col[neg], col[pos])
         variables.pop(j)
         dedup = _dedup_groups(np.delete(np.concatenate([mat[zero], combo]), j, axis=1))
         steps.append(_FmStep(*step, dedup))
         mat = dedup.rows
+        # a dedup group's history is what all its members share
+        history = np.concatenate([history[zero], union[kept]])[dedup.live]
+        history = np.logical_and.reduceat(history, dedup.starts) if dedup.starts.size \
+            else history[:0]
     for arr in chain.from_iterable(chain(st[1:7], st.dedup) for st in steps):
         arr.flags.writeable = False
     return tuple(steps), tuple(variables), mat

@@ -154,8 +154,8 @@ def _suite_fm_equivalence(seed, trials=100, n_dirs=50):
         t = dmb.factorization_terms(ch, f)
         for alpha in (0.0, 0.5, 1.0):
             m1, _, m3, _, i0 = dmb._caps1(t, ch.c12, ch.c21, alpha, "clipped")
-            poly = dmb.inner1_alpha_polytope(ch, f, alpha, terms=t)
-            sup_rows = batch_support(poly.matrix, poly.rhs[None, :], dirs)[0]
+            rows = dmb._inner1_alpha_rhs(ch, f, alpha, terms=t)
+            sup_rows = batch_support(dmb._INNER_COEFFS, [rows], dirs)[0]
             proj = fm_eliminate(dmb.appendixB_system(ch, f, alpha, terms=t),
                                 eliminate)
             sup_proj = support_of_system(proj, dirs)
@@ -191,10 +191,10 @@ def _suite_alpha_star(seed, trials=100, n_alpha=21):
     worst = -math.inf
     star_in_range = True
 
-    def excess(split_polytope, star):
+    def excess(split_rhs, star):
         # the star split and the swept ones share a matrix: one pricing
-        polys = [split_polytope(al) for al in (star, *alphas)]
-        sup = batch_support(polys[0].matrix, [p.rhs for p in polys], dirs)
+        sup = batch_support(dmb._INNER_COEFFS, [split_rhs(al) for al in (star, *alphas)],
+                            dirs)
         with np.errstate(invalid="ignore"):
             gain = sup[1:] - sup[0]
         return float(np.max(np.where(np.isnan(gain), -np.inf, gain)))
@@ -204,13 +204,13 @@ def _suite_alpha_star(seed, trials=100, n_alpha=21):
         t1 = dmb.factorization_terms(ch, f1)
         star1 = dmb.alpha1_star(ch, f1, terms=t1)
         star_in_range &= 0.0 <= star1 <= 1.0
-        worst = max(worst, excess(lambda al: dmb.inner1_alpha_polytope(
+        worst = max(worst, excess(lambda al: dmb._inner1_alpha_rhs(
             ch, f1, al, variant="tilde", terms=t1), star1))
         f2 = dmb.random_factorization(rng, ch, q2_on_w=True)
         t2 = dmb.factorization_terms(ch, f2)
         star2 = dmb.alpha2_star(ch, f2, terms=t2)
         star_in_range &= 0.0 <= star2 <= 1.0
-        worst = max(worst, excess(lambda al: dmb.inner2_alpha_polytope(
+        worst = max(worst, excess(lambda al: dmb._inner2_alpha_rhs(
             ch, f2, al, variant="tilde", terms=t2), star2))
     return [
         _check("star-split-dominates", worst <= 1e-9, max_excess_bits=worst,

@@ -123,6 +123,20 @@ def test_enumerate_vertices_drops_absent_rows():
     assert {tuple(np.round(v, 12)) for v in verts} == {(0, 0), (1, 0)}
 
 
+def test_enumerate_vertices_rejects_nan_rhs():
+    # a NaN row once read as no row: (1, 0) and (0, 0) came back
+    with pytest.raises(ValueError, match="rhs has a NaN entry"):
+        enumerate_vertices([[1.0, 0.0], [0.0, 1.0]], [1.0, math.nan])
+
+
+def test_support_of_system_rejects_nan_rhs():
+    # a NaN row once read as an absent one: +inf in direction (1, 1)
+    system = LinearSystem(("x", "y"), [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                          [1.0, math.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="rhs has a NaN entry"):
+        support_of_system(system, (1.0, 1.0))
+
+
 def test_a_minus_inf_row_leaves_no_vertex():
     p = ConstraintPolytope(("R0", "R1"), [[1, 0], [1, 1]], [-math.inf, 1.0])
     assert p.support((1, 1)) == -math.inf
@@ -632,33 +646,58 @@ def test_dedup_rows_matches_the_loop(seed):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-def _fm_reference(system, names, prune=True):
+def _fm_reference(system, names, prune=True, rule=True):
     """fm_eliminate as it stepped before its plan was memoised: every
     step pairs, dedups and checks the rhs afresh.  The oracle of the
-    plan's replay; the vertex prune is shared."""
+    plan's replay; the vertex prune is shared.  Each row's history is a
+    frozenset of input rows, a dedup group's the intersection of its
+    members'; with rule set, the step that leaves k names eliminated
+    forms a pair only when its history has at most k + 1 rows or its
+    row is zero (Chernikov's rule).  Like the plan, a later step that
+    meets a nonfinite rhs starts afresh, histories included."""
     variables, left = list(system.variables), list(system.variables)
     for name in names:
         if name not in left:
             raise ValueError("cannot eliminate unknown variable %r" % name)
         left.remove(name)
     mat, rhs = system.matrix, system.rhs
-    for name in names:
+    for k, name in enumerate(names, 1):
+        if k > 1 and not np.all(np.isfinite(rhs)):
+            return _fm_reference(LinearSystem(tuple(variables), mat, rhs), names[k - 1:],
+                                 prune, rule)
         if np.any(rhs == -math.inf):
             return regions._witness(left, -math.inf)
-        live = rhs != math.inf
-        mat, rhs = mat[live], rhs[live]
+        if k == 1:
+            live = rhs != math.inf
+            mat, rhs = mat[live], rhs[live]
+            history = [frozenset([i]) for i in range(rhs.size)]
         j = variables.index(name)
         col = mat[:, j]
-        pos = np.nonzero(col > 1e-12)[0]
-        neg = np.nonzero(col < -1e-12)[0]
-        zero = np.nonzero(np.abs(col) <= 1e-12)[0]
-        combo = (mat[None, neg] * col[pos, None, None]
-                 + mat[pos, None] * -col[None, neg, None]).reshape(-1, mat.shape[1])
-        combo[:, j] = 0.0
-        mat = np.delete(np.concatenate([mat[zero], combo]), j, axis=1)
-        rhs = np.concatenate([rhs[zero], (rhs[None, neg] * col[pos, None]
-                                          + rhs[pos, None] * -col[None, neg]).ravel()])
+        zero = [i for i in range(rhs.size) if abs(col[i]) <= 1e-12]
+        rows = [mat[i] for i in zero]
+        vals = [rhs[i] for i in zero]
+        hists = [history[i] for i in zero]
+        for p in np.nonzero(col > 1e-12)[0]:
+            for n in np.nonzero(col < -1e-12)[0]:
+                row = mat[n] * col[p] + mat[p] * -col[n]
+                row[j] = 0.0
+                union = history[p] | history[n]
+                if rule and len(union) > k + 1 and np.abs(row).max() > 1e-12:
+                    continue
+                rows.append(row)
+                vals.append(rhs[n] * col[p] + rhs[p] * -col[n])
+                hists.append(union)
+        mat = np.delete(np.array(rows).reshape(len(rows), mat.shape[1]), j, axis=1)
+        rhs = np.array(vals, dtype=float)
         variables.pop(j)
+        # a group's history, in the groups' first-occurrence order
+        groups = {}
+        for row, h in zip(mat, hists):
+            scale = np.abs(row).max(initial=0.0)
+            if scale > 1e-12:
+                key = tuple(np.round(row / scale, 9))
+                groups[key] = groups[key] & h if key in groups else h
+        history = list(groups.values())
         mat, rhs = _dedup_rows_sorted(mat, rhs)
         if rhs.size and not np.any(mat[-1]):
             return regions._witness(left, rhs[-1])
@@ -778,6 +817,92 @@ def test_fm_plan_leaves_the_plan_when_a_pairing_overflows():
     assert _same_system(got, want)
     assert regions._fm_plan.cache_info().misses == 2
     assert support_of_system(got, (1.0,)).tolist() == [3.0]
+
+
+def test_fm_chernikov_rule_forms_every_zero_row():
+    # eliminating y then z, the pair that cancels every column combines
+    # four input rows (all but the fourth), one more than the rule lets
+    # the second step keep; formed anyway, it is the witness, where the
+    # rows left without it, x >= 2 and x <= 1, have no common point but
+    # no 0 <= negative row either
+    system = LinearSystem(("x", "y", "z"),
+                          [[0, 1, -1], [1, -1, -1], [-1, -1, 1], [-1, 1, -1], [0, 1, 1]],
+                          [-1.0, 0.0, -1.0, 2.0, 1.0])
+    for prune in (True, False):
+        got = _planned_cold_and_warm(system, ("y", "z"), prune)
+        assert _same_system(got, _fm_reference(system, ("y", "z"), prune))
+        assert got.matrix.tolist() == [[0.0]] and got.rhs.tolist() == [-0.5]
+
+
+def _fm_system_lp_supports(system, names, dirs):
+    """Supports of the projection of system off names, from HiGHS on
+    the system before elimination: each direction padded with zeros on
+    the eliminated variables."""
+    a, b = system.matrix, system.rhs
+    if np.any(b == -math.inf):
+        return np.full(dirs.shape[0], -math.inf)
+    a, b = a[b < math.inf], b[b < math.inf]
+    keep = [j for j, v in enumerate(system.variables) if v not in names]
+    padded = np.zeros((dirs.shape[0], a.shape[1]))
+    padded[:, keep] = dirs
+    return np.array([_lp_system_support(a, b, d) for d in padded])
+
+
+def _assert_same_supports(got, want, tol):
+    """The same +-inf pattern, and finite supports within tol."""
+    fin = np.isfinite(want)
+    assert np.array_equal(got[~fin], want[~fin]) and np.all(np.isfinite(got[fin]))
+    assert got[fin] == pytest.approx(want[fin], abs=tol)
+
+
+def _fm_rule_cases():
+    """Seeded random integer systems in 2-5 variables, some rhs absent
+    or unsatisfiable, then appendix-B draws: (system, names, directions
+    on the variables left)."""
+    rng = np.random.default_rng(11)
+    values = [-2.0, -1.0, 0.0, 0.5, 1.0, 3.0, math.inf, -math.inf]
+    for _ in range(60):
+        k = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 11))
+        a = rng.integers(-2, 3, size=(m, k)) * rng.choice([1.0, 0.5, 3.0], size=(m, 1))
+        b = rng.choice(values, size=m, p=[.1, .1, .15, .15, .15, .2, .1, .05])
+        names = ("x0", "x1", "x2", "x3", "x4")[:k]
+        gone = tuple(names[j] for j in rng.permutation(k)[:int(rng.integers(1, k))])
+        r = k - len(gone)
+        dirs = np.vstack([np.eye(r), -np.eye(r), rng.integers(-2, 3, size=(4, r))])
+        yield LinearSystem(names, a, b), gone, dirs
+    from confbc import dm_bounds as dmb
+    from confbc.channels import example_channel
+    ch = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.5)
+    dirs = np.vstack([CANONICAL_DIRS_3D, -np.eye(3), rng.random((4, 3)) - 0.5])
+    for _ in range(4):
+        f = dmb.random_factorization(rng, ch)
+        for alpha in (0.0, 0.5, 1.0):
+            yield dmb.appendixB_system(ch, f, alpha), _APPENDIX_B_NAMES, dirs
+
+
+def test_fm_chernikov_rule_keeps_every_support():
+    # the rule only drops implied rows: the projection's supports match
+    # an elimination without it and an LP on the unprojected system
+    for system, names, dirs in _fm_rule_cases():
+        for prune in (True, False):
+            got = support_of_system(fm_eliminate(system, names, prune=prune), dirs)
+            plain = _fm_reference(system, names, prune, rule=False)
+            _assert_same_supports(got, support_of_system(plain, dirs), 1e-9)
+        _assert_same_supports(got, _fm_system_lp_supports(system, names, dirs), 1e-7)
+
+
+def test_fm_chernikov_rule_pins_the_appendix_b_row_count():
+    # the projected matrix, before the vertex prune: 50 rows without the rule
+    from confbc import dm_bounds as dmb
+    from confbc.channels import example_channel
+    ch = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.5)
+    f = dmb.random_factorization(np.random.default_rng(0), ch)
+    system = dmb.appendixB_system(ch, f, 0.5)
+    a, live = system.matrix, np.ones(system.matrix.shape[0], dtype=bool)
+    _, variables, mat = regions._fm_plan(a.shape, a.tobytes(), system.variables,
+                                         _APPENDIX_B_NAMES, live.tobytes())
+    assert variables == VARS3 and mat.shape[0] <= 12
 
 
 @st.composite
