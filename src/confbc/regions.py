@@ -18,24 +18,26 @@ the combined-output term blows up); a negative rhs in a rate region,
 or a -inf one in a general system, makes the region empty.  The
 support of an empty region is -inf and envelopes skip such members.
 
-Supports come from the LP dual: a sweep shares one coefficient matrix
-and varies only the rhs, so batch_support enumerates each direction's
-dual vertices once per matrix and direction list (_dual_vertices,
-memoised, one candidate per vertex) and prices every rhs with one
-matrix product.  Primal vertex enumeration stays for a polytope's own
-vertices, for the general-sign systems, and as the oracle envelopes
-are checked against; an LP solver only appears in the test suite.  A
-general-sign system's vertices and its Farkas boundedness test come
-from one basis pass of its matrix (_basis_pass), memoised with every
-basis' inverse, so every rhs and every block of directions on that
-matrix share it, and a rhs costs a gather and a product rather than a
-solve per basis.
+Every support comes from one kernel, the LP dual: the support of
+{x : a @ x <= b} along d is the least lam . b over the vertices of
+{lam >= 0 : a^T lam = d}, which depend on (a, d) but not on b.  So
+_dual_vertices enumerates them once per matrix and direction list
+(memoised, one candidate per vertex) and _dual_price prices every rhs
+with one matrix product.  A rate region is the matrix [rows; -I],
+R >= 0 being the rows -I with a zero rhs (batch_support).  A
+general-sign system is taken in coordinates of its row span, so its
+matrix has full column rank, and its emptiness is phase 1 on the same
+kernel (support_of_system, _is_empty); the vertex prune of an
+elimination asks it for the supports along the axes and the rows.
+Primal vertex enumeration stays for a polytope's own vertices, the
+2-d boundary walk and as the oracle the dual kernel is checked
+against; an LP solver only appears in the test suite.
 
 Fourier-Motzkin elimination splits the same way.  Which rows pair
 (Chernikov's rule among them), how they scale and which proportional
 rows merge depend on the matrix (and on which rows are absent), never
 on the rhs values, so that plan (_fm_plan) is memoised next to the
-basis pass and each system replays only its rhs through it.  The
+dual vertices and each system replays only its rhs through it.  The
 replay is exact: each paired rhs is a combination with nonnegative
 weights, computed by the same products and sums as a fresh
 elimination, and because the weights are nonnegative a merged group's
@@ -205,14 +207,14 @@ _DUAL_TOL = 1e-12
 _PRICE_CELLS = 1 << 18
 
 
-def enumerate_vertices(a, b, tol=_FEAS_TOL):
+def enumerate_vertices(a, b):
     """Feasible basic solutions of the rate region a @ x <= b, x >= 0.
 
     Exact-ish for the 1-3 dimensional systems used here; returns an
     (n, k) array of distinct vertices (possibly empty).  A +inf row is
     absent and a -inf row leaves no vertex; a NaN one raises ValueError.
-    Each basis is solved afresh, so this stays the oracle for the cached
-    inverses the general-sign systems use.
+    Each basis is solved afresh, so this stays the oracle of the dual
+    kernel.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -223,7 +225,7 @@ def enumerate_vertices(a, b, tol=_FEAS_TOL):
     a = np.vstack([a[b < INF], -np.eye(k)])
     b = np.concatenate([b[b < INF], np.zeros(k)])
     idx, mats = _bases(a, k)
-    return _feasible_vertices(a, b, np.linalg.solve(mats, b[idx][..., None])[..., 0], tol)
+    return _feasible_vertices(a, b, np.linalg.solve(mats, b[idx][..., None])[..., 0])
 
 
 def _reject_nan(**arrays):
@@ -234,14 +236,25 @@ def _reject_nan(**arrays):
             raise ValueError("%s has a NaN entry" % name)
 
 
-def _feasible_vertices(a, b, verts, tol=_FEAS_TOL):
+def _directions(dirs, k):
+    """dirs as a (D, k) float array; ValueError on another width or a
+    NaN entry."""
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if dirs.shape[1] != k:
+        raise ValueError("directions have %d components but the polytopes "
+                         "have %d variables" % (dirs.shape[1], k))
+    _reject_nan(dirs=dirs)
+    return dirs
+
+
+def _feasible_vertices(a, b, verts):
     """The distinct basic solutions verts (one per basis, in basis
     order) that satisfy a @ x <= b, with b finite.  The rows are checked
     a block of _PRICE_CELLS values at a time, for the memory reason
     batch_support prices in such blocks."""
     if verts.shape[0] == 0:
         return np.empty((0, a.shape[1]))
-    limit = b + tol * (1.0 + np.abs(b))
+    limit = b + _FEAS_TOL * (1.0 + np.abs(b))
     step = max(1, _PRICE_CELLS // max(a.shape[0], 1))
     verts = verts[np.concatenate([np.all(verts[lo:lo + step] @ a.T <= limit, axis=1)
                                   for lo in range(0, verts.shape[0], step)])]
@@ -250,12 +263,6 @@ def _feasible_vertices(a, b, verts, tol=_FEAS_TOL):
     # dedup at 1e-9 granularity but hand back full-precision points
     _, first = np.unique(np.round(verts, 9), axis=0, return_index=True)
     return verts[np.sort(first)]
-
-
-def _basic_solutions(inv, idx, b):
-    """The basic solution of a @ x <= b at each cached basis: the basis
-    inverse (as _basis_pass keeps it) applied to the basis' rhs."""
-    return np.einsum("tij,tj->ti", inv, b[idx])
 
 
 def _combos(n, k):
@@ -289,33 +296,18 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
     reduce_max is set (the envelope of the union).  Empty polytopes give
     -inf; directions someone can run off to infinity along give +inf.
 
-    The support is priced through the LP dual
-        h(d; b) = min { lam . b : lam >= 0, coeffs^T lam >= d },
-    whose vertices depend on (coeffs, d) but not on b.  Identical
-    coefficient rows are first merged into one row carrying the
-    row-wise min rhs.  The dual vertices of each direction are then
-    enumerated from the nonsingular k-row bases of [coeffs; -I], one
-    candidate per vertex however many bases reach it (_dual_vertices),
-    and memoised on the merged rows and the directions, so every block
-    of a sweep on one matrix shares one enumeration and every
-    right-hand side costs one GEMM against the candidates plus a min
-    over each direction's vertices.  This is exact: an optimal basis of
-    the LP is dual feasible, so its vertex is among the candidates, and
-    by weak duality no candidate undercuts the LP value.  A candidate
-    that puts weight on an absent row is dropped for that polytope (the
-    dual of the system without the row is the face lam_row = 0), so
-    +inf rows never enter the arithmetic; a direction left with no
-    candidate is unbounded.  A NaN anywhere in the input raises
-    ValueError, as it would otherwise read as an absent row.
+    Identical coefficient rows are first merged into one row carrying
+    the row-wise min rhs; R >= 0 is the rows -I with a zero rhs.  The
+    supports are then the dual prices (_dual_price) of [merged rows;
+    -I], whose dual vertices are memoised on that matrix and the
+    directions, so every block of a sweep on one matrix shares one
+    enumeration.  A NaN anywhere in the input raises ValueError, as it
+    would otherwise read as an absent row.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    if dirs.shape[1] != coeffs.shape[1]:
-        raise ValueError("directions have %d components but the polytopes "
-                         "have %d variables" % (dirs.shape[1], coeffs.shape[1]))
-    _reject_nan(coeffs=coeffs, rhs=rhs, dirs=dirs)
-    n_poly, n_dirs = rhs.shape[0], dirs.shape[0]
+    dirs = _directions(dirs, coeffs.shape[1])
+    _reject_nan(coeffs=coeffs, rhs=rhs)
     empty = np.any(rhs < -1e-12, axis=1)
     copies = {}
     for i, row in enumerate(coeffs):
@@ -323,26 +315,52 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
     copies = list(copies.values())
     rows = coeffs[[c[0] for c in copies]]
     rhs = np.column_stack([rhs[:, c].min(axis=1) for c in copies]) if copies \
-        else np.zeros((n_poly, 0))
+        else np.zeros((rhs.shape[0], 0))
+    stacked = np.vstack([rows, -np.eye(coeffs.shape[1])])
+    return _dual_price(_dual(stacked, dirs), rhs, empty, reduce_max)
+
+
+def _dual_price(duals, rhs, empty=None, reduce_max=False):
+    """Supports of {x : a @ x <= b} from the dual vertices (lam, has) of
+    a and the directions (_dual_vertices), for every rhs b.
+
+    rhs    -- (N, p) right-hand sides of a's first p rows; the rows
+              after them carry a zero rhs.  +inf marks an absent row.
+    empty  -- (N,) bool: the rhs rows whose region is empty, if any
+    returns (N, D) supports, or their max over N when reduce_max is set.
+
+    The support is the LP dual
+        h(d; b) = min { lam . b : lam >= 0, a^T lam = d },
+    and an optimal basis of the LP is dual feasible, so its vertex is
+    among the candidates, and by weak duality no candidate undercuts
+    the LP value: every rhs costs one GEMM against the candidates plus
+    a min over each direction's vertices.  A candidate that puts weight
+    on an absent row is dropped for that rhs (the dual of the system
+    without the row is the face lam_row = 0), so +inf rows never enter
+    the arithmetic; a direction left with no candidate is unbounded,
+    +inf, and an empty region is -inf.
+    """
+    lam, has = duals
+    n_cand, n_has, _ = lam.shape
+    n_poly, p = rhs.shape
+    lam = lam[..., :p].reshape(n_cand * n_has, p)
     absent = ~np.isfinite(rhs)
     rhs = np.where(absent, 0.0, rhs)
-    lam, used, has = _dual_vertices(rows.shape, rows.tobytes(), dirs.shape,
-                                    dirs.tobytes())
-    n_cand, n_has, m = lam.shape
-    lam = lam.reshape(n_cand * n_has, m)
-    used = used.reshape(n_cand * n_has, m).astype(float)
-
+    n_dirs = has.shape[0]
     out = np.full(n_dirs, -np.inf) if reduce_max else np.empty((n_poly, n_dirs))
     step = max(1, _PRICE_CELLS // max(lam.shape[0], 1))
     for lo in range(0, n_poly, step):
         vals = lam @ rhs[lo:lo + step].T           # (n_cand * n_has, n)
         gone = absent[lo:lo + step]
         if np.any(gone):
-            vals[used @ gone.T.astype(float) > 0.0] = np.inf
+            # lam >= 0, so a vertex weights an absent row exactly when
+            # its weights on the absent rows sum above zero
+            vals[lam @ gone.T.astype(float) > 0.0] = np.inf
         sup = np.full((vals.shape[1], n_dirs), np.inf)
         if n_cand:
             sup[:, has] = vals.reshape(n_cand, n_has, -1).min(axis=0).T
-        sup[empty[lo:lo + step]] = -np.inf
+        if empty is not None:
+            sup[empty[lo:lo + step]] = -np.inf
         if reduce_max:
             out = np.maximum(out, sup.max(axis=0))
         else:
@@ -350,45 +368,48 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
     return out
 
 
-@functools.lru_cache(maxsize=8)
+def _dual(a, dirs):
+    """_dual_vertices of the float arrays a and dirs."""
+    return _dual_vertices(a.shape, a.tobytes(), dirs.shape, dirs.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
 def _dual_vertices(shape, data, dirs_shape, dirs_data):
-    """Vertices of {lam >= 0 : a^T lam >= d} for every direction d, for
-    the float matrix a with this shape and these bytes and the float
-    directions with theirs.
+    """Vertices of {lam >= 0 : a^T lam = d} for every direction d, for
+    the float (n, k) matrix a of full column rank with this shape and
+    these bytes and the float directions with theirs.
 
-    Returns (lam, used, has).  has is a bool mask over dirs; a direction
+    Returns (lam, has).  has is a bool mask over dirs; a direction
     without any vertex has an infeasible dual, i.e. an unbounded LP.
-    lam is (C, H, m): slot j of direction h (the h-th one in has) holds
+    lam is (C, H, n): slot j of direction h (the h-th one in has) holds
     a vertex, and directions with fewer than C vertices repeat their
-    last one, which leaves the min over slots unchanged.  used flags
-    the rows each slot puts weight on.
+    last one, which leaves the min over slots unchanged.
 
-    A vertex fills one slot, however many bases reach it.  With the
-    surplus s = a^T lam - d, a vertex is a basic feasible solution z =
-    (lam, s) of {z >= 0 : [a; -I]^T z = d}, and such a solution is the
-    only one with its support (the columns of its support are
-    independent, so they fix it).  A basis' multipliers y are z on the
-    basis' rows, so two dual-feasible bases reach the same vertex
-    exactly when the rows their y put weight on (y > tol) are the same;
-    each direction keeps the first basis of every such pattern, in
-    basis order, and the multipliers its pattern leaves out, all within
-    tol of zero, are zero in lam.  Memoised, as
-    a sweep prices every block on one matrix and one direction list:
-    the arrays are read-only, as every call shares them."""
+    A vertex is a basic feasible solution: the multipliers y of a
+    nonsingular k-row basis of a, y @ basis = d, with y >= 0.  It fills
+    one slot, however many bases reach it: such a solution is the only
+    one with its support (the rows of its support are independent, so
+    they fix it), so two feasible bases reach the same vertex exactly
+    when the rows their y put weight on (y > tol) are the same; each
+    direction keeps the first basis of every such pattern, in basis
+    order, and the multipliers its pattern leaves out, all within tol
+    of zero, are zero in lam.  Memoised, as a sweep prices every block
+    on one matrix and one direction list: the arrays are read-only, as
+    every call shares them."""
     a = np.frombuffer(data).reshape(shape)
     dirs = np.frombuffer(dirs_data).reshape(dirs_shape)
-    m, k = shape
-    idx, mats = _bases(np.vstack([a, -np.eye(k)]), k)
+    n, k = shape
+    idx, mats = _bases(a, k)
     y, tol = _multipliers(np.linalg.inv(mats), dirs)
     feas = np.all(y >= -tol, axis=2)
     pos = y > tol
-    # each (basis, direction)'s support over the rows of [a; -I] is its
-    # row indices, sorted, with m + k for the rows y puts no weight on.
-    # A stable sort on (direction, infeasible, support) leaves each
+    # each (basis, direction)'s support over the rows of a is its row
+    # indices, sorted, with n for the rows y puts no weight on.  A
+    # stable sort on (direction, infeasible, support) leaves each
     # group's first basis at its head.
-    support = np.sort(np.where(pos, idx[:, None, :], m + k), axis=2)
+    support = np.sort(np.where(pos, idx[:, None, :], n), axis=2)
     key = np.vstack([np.broadcast_to(np.arange(dirs_shape[0]), feas.shape).ravel(),
-                     ~feas.ravel(), support.reshape(-1, k).T])
+                     ~feas.ravel(), support.reshape(feas.size, k).T])
     order = np.lexsort(key[::-1])
     key = key[:, order]
     head = np.ones(order.size, dtype=bool)
@@ -402,16 +423,11 @@ def _dual_vertices(shape, data, dirs_shape, dirs_data):
     slot = np.minimum(np.arange(count.max(initial=0))[:, None], count[has] - 1)
     pick = np.take_along_axis(first, slot, axis=0)             # (C, H)
     col = np.nonzero(has)[0][None, :]
-    # scatter each slot's multipliers on its support onto the rows of
-    # [a; -I]; the -I rows carry surplus with zero rhs, so they drop
-    # out of the price
-    z = np.zeros(pick.shape + (m + k,))
-    np.put_along_axis(z, idx[pick], np.where(pos[pick, col], y[pick, col], 0.0), axis=2)
-    lam = np.ascontiguousarray(z[..., :m])
-    out = lam, lam > 0.0, has
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    # scatter each slot's multipliers on its support onto the rows of a
+    lam = np.zeros(pick.shape + (n,))
+    np.put_along_axis(lam, idx[pick], np.where(pos[pick, col], y[pick, col], 0.0), axis=2)
+    lam.flags.writeable = has.flags.writeable = False
+    return lam, has
 
 
 def _multipliers(inv, dirs):
@@ -419,22 +435,12 @@ def _multipliers(inv, dirs):
     k) inverses) and direction, as a (T, D, k) array, and the rounding
     tolerance of each weight: a multiplier within it of zero is zero.
     The tolerance scales with the terms that make the multiplier up, so
-    tiny direction components count."""
-    return dirs @ inv, _DUAL_TOL * (np.abs(dirs) @ np.abs(inv))
-
-
-def _in_cone(inv, dirs):
-    """For each direction d, is d a nonnegative combination of the rows
-    of one of the bases whose (T, k, k) inverses are given?"""
-    y, tol = _multipliers(inv, dirs)
-    bounded = np.any(np.all(y >= -tol, axis=2), axis=0)
-    if not np.all(bounded):
-        # a weight that is zero in exact arithmetic can come out as rounding
-        # noise of the inverse, far above its term-scaled tolerance
-        y, tol = y[:, ~bounded], tol[:, ~bounded]
-        tol = tol + _DUAL_TOL * np.abs(y).max(axis=2, keepdims=True, initial=0.0)
-        bounded[~bounded] = np.any(np.all(y >= -tol, axis=2), axis=0)
-    return bounded
+    tiny direction components count, plus a floor for the rounding
+    noise of the inverse: a weight that is zero in exact arithmetic can
+    come out at eps |d|_1 max |inverse|, far above its terms."""
+    largest = np.abs(inv).max(axis=(1, 2), initial=0.0)[:, None, None]
+    noise = 1e-15 * np.abs(dirs).sum(axis=1)[:, None] * largest
+    return dirs @ inv, _DUAL_TOL * (np.abs(dirs) @ np.abs(inv)) + noise
 
 
 def _row_span(a):
@@ -446,41 +452,49 @@ def _row_span(a):
     return vt[:rank].T if rank < a.shape[1] else None
 
 
-def support_of_system(system, directions, tol=_FEAS_TOL):
+def _is_empty(rows, b):
+    """Phase 1: is {y : rows @ y <= b} empty, for rows of full column
+    rank and a finite b?  The least s >= 0 with rows @ y - s <= b for
+    some y is minus the support along -s of that lifted system, which is
+    never empty and bounded that way, so the dual prices it; the set is
+    empty when s exceeds _FEAS_TOL (1 + max |b|)."""
+    m, r = rows.shape
+    lifted = np.column_stack([np.vstack([rows, np.zeros((1, r))]), -np.ones(m + 1)])
+    s = -_dual_price(_dual(lifted, -np.eye(r + 1)[-1:]), np.append(b, 0.0)[None, :])
+    return s[0, 0] > _FEAS_TOL * (1.0 + np.abs(b).max(initial=0.0))
+
+
+def support_of_system(system, directions):
     """Supports of a general-sign LinearSystem (no implicit nonnegativity;
     put explicit -x <= 0 rows in if you want them) in each of a (D, k)
     block of directions, as a (D,) array.
 
     -inf when the system is empty, which beats +inf when d leaves the
-    cone of the rows, else the max of d over the vertices.  The cone
-    test is Farkas' lemma: max d.x over a feasible a @ x <= b is bounded
-    exactly when d is a nonnegative combination of the rows of a.  With
-    r = rank a, a d off the row span is unbounded, and by Caratheodory a
-    d in the cone is a nonnegative combination of independent rows,
-    which extend to an r-row basis with zero weights; so it suffices to
-    try every nonsingular r-row basis.  A system whose rows do not span
-    the space has no vertex, so both the vertices and the cone test are
-    taken in coordinates of the row span, where it is pointed.  A NaN
-    rhs or direction raises ValueError.
+    cone of the rows, else the dual price of the rows (_dual_price).
+    With r = rank a, a d off the row span is unbounded, and the dual
+    vertices need r independent rows, so the rows and the directions
+    are taken in coordinates of the row span, where the system is
+    pointed.  Emptiness is phase 1 on the same kernel (_is_empty).  A
+    NaN rhs or direction raises ValueError, as does a direction of
+    another width.
     """
     a, b = system.matrix, system.rhs
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    _reject_nan(rhs=b, dirs=dirs)
+    _reject_nan(rhs=b)
+    dirs = _directions(directions, a.shape[1])
     zero_rows = np.all(np.abs(a) <= 1e-12, axis=1)
     if np.any(b[zero_rows] < -1e-9) or np.any(b == -INF):
         # carries an inconsistent 0 <= negative row or a -inf row
         return np.full(dirs.shape[0], -INF)
     keep = ~zero_rows & np.isfinite(b)
     a, b = a[keep], b[keep]
-    span, rows, idx, inv, _ = _basis_pass(a.shape, a.tobytes())
-    verts = _feasible_vertices(rows, b, _basic_solutions(inv, idx, b), tol)
-    if verts.shape[0] == 0:
+    span = _row_span(a)
+    rows, on = (a, dirs) if span is None else (a @ span, dirs @ span)
+    if _is_empty(rows, b):
         return np.full(dirs.shape[0], -INF)
-    on = dirs if span is None else dirs @ span
-    bounded = _in_cone(inv, on)
+    sup = _dual_price(_dual(rows, on), b[None, :])[0]
     if span is not None:
-        bounded &= np.linalg.norm(dirs - on @ span.T, axis=1) <= _FEAS_TOL
-    return np.where(bounded, (verts @ on.T).max(axis=0), INF)
+        sup[np.linalg.norm(dirs - on @ span.T, axis=1) > _FEAS_TOL] = INF
+    return sup
 
 
 # ---------------------------------------------------------------------------
@@ -719,23 +733,25 @@ def fm_eliminate(system, names, prune=True):
     step's pos/neg/zero split and pairing read the signs of one column,
     Chernikov's rule reads the histories, and the dedup's row scales,
     groups and surviving rows read the combined rows.  That plan
-    (_fm_plan) is memoised per matrix, names and +inf pattern, next to
-    the vertex sweep's basis pass, so systems that differ only in their
-    rhs (every appendix-B draw) share both.
+    (_fm_plan) is memoised per matrix, names and +inf pattern, so
+    systems that differ only in their rhs (every appendix-B draw) share
+    it, as they share the vertex sweep's dual vertices.
     A call replays its rhs through the plan, and the replay is exact.
-    Each paired rhs is rhs[neg] * col[pos] + rhs[pos] * -col[neg], the
+    Each paired rhs is rhs[neg] * w_neg + rhs[pos] * w_pos, with
+    (w_neg, w_pos) = (col[pos], -col[neg]) divided by their max, the
     same products and sum a fresh step forms, with both weights
     nonnegative.  A min commutes with nonnegative weights, so a merged
     group's tightest row is its least scaled rhs for every rhs, and the
     replay takes that least value without a sort, ties to the earliest
-    row as the sort kept them, signed zeros included.  Only an
-    overflowing pairing gives a later step a nonfinite rhs; such a step
-    leaves the plan and eliminates the remaining names afresh.
+    row as the sort kept them, signed zeros included.  As both weights
+    are at most 1, a pairing of finite rhs overflows to +-inf at worst,
+    never to NaN; only such an overflow gives a later step a nonfinite
+    rhs, and that step leaves the plan and eliminates the remaining
+    names afresh.
 
-    The basis pass -- which k-row bases are nonsingular, their
-    inverses, is the system bounded along every axis both ways
-    (Farkas' lemma) -- depends on the matrix alone too, the same
-    argument as batch_support's rhs-free dual vertices.
+    The vertex sweep (_vertex_prune) prices through the dual kernel:
+    whether the system is bounded, empty, and how far each row reaches
+    depend on the matrix alone up to one product per rhs.
     """
     names, left = tuple(names), list(system.variables)
     for name in names:
@@ -808,15 +824,20 @@ def _fm_plan(shape, data, variables, names, live):
         zero = np.nonzero(np.abs(col) <= 1e-12)[0]
         # every (pos, neg) pair, pos-major, scaled so column j cancels
         # exactly, that Chernikov's rule keeps: a history of at most
-        # k + 1 rows, or a combined row that is zero
+        # k + 1 rows, or a combined row that is zero.  Each pair's two
+        # weights are divided by their max, so a sum of two finite
+        # products overflows to +-inf at worst, never to NaN
         pos, neg = np.repeat(pos, neg.size), np.tile(neg, pos.size)
-        combo = mat[neg] * col[pos, None] + mat[pos] * -col[neg, None]
+        at_neg, at_pos = col[pos], -col[neg]
+        top = np.maximum(at_neg, at_pos)
+        at_neg, at_pos = at_neg / top, at_pos / top
+        combo = mat[neg] * at_neg[:, None] + mat[pos] * at_pos[:, None]
         combo[:, j] = 0.0
         union = history[pos] | history[neg]
         kept = ((np.count_nonzero(union, axis=1) <= k + 1)
                 | (np.abs(combo).max(axis=1, initial=0.0) <= 1e-12))
         pos, neg, combo = pos[kept], neg[kept], combo[kept]
-        step = (tuple(variables), mat, zero, pos, neg, -col[neg], col[pos])
+        step = (tuple(variables), mat, zero, pos, neg, at_pos[kept], at_neg[kept])
         variables.pop(j)
         dedup = _dedup_groups(np.delete(np.concatenate([mat[zero], combo]), j, axis=1))
         steps.append(_FmStep(*step, dedup))
@@ -872,49 +893,20 @@ def _dedup_values(dedup, rhs):
 def _vertex_prune(system):
     """Remove rows never active at a vertex.  Exact when the feasible
     set is bounded and nonempty; returned unchanged otherwise, and when
-    a row is zero."""
+    a row is zero.  The set is bounded when every axis both ways has a
+    dual vertex, and row i is active at a vertex when the support along
+    row i reaches b_i, within 1e-7 (1 + |b_i|); so a weakly redundant
+    row through a vertex stays."""
     a, b = system.matrix, system.rhs
     if not np.all(np.isfinite(b)) or np.any(np.all(np.abs(a) <= 1e-12, axis=1)):
         return system
-    _, rows, idx, inv, bounded = _basis_pass(a.shape, a.tobytes())
-    if not bounded:
+    axes = np.eye(a.shape[1])
+    duals = _dual(a, np.vstack([axes, -axes, a]))
+    if not np.all(duals[1][:2 * axes.shape[0]]) or _is_empty(a, b):
         return system
-    verts = _feasible_vertices(rows, b, _basic_solutions(inv, idx, b))
-    if verts.shape[0] == 0:
-        return system
-    act = np.abs(verts @ a.T - b[None, :]) <= 1e-7 * (1.0 + np.abs(b[None, :]))
-    active = np.any(act, axis=0)
-    if not np.any(active):
-        return system
+    reach = _dual_price(duals, b[None, :])[0, 2 * axes.shape[0]:]
+    active = reach >= b - 1e-7 * (1.0 + np.abs(b))
     return LinearSystem(system.variables, a[active], b[active])
-
-
-@functools.lru_cache(maxsize=4)
-def _basis_pass(shape, data):
-    """The rhs-free half of a general-sign system's vertex work, for the
-    float matrix a with this shape and these bytes: (span, rows, idx,
-    inv, bounded).  span is _row_span(a), rows is a in span coordinates
-    (a itself when span is None), idx the (T, r) row indices of the
-    nonsingular bases of rows, as _bases picks them, inv their (T, r, r)
-    inverses, and bounded whether every system on a is bounded along
-    every axis both ways, which needs full rank.  Each basis is inverted
-    here once: a rhs's basic solutions are then one gather and one
-    product (_basic_solutions) and a direction's multipliers one
-    product, where a solve per rhs would factor every basis again.  A
-    function of its own, so the pass's temporaries go when it returns;
-    its results are read-only, as every call on this matrix shares
-    them."""
-    a = np.frombuffer(data).reshape(shape)
-    span = _row_span(a)
-    rows = a if span is None else a @ span
-    idx, mats = _bases(rows, rows.shape[1])
-    inv = np.linalg.inv(mats)
-    axes = np.eye(shape[1])
-    bounded = span is None and bool(np.all(_in_cone(inv, np.vstack([axes, -axes]))))
-    for arr in (span, rows, idx, inv):
-        if arr is not None:
-            arr.flags.writeable = False
-    return span, rows, idx, inv, bounded
 
 
 # ---------------------------------------------------------------------------

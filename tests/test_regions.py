@@ -288,30 +288,35 @@ def test_batch_support_unbounded_direction():
 
 
 def _dual_vertices_per_basis(a, dirs):
-    """_dual_vertices as it enumerated before it kept one slot per
-    vertex: one slot for every dual-feasible basis, in basis order, so a
-    degenerate vertex reached from several bases fills several.  The
-    oracle of the per-vertex slots."""
-    m, k = a.shape
-    idx, mats = regions._bases(np.vstack([a, -np.eye(k)]), k)
+    """_dual_vertices of the whole matrix a as it enumerated before it
+    kept one slot per vertex: one slot for every dual-feasible basis, in
+    basis order, so a degenerate vertex reached from several bases fills
+    several.  The oracle of the per-vertex slots."""
+    n, k = a.shape
+    idx, mats = regions._bases(a, k)
     y, tol = regions._multipliers(np.linalg.inv(mats), dirs)
     feas = np.all(y >= -tol, axis=2)
-    spread = np.zeros((idx.shape[0], k, m))
-    t, p = np.nonzero(idx < m)
+    spread = np.zeros((idx.shape[0], k, n))
+    t, p = np.nonzero(idx < n)
     spread[t, p, idx[t, p]] = 1.0
-    lam = y @ spread
-    used = (y > tol) @ spread > 0.0
+    lam = np.where(y > tol, y, 0.0) @ spread
     count = feas.sum(axis=0)
     has = count > 0
     first = np.argsort(~feas[:, has], axis=0, kind="stable")
     slot = np.minimum(np.arange(count.max(initial=0))[:, None], count[has] - 1)
     pick = np.take_along_axis(first, slot, axis=0)
     col = np.nonzero(has)[0][None, :]
-    return lam[pick, col], used[pick, col], has
+    return lam[pick, col], has
+
+
+def _stacked(a):
+    """The matrix batch_support hands the dual kernel: a's rows, then
+    R >= 0 as the rows -I."""
+    return np.vstack([a, -np.eye(a.shape[1])])
 
 
 def _dual_vertices_of(a, dirs):
-    return regions._dual_vertices(a.shape, a.tobytes(), dirs.shape, dirs.tobytes())
+    return regions._dual(_stacked(a), dirs)
 
 
 def _dual_cases():
@@ -345,21 +350,17 @@ def _distinct_slots(lam, h):
 @pytest.mark.parametrize("case", range(len(_dual_cases())))
 def test_dual_vertices_keeps_one_slot_per_vertex(case):
     a, dirs = _dual_cases()[case]
-    lam, used, has = _dual_vertices_of(a, dirs)
-    ref_lam, ref_used, ref_has = _dual_vertices_per_basis(a, dirs)
+    lam, has = _dual_vertices_of(a, dirs)
+    ref_lam, ref_has = _dual_vertices_per_basis(_stacked(a), dirs)
     assert np.array_equal(has, ref_has)
     assert lam.shape[0] <= ref_lam.shape[0]
     # each vertex's slot is the reference's first slot on it, bytes and
-    # all, once the multipliers within rounding of zero are zero
-    ref_lam = np.where(ref_used, ref_lam, 0.0)
+    # all, the multipliers within rounding of zero being zero in both
     for h in range(lam.shape[1]):
         want = _distinct_slots(ref_lam, h)
         got = [row for j, row in enumerate(lam[:, h])
                if j == 0 or row.tobytes() != lam[j - 1, h].tobytes()]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (case, h)
-        for j in range(lam.shape[0]):
-            ref_j = [r.tobytes() for r in ref_lam[:, h]].index(lam[j, h].tobytes())
-            assert np.array_equal(used[j, h], ref_used[ref_j, h])
 
 
 @pytest.mark.parametrize("case", range(len(_dual_cases())))
@@ -542,23 +543,28 @@ def test_fm_inf_rows_never_pair():
 
 def test_vertex_prune_memo_keys_on_the_matrix_alone():
     # the unit cube plus x + y + z <= s: the cut is active at s = 2 and
-    # pruned at s = 5, from one shared basis pass
+    # pruned at s = 5, from one shared pair of dual enumerations (the
+    # directions, and phase 1's lifted matrix)
     a = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
     cut, loose = (LinearSystem(VARS3, a, [1, 1, 1, 0, 0, 0, s]) for s in (2.0, 5.0))
-    regions._basis_pass.cache_clear()
+    regions._dual_vertices.cache_clear()
     warm = [regions._vertex_prune(s) for s in (cut, loose)]
-    assert regions._basis_pass.cache_info().hits == 1
+    info = regions._dual_vertices.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
     for s, got in zip((cut, loose), warm):
-        regions._basis_pass.cache_clear()
+        regions._dual_vertices.cache_clear()
         cold = regions._vertex_prune(s)
         assert got.matrix.tobytes() == cold.matrix.tobytes()
         assert got.rhs.tobytes() == cold.rhs.tobytes()
     assert [w.matrix.shape[0] for w in warm] == [7, 6]
-    # a block of directions on one matrix costs one basis pass
-    regions._basis_pass.cache_clear()
-    sups = support_of_system(cut, np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))]))
-    assert regions._basis_pass.cache_info().misses == 1
-    assert sups.tolist() == pytest.approx([1, 1, 1, 0, 0, 0, 2], abs=1e-12)
+    # a block of directions on one matrix costs one enumeration, and
+    # phase 1 on that matrix is the prune's
+    dirs = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
+    sups = [support_of_system(s, dirs) for s in (cut, loose)]
+    info = regions._dual_vertices.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    assert sups[0].tolist() == pytest.approx([1, 1, 1, 0, 0, 0, 2], abs=1e-12)
+    assert sups[1].tolist() == pytest.approx([1, 1, 1, 0, 0, 0, 3], abs=1e-12)
 
 
 def _dedup_rows_loop(mat, rhs):
@@ -679,13 +685,16 @@ def _fm_reference(system, names, prune=True, rule=True):
         hists = [history[i] for i in zero]
         for p in np.nonzero(col > 1e-12)[0]:
             for n in np.nonzero(col < -1e-12)[0]:
-                row = mat[n] * col[p] + mat[p] * -col[n]
+                # weights scaled to a max of 1, so no pairing overflows to NaN
+                top = max(col[p], -col[n])
+                at_n, at_p = col[p] / top, -col[n] / top
+                row = mat[n] * at_n + mat[p] * at_p
                 row[j] = 0.0
                 union = history[p] | history[n]
                 if rule and len(union) > k + 1 and np.abs(row).max() > 1e-12:
                     continue
                 rows.append(row)
-                vals.append(rhs[n] * col[p] + rhs[p] * -col[n])
+                vals.append(rhs[n] * at_n + rhs[p] * at_p)
                 hists.append(union)
         mat = np.delete(np.array(rows).reshape(len(rows), mat.shape[1]), j, axis=1)
         rhs = np.array(vals, dtype=float)
@@ -817,6 +826,17 @@ def test_fm_plan_leaves_the_plan_when_a_pairing_overflows():
     assert _same_system(got, want)
     assert regions._fm_plan.cache_info().misses == 2
     assert support_of_system(got, (1.0,)).tolist() == [3.0]
+
+
+def test_fm_pairing_near_the_float_limit_stays_finite():
+    # 1e308 * 3 + -1e308 * 3 once overflowed to inf - inf = NaN, R <= nan;
+    # with each pair's weights scaled to a max of 1 it is R <= 0
+    system = LinearSystem(("R", "B"), [[1, 3], [1, -3]], [1e308, -1e308])
+    for prune in (True, False):
+        got = _planned_cold_and_warm(system, ("B",), prune)
+        assert _same_system(got, _fm_reference(system, ("B",), prune))
+        assert got.matrix.tolist() == [[1.0]] and got.rhs.tolist() == [0.0]
+        assert support_of_system(got, (1.0,)).tolist() == [0.0]
 
 
 def test_fm_chernikov_rule_forms_every_zero_row():
@@ -959,26 +979,18 @@ def _bounded_systems(draw):
 
 @given(system=_bounded_systems())
 @settings(max_examples=200, deadline=None)
-def test_vertex_prune_cached_inverses_match_solve(system):
+def test_vertex_prune_keeps_the_rows_active_at_the_solved_vertices(system):
     a, b = system
     if np.any(np.all(a == 0.0, axis=1)):
         return                              # the prune leaves such systems alone
     sys = LinearSystem(("x", "y", "z")[:a.shape[1]], a, b)
-    regions._basis_pass.cache_clear()
-    cached = regions._basis_pass(sys.matrix.shape, sys.matrix.tobytes())
-    for arr in cached[:4]:
-        assert arr is None or not arr.flags.writeable
-    span, rows, idx, inv, bounded = cached
-    assert span is None and bounded
-    # the oracle solves every basis afresh
-    want = regions._feasible_vertices(
-        rows, sys.rhs, np.linalg.solve(rows[idx], sys.rhs[idx][..., None])[..., 0])
-    got = regions._feasible_vertices(rows, sys.rhs, regions._basic_solutions(inv, idx, sys.rhs))
-    assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-12)
-    active = np.any(np.abs(want @ a.T - b) <= 1e-7 * (1.0 + np.abs(b)), axis=0)
+    # the oracle solves every basis afresh; an empty system stays whole
+    idx, mats = regions._bases(a, a.shape[1])
+    verts = regions._feasible_vertices(
+        a, b, np.linalg.solve(mats, b[idx][..., None])[..., 0])
+    active = np.any(np.abs(verts @ a.T - b) <= 1e-7 * (1.0 + np.abs(b)), axis=0)
+    keep = active if verts.shape[0] else np.ones(a.shape[0], dtype=bool)
     pruned = regions._vertex_prune(sys)
-    keep = active if want.shape[0] and np.any(active) else np.ones(a.shape[0], dtype=bool)
     assert pruned.matrix.tobytes() == a[keep].tobytes()
     assert pruned.rhs.tobytes() == b[keep].tobytes()
 
@@ -1048,6 +1060,10 @@ def _small_systems(draw):
 @example(system=([[1, 1, 1], [-1, -1, -1]], [1, -2], (1, 0, 0)))  # empty slab
 @example(system=([[0, -2, 1], [-1, -1, -1], [1, 2, -1]], [0, 0, 0],
                  (0.5, 0, 0)))        # d = (row 1 + row 3) / 2: rounding-zero weight
+@example(system=([[1 / 3, -1, -1 / 3], [0, 1, 1], [-3 / 4, 1, 5 / 12], [-1 / 2, 1, 1 / 2]],
+                 [-2 / 3, 5, 7 / 12, 1 / 4], (0, -1, 0)))
+# a degenerate optimal dual vertex whose zero weight is the inverse's
+# rounding noise, -2.2e-16, far above its term-scaled tolerance
 @settings(max_examples=200, deadline=None)
 def test_support_of_system_matches_linprog(system):
     a, b, d = (np.asarray(v, dtype=float) for v in system)
@@ -1059,6 +1075,16 @@ def test_support_of_system_matches_linprog(system):
             assert g == w
         else:
             assert g == pytest.approx(w, abs=1e-7)
+
+
+def test_support_of_system_rejects_a_direction_of_another_width():
+    # the row-span product once raised numpy's matmul mismatch instead
+    square = LinearSystem(("x", "y"), [[1, 0], [0, 1]], [1.0, 1.0])
+    slab = LinearSystem(("x", "y"), [[1, 1]], [1.0])
+    for system in (square, slab):
+        with pytest.raises(ValueError, match="directions have 3 components but "
+                                             "the polytopes have 2 variables"):
+            support_of_system(system, (1.0, 1.0, 1.0))
 
 
 def test_support_of_system_fewer_rows_than_variables():
