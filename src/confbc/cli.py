@@ -85,8 +85,8 @@ def _cmd_region(args):
     if args.json:
         doc = {"bound": args.bound, "channel": ch.to_json_dict(),
                "variables": list(env.variables),
-               "directions": env.directions.tolist(),
-               "supports": env.supports.tolist(), "meta": env.meta}
+               "directions": env.directions, "supports": env.supports,
+               "meta": env.meta}
         print(json.dumps(_finite_json(doc)))
     elif not args.out and not args.svg:
         seen = set()

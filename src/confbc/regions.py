@@ -48,6 +48,13 @@ Every bound the CLI evaluates is a Bound record in its module's BOUNDS
 table: a fixed coefficient matrix and a row function of a parameter
 point (an auxiliary pmf or a power split).  sweep walks the parameter
 grid once for any number of them and prices each as its matrix allows.
+A swept bound is a union of regions on one matrix, whose support is
+its largest member's, so only maximal members need pricing.  Tighten
+each rhs b onto its region, t(b)_i = h(a_i; b) the support along its
+own row i; then region(b) lies in region(b') exactly when t(b) <= t(b')
+componentwise.  Each block is priced on a superset of its maximal
+members (_maximal), and a superset is always safe: a kept member is
+priced as before.
 """
 
 import csv
@@ -309,15 +316,21 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
     dirs = _directions(dirs, coeffs.shape[1])
     _reject_nan(coeffs=coeffs, rhs=rhs)
     empty = np.any(rhs < -1e-12, axis=1)
-    copies = {}
-    for i, row in enumerate(coeffs):
-        copies.setdefault(row.tobytes(), []).append(i)
-    copies = list(copies.values())
-    rows = coeffs[[c[0] for c in copies]]
+    rows, copies = _distinct_rows(coeffs)
     rhs = np.column_stack([rhs[:, c].min(axis=1) for c in copies]) if copies \
         else np.zeros((rhs.shape[0], 0))
     stacked = np.vstack([rows, -np.eye(coeffs.shape[1])])
     return _dual_price(_dual(stacked, dirs), rhs, empty, reduce_max)
+
+
+def _distinct_rows(coeffs):
+    """The distinct rows of coeffs, in order of first occurrence, and
+    for each one the list of its copies' row indices."""
+    copies = {}
+    for i, row in enumerate(coeffs):
+        copies.setdefault(row.tobytes(), []).append(i)
+    copies = list(copies.values())
+    return coeffs[[c[0] for c in copies]], copies
 
 
 def _dual_price(duals, rhs, empty=None, reduce_max=False):
@@ -592,7 +605,16 @@ def sweep(entries, step=None, directions=None, **cards):
     region {cap.R <= a, total.R <= s} (a, s the row-wise mins), and as
     R >= 0, a may drop to min(a, s): such a bound keeps the Pareto
     frontier of its (s, min(a, s)) pairs and prices it once at the end.
-    Any other bound is priced block by block with reduce_max.
+    Any other bound is priced block by block with reduce_max, on the
+    block's maximal regions only when the directions outnumber the
+    distinct rows enough to pay for finding them (_fold).  The same
+    idea as the pair's: tightened onto its region, a rhs b becomes
+    t(b), with t(b)_i the support along row i, and region(b) lies in
+    region(b') iff t(b) <= t(b'), since a region lies inside {a_i.R <=
+    t(b')_i} iff its support along a_i is at most t(b')_i, and
+    region(b') = {R >= 0 : a @ R <= t(b')}.  A region inside another
+    never sets the envelope, and any superset of the maximal ones gives
+    the same envelope, so the filter needs no exact skyline.
     """
     bound, ch = entries[0]
     for b, c in entries:
@@ -623,15 +645,95 @@ def sweep(entries, step=None, directions=None, **cards):
             for (b, c), pair, a in zip(entries, pairs, acc)]
 
 
+# _fold tightens a block's rhs, one direction per distinct coefficient
+# row, only when the directions number at least this many times the
+# distinct rows: with few directions, tightening costs about as much as
+# the pricing it saves.  Timed on a 2-core x86 box, the filter broke
+# even between 24 and 72 directions on outer's 5 distinct rows (dm at
+# step 1/3, Gaussian at 0.01), and below 16 on inner1's 4 (step 0.05).
+_TIGHTEN_RATIO = 8
+# the most rows _maximal samples for its pivots
+_PIVOT_SAMPLE = 256
+
+
 def _fold(coeffs, rhs, pair, dirs, acc):
     """One block's rows folded into an entry's running max of supports,
-    or (with a cap/total pair) into its running frontier."""
+    or (with a cap/total pair) into its running frontier.
+
+    Without a pair, the block's union has the support of its largest
+    members, so a region inside another one never sets the envelope.
+    With t(b)_i the support of region(b) along its own row i, region(b)
+    lies in region(b') iff t(b) <= t(b') (see sweep), so _maximal reads
+    a superset of the maximal regions off t, and only those are priced.
+    Any superset gives the same envelope: a kept row is priced as
+    before, and every dropped region lies inside a kept one, so keeping
+    too many costs time, never a result."""
     _reject_nan(rhs=rhs)
     if pair is None:
+        rows, _ = _distinct_rows(coeffs)
+        if dirs.shape[0] >= _TIGHTEN_RATIO * rows.shape[0]:
+            rhs = rhs[_maximal(coeffs, rhs, rows)]
         return np.maximum(acc, batch_support(coeffs, rhs, dirs, reduce_max=True))
     cap = np.all(coeffs == pair[0], axis=1)
     s = rhs[:, ~cap].min(axis=1)
     return _pareto_2d(s, np.minimum(rhs[:, cap].min(axis=1), s), acc)
+
+
+def _maximal(coeffs, rhs, rows):
+    """Ascending indices of rhs rows b whose regions {R >= 0 : coeffs @
+    R <= b} include every maximal one; rows are coeffs' distinct rows.
+
+    Each b is tightened onto its region, t(b)_i = h(rows_i; b), so that
+    region(b) lies in region(b') exactly when t(b) <= t(b'); with +-inf
+    too, as an empty region has t = -inf and an unbounded one +inf
+    along the rows it runs off along.  Rounds of _drop_inside repeat on
+    what is left while each one at least halves it, so all rounds cost
+    at most twice the first; one on at most _PIVOT_SAMPLE rows leaves
+    exactly the maximal ones."""
+    t = batch_support(coeffs, rhs, rows)
+    kept = np.arange(t.shape[0])
+    while kept.size:
+        left = _drop_inside(t, kept)
+        if 2 * left.size > kept.size:
+            return left
+        kept = left
+    return kept
+
+
+def _drop_inside(t, kept):
+    """The rows kept (ascending indices into t) less those inside a
+    pivot's region.  The pivots are the maximal rows of an evenly
+    strided sample of at most _PIVOT_SAMPLE of them, ties to the lower
+    index, so no pivot's t is >= another's, and a row goes when some
+    pivot's t is >= its own.  The pivots that cover the most of the
+    sample go first, a group at a time, and each group meets only the
+    rows still kept, in (group, row) masks of at most _PRICE_CELLS
+    entries (a single pivot excepted): at most pivots x rows x len(t's
+    rows) comparisons, where an exact skyline would need more."""
+    sample = kept[::max(1, -(-kept.size // _PIVOT_SAMPLE))]
+    above = _at_least(t[sample], t[sample])
+    # q beats j when t_q >= t_j and the two differ, or are equal and q < j
+    beaten = above & (~above.T | np.triu(np.ones(above.shape, dtype=bool), 1))
+    top = ~np.any(beaten, axis=0)
+    pivots = sample[top][np.argsort(-above[top].sum(axis=1), kind="stable")]
+    is_pivot = np.zeros(t.shape[0], dtype=bool)
+    is_pivot[pivots] = True
+    done = 0
+    while done < pivots.size:
+        group = pivots[done:done + max(1, _PRICE_CELLS // kept.size)]
+        done += group.size
+        # the only pivot whose t is >= a pivot's is that pivot
+        kept = kept[is_pivot[kept] | ~np.any(_at_least(t[group], t[kept]), axis=0)]
+    return kept
+
+
+def _at_least(top, t):
+    """The (len(top), len(t)) mask of top[q] >= t[j] in every column,
+    built one column at a time, so no (top, t, column) array is formed."""
+    above = np.ones((top.shape[0], t.shape[0]), dtype=bool)
+    for i in range(t.shape[1]):
+        above &= top[:, i, None] >= t[:, i]
+    return above
 
 
 def _cap_total(coeffs):
@@ -950,15 +1052,16 @@ def default_dirs_2d(n=181):
 # ---------------------------------------------------------------------------
 
 def write_support_csv(env, path):
-    """dir0,dir1,dir2,support_bits rows; 2-d envelopes pad dir2 = 0."""
+    """dir0,dir1,dir2,support_bits rows; 2-d envelopes pad dir2 = 0.
+    Every value is %.9g and every line ends in \\r\\n (the csv
+    module's dialect); the file is formatted as one string."""
     dirs = env.directions
     if dirs.shape[1] == 2:
         dirs = np.column_stack([dirs, np.zeros(dirs.shape[0])])
+    cells = np.column_stack([dirs, env.supports]).ravel().tolist()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dir0", "dir1", "dir2", "support_bits"])
-        for d, s in zip(dirs, env.supports):
-            w.writerow(["%.9g" % x for x in (d[0], d[1], d[2], s)])
+        fh.write("dir0,dir1,dir2,support_bits\r\n"
+                 + "%.9g,%.9g,%.9g,%.9g\r\n" * dirs.shape[0] % tuple(cells))
 
 
 def write_boundary_csv(points, path):

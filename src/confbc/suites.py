@@ -59,7 +59,11 @@ def _short(v):
 
 
 def _finite_json(x):
-    """Strict-JSON copy: non-finite floats become strings."""
+    """Strict-JSON copy: non-finite floats become strings, and arrays
+    nested lists (a finite float array in one tolist())."""
+    if isinstance(x, np.ndarray):
+        return x.tolist() if x.dtype.kind == "f" and np.all(np.isfinite(x)) \
+            else _finite_json(x.tolist())
     if isinstance(x, dict):
         return {k: _finite_json(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

@@ -7,6 +7,7 @@ cross-checked against scipy's LP solver on random instances.
 import csv
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -404,20 +405,28 @@ def test_dual_vertices_memo_is_shared_and_read_only():
             c.flat[0] = c.flat[0]
 
 
-def test_fm_equivalence_enumerates_once_per_matrix_and_directions(monkeypatch):
-    from confbc.suites import run_suite
-    cached = regions._dual_vertices
-    keys = []
+@pytest.fixture
+def dual_vertex_keys(monkeypatch):
+    """Every key _dual_vertices is asked for from here on, the memo
+    cleared; regions._dual_vertices.cache_info() still reads the memo."""
+    cached, keys = regions._dual_vertices, []
 
     def counted(*key):
         keys.append(key)
         return cached(*key)
 
+    counted.cache_info = cached.cache_info
     cached.cache_clear()
     monkeypatch.setattr(regions, "_dual_vertices", counted)
+    return keys
+
+
+def test_fm_equivalence_enumerates_once_per_matrix_and_directions(dual_vertex_keys):
+    from confbc.suites import run_suite
+    keys = dual_vertex_keys
     assert run_suite("fm-equivalence", seed=0, trials=10).passed
     assert len(keys) > len(set(keys))
-    assert cached.cache_info().misses == len(set(keys))
+    assert regions._dual_vertices.cache_info().misses == len(set(keys))
 
 
 @pytest.mark.parametrize("where", ["coeffs", "rhs", "dirs"])
@@ -1129,6 +1138,114 @@ def test_pareto_corner_mask_keeps_the_merge_bytes(seed, sizes):
         assert acc.tobytes() == want.tobytes()
 
 
+@st.composite
+def _repeated_row_regions(draw, k_min=2):
+    """A nonnegative integer matrix with repeated rows and its distinct
+    rows, and rhs rows on a coarse lattice, so that equal and nested
+    regions are common; +inf (absent) and negative (empty) entries
+    among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    k = draw(st.integers(k_min, 3))
+    a = rng.integers(0, 3, size=(draw(st.integers(1, 4)), k)).astype(float)
+    a[np.all(a == 0, axis=1), rng.integers(0, k)] = 1.0
+    a = a[rng.integers(0, a.shape[0], size=a.shape[0] + draw(st.integers(1, 3)))]
+    n = draw(st.integers(1, 60) | st.just(700))   # 700: a strided pivot sample
+    rhs = rng.integers(0, 9, size=(n, a.shape[0])) / 4.0
+    rhs[rng.random(rhs.shape) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = np.inf
+    rhs[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 1.0])), 0] = -0.5
+    rhs[rng.integers(0, n, size=n // 3)] = rhs[rng.integers(0, n, size=n // 3)]
+    return a, regions._distinct_rows(a)[0], rhs
+
+
+@given(case=_repeated_row_regions())
+@settings(max_examples=150, deadline=None)
+def test_tightened_rhs_order_is_containment(case):
+    # region(b) lies in region(b') exactly when t(b) <= t(b'), with
+    # t(b)_i the support of region(b) along its own row i.  The oracle:
+    # region(b) is empty, or its vertices satisfy a @ x <= b' and it
+    # runs off only along axes that region(b') leaves free too (the
+    # recession cone is the axes no finite row touches)
+    a, rows, rhs = case
+    t = batch_support(a, rhs, rows)
+    assert t.shape == (rhs.shape[0], rows.shape[0])
+    free = [~np.any(a[np.isfinite(b)] > 0, axis=0) for b in rhs]
+    for i, j in combinations(range(min(rhs.shape[0], 12)), 2):
+        for x, y in ((i, j), (j, i)):
+            verts = enumerate_vertices(a, rhs[x])
+            inside = verts.shape[0] == 0 or (
+                np.all(verts @ a.T <= rhs[y] + 1e-9)
+                and not np.any(free[x] & ~free[y]))
+            assert bool(np.all(t[x] <= t[y] + 1e-9)) == inside, (rhs[x], rhs[y])
+
+
+@given(case=_repeated_row_regions(k_min=3), n_dirs=st.sampled_from([3, 8, 520]))
+@settings(max_examples=100, deadline=None)
+def test_maximal_rows_keep_the_envelope(case, n_dirs):
+    # the envelope of a block priced on _maximal's rows is the envelope
+    # of all of them: the same +-inf pattern, and finite values equal up
+    # to the candidate GEMM's rounding, which moves with the block width
+    a, rows, rhs = case
+    dirs = default_dirs_3d(512) if n_dirs == 520 else \
+        np.vstack([np.eye(3), np.random.default_rng(0).uniform(-0.5, 1.0, (5, 3))])[:n_dirs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "_TIGHTEN_RATIO", 0)
+        kept = regions._maximal(a, rhs, rows)
+        got = regions._fold(a, rhs, None, dirs, np.full(dirs.shape[0], -np.inf))
+        mp.setattr(regions, "_maximal", lambda coeffs, rhs, rows: np.arange(rhs.shape[0]))
+        want = regions._fold(a, rhs, None, dirs, np.full(dirs.shape[0], -np.inf))
+    assert np.array_equal(kept, np.unique(kept))
+    assert np.array_equal(want, batch_support(a, rhs, dirs, reduce_max=True))
+    assert np.array_equal(np.isposinf(got), np.isposinf(want))
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    np.testing.assert_allclose(got, want, atol=0.0,
+                               rtol=2 * a.shape[0] * np.finfo(float).eps)
+    # an all-empty block keeps its first row, and its envelope is -inf
+    empty = np.where(np.isfinite(rhs), -rhs - 1.0, rhs)
+    empty[:, 0] = -1.0
+    assert regions._maximal(a, empty, rows).tolist() == [0]
+    assert np.all(regions._fold(a, empty, None, dirs, np.full(dirs.shape[0], -np.inf))
+                  == -np.inf)
+
+
+def test_maximal_rows_drop_nested_regions():
+    # boxes R <= b in 3-d: a box inside another, or equal to an earlier
+    # one, goes; the largest boxes, and boxes no other one holds, stay
+    a = np.vstack([np.eye(3), np.eye(3)])
+    rhs = np.array([[1, 1, 1, 9, 9, 9],            # inside row 1
+                    [2, 2, 2, 1, 9, 9],            # the box (1, 2, 2)
+                    [1, 2, 1, 9, 9, 9],            # inside row 1
+                    [3, 0, 1, 9, 9, 9],
+                    [3, 5, 1, 9, 0, 9],            # equal to row 3
+                    [np.inf, 0, 0, np.inf, 9, 9],  # runs off along R0
+                    [-1, 0, 0, 9, 9, 9]],          # empty
+                   dtype=float)
+    assert regions._maximal(a, rhs, np.eye(3)).tolist() == [1, 3, 5]
+
+
+@pytest.mark.parametrize("kind", ["dm", "gaussian"])
+def test_outer_sweep_enumerates_the_fan_and_the_rows_once(kind, dual_vertex_keys):
+    # one envelope on the default fan: one enumeration for the fan, one
+    # for the tightening directions, the distinct coefficient rows
+    from confbc import dm_bounds, example_channel, gaussian_bounds
+    bound, ch, step = {"dm": (dm_bounds.BOUNDS["outer"], example_channel("dm-ex1"), 1 / 3),
+                       "gaussian": (gaussian_bounds.BOUNDS["outer"],
+                                    example_channel("g-mirror"), 0.01)}[kind]
+    bound.envelope(ch, step)
+    assert regions._dual_vertices.cache_info().misses == 2
+    rows = regions._distinct_rows(bound.coeffs)[0]
+    assert sorted(key[2] for key in set(dual_vertex_keys)) == \
+        [rows.shape, default_dirs_3d().shape]
+
+
+def test_gauss_t8_suite_fits_the_dual_vertex_memo(dual_vertex_keys):
+    # every key the suite asks for is enumerated once: nothing is evicted
+    from confbc.suites import run_suite
+    assert run_suite("gauss-t8", seed=0).passed
+    info = regions._dual_vertices.cache_info()
+    assert len(set(dual_vertex_keys)) <= info.maxsize == 16
+    assert info.misses == len(set(dual_vertex_keys))
+
+
 class _ThreePoints:
     """A parameter space of one block of three points, for toy bounds."""
 
@@ -1226,9 +1343,9 @@ def test_direction_fans_shapes():
 # ---------------------------------------------------------------------------
 
 def test_write_support_csv_format(tmp_path):
-    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-0.0, 2.0]])
     env = RegionEnvelope(("R0", "R1"), dirs,
-                         np.array([1.0 / 3.0, math.inf, -math.inf]))
+                         np.array([1.0 / 3.0, math.inf, -math.inf, -0.0]))
     path = tmp_path / "sup.csv"
     write_support_csv(env, path)
     rows = list(csv.reader(open(path)))
@@ -1236,6 +1353,20 @@ def test_write_support_csv_format(tmp_path):
     assert rows[1] == ["1", "0", "0", "0.333333333"]   # %.9g, padded dir2
     assert rows[2][3] == "inf"
     assert rows[3][3] == "-inf"
+    # the bytes csv.writer wrote: \r\n line ends, and a signed zero
+    assert path.read_bytes() == (b"dir0,dir1,dir2,support_bits\r\n"
+                                 b"1,0,0,0.333333333\r\n"
+                                 b"0,1,0,inf\r\n"
+                                 b"1,1,0,-inf\r\n"
+                                 b"-0,2,0,-0\r\n")
+    # 3-d directions are written as they are, and no direction leaves
+    # the header alone
+    env3 = RegionEnvelope(VARS3, [[0.5, 1e-10, 2.0]], [1234567891.0])
+    write_support_csv(env3, path)
+    assert path.read_bytes() == (b"dir0,dir1,dir2,support_bits\r\n"
+                                 b"0.5,1e-10,2,1.23456789e+09\r\n")
+    write_support_csv(RegionEnvelope(VARS3, np.empty((0, 3)), np.empty(0)), path)
+    assert path.read_bytes() == b"dir0,dir1,dir2,support_bits\r\n"
 
 
 def test_boundary_walk_square(tmp_path):

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import numpy as np
+
 from confbc.errors import ConfbcError
-from confbc.suites import run_suite, suite_names
+from confbc.suites import _finite_json, run_suite, suite_names
 
 
 EXPECTED = {
@@ -35,6 +37,21 @@ def test_unknown_suite_lists_options():
     with pytest.raises(ConfbcError) as exc:
         run_suite("definitely-not-a-suite")
     assert "alpha-star" in str(exc.value)
+
+
+def test_finite_json_arrays():
+    # a finite float array is one list; any other array goes value by
+    # value, so +-inf and NaN become strings, as they do outside arrays
+    finite = np.array([[0.5, -0.0], [1e-300, 2.0]])
+    assert _finite_json(finite) == finite.tolist()
+    mixed = np.array([[1.0, np.inf], [-np.inf, np.nan]])
+    assert _finite_json({"a": mixed, "b": [np.float64(-np.inf), mixed[0]]}) == \
+        {"a": [[1.0, "inf"], ["-inf", "nan"]], "b": ["-inf", [1.0, "inf"]]}
+    assert _finite_json(np.array([3, 4])) == [3, 4]
+    assert _finite_json(np.array(np.nan)) == "nan"
+    assert _finite_json(np.empty((0, 3))) == []
+    # strict JSON throughout
+    json.dumps(_finite_json(mixed), allow_nan=False)
 
 
 def test_report_plumbing():
