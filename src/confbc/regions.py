@@ -606,15 +606,14 @@ def sweep(entries, step=None, directions=None, **cards):
     R >= 0, a may drop to min(a, s): such a bound keeps the Pareto
     frontier of its (s, min(a, s)) pairs and prices it once at the end.
     Any other bound is priced block by block with reduce_max, on the
-    block's maximal regions only when the directions outnumber the
-    distinct rows enough to pay for finding them (_fold).  The same
-    idea as the pair's: tightened onto its region, a rhs b becomes
-    t(b), with t(b)_i the support along row i, and region(b) lies in
-    region(b') iff t(b) <= t(b'), since a region lies inside {a_i.R <=
-    t(b')_i} iff its support along a_i is at most t(b')_i, and
-    region(b') = {R >= 0 : a @ R <= t(b')}.  A region inside another
-    never sets the envelope, and any superset of the maximal ones gives
-    the same envelope, so the filter needs no exact skyline.
+    block's maximal regions only (_fold).  The same idea as the pair's:
+    tightened onto its region, a rhs b becomes t(b), with t(b)_i the
+    support along row i, and region(b) lies in region(b') iff t(b) <=
+    t(b'), since a region lies inside {a_i.R <= t(b')_i} iff its
+    support along a_i is at most t(b')_i, and region(b') = {R >= 0 :
+    a @ R <= t(b')}.  A region inside another never sets the envelope,
+    and any superset of the maximal ones gives the same envelope, so
+    the filter needs no exact skyline.
     """
     bound, ch = entries[0]
     for b, c in entries:
@@ -645,13 +644,6 @@ def sweep(entries, step=None, directions=None, **cards):
             for (b, c), pair, a in zip(entries, pairs, acc)]
 
 
-# _fold tightens a block's rhs, one direction per distinct coefficient
-# row, only when the directions number at least this many times the
-# distinct rows: with few directions, tightening costs about as much as
-# the pricing it saves.  Timed on a 2-core x86 box, the filter broke
-# even between 24 and 72 directions on outer's 5 distinct rows (dm at
-# step 1/3, Gaussian at 0.01), and below 16 on inner1's 4 (step 0.05).
-_TIGHTEN_RATIO = 8
 # the most rows _maximal samples for its pivots
 _PIVOT_SAMPLE = 256
 
@@ -670,9 +662,7 @@ def _fold(coeffs, rhs, pair, dirs, acc):
     too many costs time, never a result."""
     _reject_nan(rhs=rhs)
     if pair is None:
-        rows, _ = _distinct_rows(coeffs)
-        if dirs.shape[0] >= _TIGHTEN_RATIO * rows.shape[0]:
-            rhs = rhs[_maximal(coeffs, rhs, rows)]
+        rhs = rhs[_maximal(coeffs, rhs, _distinct_rows(coeffs)[0])]
         return np.maximum(acc, batch_support(coeffs, rhs, dirs, reduce_max=True))
     cap = np.all(coeffs == pair[0], axis=1)
     s = rhs[:, ~cap].min(axis=1)
@@ -686,36 +676,21 @@ def _maximal(coeffs, rhs, rows):
     Each b is tightened onto its region, t(b)_i = h(rows_i; b), so that
     region(b) lies in region(b') exactly when t(b) <= t(b'); with +-inf
     too, as an empty region has t = -inf and an unbounded one +inf
-    along the rows it runs off along.  Rounds of _drop_inside repeat on
-    what is left while each one at least halves it, so all rounds cost
-    at most twice the first; one on at most _PIVOT_SAMPLE rows leaves
-    exactly the maximal ones."""
+    along the rows it runs off along.  The pivots are the maximal rows
+    of an evenly strided sample of at most _PIVOT_SAMPLE of them, ties
+    to the lower index, so no pivot's t is >= another's, and a row goes
+    when some pivot's t is >= its own; with every row sampled, exactly
+    the maximal ones stay.  The pivots meet the rows still kept a group
+    at a time, in (group, row) masks of at most _PRICE_CELLS entries (a
+    single pivot excepted): at most pivots x rows x len(rows)
+    comparisons, where an exact skyline would need more."""
     t = batch_support(coeffs, rhs, rows)
     kept = np.arange(t.shape[0])
-    while kept.size:
-        left = _drop_inside(t, kept)
-        if 2 * left.size > kept.size:
-            return left
-        kept = left
-    return kept
-
-
-def _drop_inside(t, kept):
-    """The rows kept (ascending indices into t) less those inside a
-    pivot's region.  The pivots are the maximal rows of an evenly
-    strided sample of at most _PIVOT_SAMPLE of them, ties to the lower
-    index, so no pivot's t is >= another's, and a row goes when some
-    pivot's t is >= its own.  The pivots that cover the most of the
-    sample go first, a group at a time, and each group meets only the
-    rows still kept, in (group, row) masks of at most _PRICE_CELLS
-    entries (a single pivot excepted): at most pivots x rows x len(t's
-    rows) comparisons, where an exact skyline would need more."""
     sample = kept[::max(1, -(-kept.size // _PIVOT_SAMPLE))]
     above = _at_least(t[sample], t[sample])
     # q beats j when t_q >= t_j and the two differ, or are equal and q < j
     beaten = above & (~above.T | np.triu(np.ones(above.shape, dtype=bool), 1))
-    top = ~np.any(beaten, axis=0)
-    pivots = sample[top][np.argsort(-above[top].sum(axis=1), kind="stable")]
+    pivots = sample[~np.any(beaten, axis=0)]
     is_pivot = np.zeros(t.shape[0], dtype=bool)
     is_pivot[pivots] = True
     done = 0

@@ -1187,10 +1187,9 @@ def test_maximal_rows_keep_the_envelope(case, n_dirs):
     a, rows, rhs = case
     dirs = default_dirs_3d(512) if n_dirs == 520 else \
         np.vstack([np.eye(3), np.random.default_rng(0).uniform(-0.5, 1.0, (5, 3))])[:n_dirs]
+    kept = regions._maximal(a, rhs, rows)
+    got = regions._fold(a, rhs, None, dirs, np.full(dirs.shape[0], -np.inf))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regions, "_TIGHTEN_RATIO", 0)
-        kept = regions._maximal(a, rhs, rows)
-        got = regions._fold(a, rhs, None, dirs, np.full(dirs.shape[0], -np.inf))
         mp.setattr(regions, "_maximal", lambda coeffs, rhs, rows: np.arange(rhs.shape[0]))
         want = regions._fold(a, rhs, None, dirs, np.full(dirs.shape[0], -np.inf))
     assert np.array_equal(kept, np.unique(kept))
