@@ -47,14 +47,14 @@ elimination does.
 Every bound the CLI evaluates is a Bound record in its module's BOUNDS
 table: a fixed coefficient matrix and a row function of a parameter
 point (an auxiliary pmf or a power split).  sweep walks the parameter
-grid once for any number of them and prices each as its matrix allows.
-A swept bound is a union of regions on one matrix, whose support is
-its largest member's, so only maximal members need pricing.  Tighten
-each rhs b onto its region, t(b)_i = h(a_i; b) the support along its
-own row i; then region(b) lies in region(b') exactly when t(b) <= t(b')
-componentwise.  Each block is priced on a superset of its maximal
-members (_maximal), and a superset is always safe: a kept member is
-priced as before.
+grid once for any number of them.  A swept bound is a union of regions
+on one matrix, whose support is its largest member's, so only maximal
+members need pricing.  Each rhs b is tightened onto its region in
+closed form, t(b)_i the least b_j over the rows a_j >= a_i; then t(b)
+<= t(b') implies that region(b) lies in region(b').  sweep carries a
+superset of the maximal tightened rows across the blocks (_fold,
+_maximal) and prices it once, and a superset is always safe: every
+dropped member lies inside a kept one.
 """
 
 import csv
@@ -601,19 +601,17 @@ def sweep(entries, step=None, directions=None, **cards):
     (u_card=..., v_card=...) size the auxiliaries; one the space lacks
     raises InapplicableBoundError, and one below 1 raises ValueError.
 
-    Two distinct coefficient rows, a cap row <= a total row, make each
-    region {cap.R <= a, total.R <= s} (a, s the row-wise mins), and as
-    R >= 0, a may drop to min(a, s): such a bound keeps the Pareto
-    frontier of its (s, min(a, s)) pairs and prices it once at the end.
-    Any other bound is priced block by block with reduce_max, on the
-    block's maximal regions only (_fold).  The same idea as the pair's:
-    tightened onto its region, a rhs b becomes t(b), with t(b)_i the
-    support along row i, and region(b) lies in region(b') iff t(b) <=
-    t(b'), since a region lies inside {a_i.R <= t(b')_i} iff its
-    support along a_i is at most t(b')_i, and region(b') = {R >= 0 :
-    a @ R <= t(b')}.  A region inside another never sets the envelope,
-    and any superset of the maximal ones gives the same envelope, so
-    the filter needs no exact skyline.
+    A bound is a union of regions on one matrix, and a union's support
+    is its largest members'.  Each rhs b is tightened in closed form
+    (_tighten): with t(b)_i the least b_j over the rows a_j >= a_i
+    componentwise, region(t(b)) = region(b), and t(b) <= t(b') implies
+    region(b) lies in region(b').  The implication is one way (exact
+    for a cap/total pair), so the order finds a superset of the maximal
+    regions, which is safe: every dropped region lies inside a kept one.
+    Each entry carries the maximal tightened rows of the blocks so far,
+    its frontier, and folds every block into it (_fold, whose passes
+    repeat until one drops nothing, _maximal); the frontier is priced
+    once, at the end, on the distinct rows.
     """
     bound, ch = entries[0]
     for b, c in entries:
@@ -631,125 +629,101 @@ def sweep(entries, step=None, directions=None, **cards):
     dirs = np.atleast_2d(directions) if directions is not None else \
         default_dirs_2d() if len(bound.variables) == 2 else default_dirs_3d()
     blocks, meta = bound.space.blocks(ch, step, cards)
-    pairs = [_cap_total(b.coeffs) for b, _ in entries]
-    acc = [np.full(dirs.shape[0], -np.inf) if p is None else None for p in pairs]
+    rows = [_distinct_rows(b.coeffs)[0] for b, _ in entries]
+    kept = [np.empty((r.shape[0], 0)) for r in rows]
     for block in blocks:
         terms = bound.terms(ch, block)
-        acc = [_fold(b.coeffs, b.rows(terms, c), pair, dirs, a)
-               for (b, c), pair, a in zip(entries, pairs, acc)]
-    return [RegionEnvelope(b.variables, dirs,
-                           a if pair is None else
-                           batch_support(pair, a, dirs, reduce_max=True),
+        kept = [_fold(b.coeffs, b.rows(terms, c), t) for (b, c), t in zip(entries, kept)]
+    return [RegionEnvelope(b.variables, dirs, batch_support(r, t.T, dirs, reduce_max=True),
                            meta={bound.space.step_key: step, **meta, **b.meta(c)})
-            for (b, c), pair, a in zip(entries, pairs, acc)]
+            for (b, c), r, t in zip(entries, rows, kept)]
 
 
 # the most rows _maximal samples for its pivots
-_PIVOT_SAMPLE = 256
+_PIVOT_SAMPLE = 64
 
 
-def _fold(coeffs, rhs, pair, dirs, acc):
-    """One block's rows folded into an entry's running max of supports,
-    or (with a cap/total pair) into its running frontier.
-
-    Without a pair, the block's union has the support of its largest
-    members, so a region inside another one never sets the envelope.
-    With t(b)_i the support of region(b) along its own row i, region(b)
-    lies in region(b') iff t(b) <= t(b') (see sweep), so _maximal reads
-    a superset of the maximal regions off t, and only those are priced.
-    Any superset gives the same envelope: a kept row is priced as
-    before, and every dropped region lies inside a kept one, so keeping
-    too many costs time, never a result."""
+def _fold(coeffs, rhs, kept):
+    """One block's (N, m) rhs rows folded into an entry's frontier kept,
+    the (p, K) tightened rows (_tighten) of the maximal regions so far:
+    the maximal rows of both (_maximal).  A region inside another never
+    sets the envelope, and every dropped region lies inside a kept one,
+    so the frontier prices to the envelope of every row folded into
+    it."""
     _reject_nan(rhs=rhs)
-    if pair is None:
-        rhs = rhs[_maximal(coeffs, rhs, _distinct_rows(coeffs)[0])]
-        return np.maximum(acc, batch_support(coeffs, rhs, dirs, reduce_max=True))
-    cap = np.all(coeffs == pair[0], axis=1)
-    s = rhs[:, ~cap].min(axis=1)
-    return _pareto_2d(s, np.minimum(rhs[:, cap].min(axis=1), s), acc)
+    t = np.concatenate([kept, _tighten(coeffs, rhs)], axis=1)
+    return t[:, _maximal(t)]
 
 
-def _maximal(coeffs, rhs, rows):
-    """Ascending indices of rhs rows b whose regions {R >= 0 : coeffs @
-    R <= b} include every maximal one; rows are coeffs' distinct rows.
+def _tighten(coeffs, rhs):
+    """The (N, m) rhs rows tightened in closed form onto the distinct
+    rows a_i of coeffs, as a (p, N) array with a row per a_i:
+    t(b)_i = min { b_j : a_j >= a_i componentwise }, a_i's copies
+    included.  As R >= 0 gives a_i.R <= a_j.R <= b_j, region(t(b)) =
+    region(b), so t(b) <= t(b') implies region(b) lies in region(b').
+    An empty region (an entry below -1e-12) tightens to -inf throughout,
+    below every row.
 
-    Each b is tightened onto its region, t(b)_i = h(rows_i; b), so that
-    region(b) lies in region(b') exactly when t(b) <= t(b'); with +-inf
-    too, as an empty region has t = -inf and an unbounded one +inf
-    along the rows it runs off along.  The pivots are the maximal rows
-    of an evenly strided sample of at most _PIVOT_SAMPLE of them, ties
-    to the lower index, so no pivot's t is >= another's, and a row goes
-    when some pivot's t is >= its own; with every row sampled, exactly
-    the maximal ones stay.  The pivots meet the rows still kept a group
-    at a time, in (group, row) masks of at most _PRICE_CELLS entries (a
-    single pivot excepted): at most pivots x rows x len(rows)
-    comparisons, where an exact skyline would need more."""
-    t = batch_support(coeffs, rhs, rows)
-    kept = np.arange(t.shape[0])
-    sample = kept[::max(1, -(-kept.size // _PIVOT_SAMPLE))]
-    above = _at_least(t[sample], t[sample])
-    # q beats j when t_q >= t_j and the two differ, or are equal and q < j
-    beaten = above & (~above.T | np.triu(np.ones(above.shape, dtype=bool), 1))
-    pivots = sample[~np.any(beaten, axis=0)]
-    is_pivot = np.zeros(t.shape[0], dtype=bool)
-    is_pivot[pivots] = True
-    done = 0
-    while done < pivots.size:
-        group = pivots[done:done + max(1, _PRICE_CELLS // kept.size)]
-        done += group.size
-        # the only pivot whose t is >= a pivot's is that pivot
-        kept = kept[is_pivot[kept] | ~np.any(_at_least(t[group], t[kept]), axis=0)]
-    return kept
+    The implication is one way: a region's support along a_i can lie
+    below t(b)_i, so an order test on t finds a superset of the maximal
+    regions.  It is exact for a cap row below a total row that equals
+    it wherever the cap is nonzero, as in every cap/total bound: then
+    t(b) = (min(a, s), s), with a and s the least cap and total
+    entries, is the support along both rows of a nonempty region."""
+    rows = _distinct_rows(coeffs)[0]
+    t = np.empty((rows.shape[0], rhs.shape[0]))
+    for out, row in zip(t, rows):
+        first, *more = np.flatnonzero(np.all(coeffs >= row, axis=1))
+        out[:] = rhs[:, first]
+        for j in more:
+            np.minimum(out, rhs[:, j], out=out)
+    t[:, t.min(axis=0) < -1e-12] = -np.inf
+    return t
 
 
-def _at_least(top, t):
-    """The (len(top), len(t)) mask of top[q] >= t[j] in every column,
-    built one column at a time, so no (top, t, column) array is formed."""
-    above = np.ones((top.shape[0], t.shape[0]), dtype=bool)
-    for i in range(t.shape[1]):
-        above &= top[:, i, None] >= t[:, i]
+def _maximal(t):
+    """Ascending indices of columns of t, (p, N) tightened rows, that
+    include a column of every maximal value.
+
+    The pivots are the maximal columns of an evenly strided sample of at
+    most _PIVOT_SAMPLE of the columns kept, ties to the lower index, so
+    no pivot is >= another, and a column goes when some pivot is >= it.
+    A pass that samples every column kept leaves one column of each
+    maximal value and nothing else.  One that samples only some leaves
+    whatever no pivot covers, so passes repeat, each on the columns the
+    last one kept, until a pass drops nothing; a block of tens of
+    thousands of rows (a t4 block) then prices a few, not thousands.
+    The pivots meet the kept columns a group at a time, in (group,
+    column) masks of at most _PRICE_CELLS entries (a single pivot
+    excepted)."""
+    kept = np.arange(t.shape[1])
+    while True:
+        size = kept.size
+        sample = kept[::max(1, -(-size // _PIVOT_SAMPLE))]
+        above = _at_least(t, sample, sample)
+        # q beats j when t_q >= t_j and the two differ, or are equal and q < j
+        beaten = above & (~above.T | np.triu(np.ones(above.shape, dtype=bool), 1))
+        pivots = sample[~np.any(beaten, axis=0)]
+        is_pivot = np.zeros(t.shape[1], dtype=bool)
+        is_pivot[pivots] = True
+        done = 0
+        while done < pivots.size:
+            group = pivots[done:done + max(1, _PRICE_CELLS // kept.size)]
+            done += group.size
+            # the only pivot that is >= a pivot is that pivot
+            kept = kept[is_pivot[kept] | ~np.any(_at_least(t, group, kept), axis=0)]
+        if kept.size == size:
+            return kept
+
+
+def _at_least(t, top, cols):
+    """The (len(top), len(cols)) mask of t[:, top[q]] >= t[:, cols[j]]
+    in every row of t, built one row at a time from 1-d gathers, so no
+    (top, cols, row) array is formed."""
+    above = np.ones((top.size, cols.size), dtype=bool)
+    for row in t:
+        above &= row[top, None] >= row[cols]
     return above
-
-
-def _cap_total(coeffs):
-    """(cap, total) rows when coeffs has exactly two distinct rows and
-    one is <= the other componentwise, else None."""
-    rows = np.array(sorted(set(map(tuple, coeffs))))    # a cap sorts first
-    return rows if rows.shape[0] == 2 and np.all(rows[0] <= rows[1]) else None
-
-
-def _pareto_2d(s, a, acc):
-    """Maximal points of {(s_i, a_i)} merged with an existing frontier,
-    as (a, s) rhs rows sorted by decreasing s (so a comes out strictly
-    increasing).  A support never decreases in any rhs entry (its dual
-    multipliers are nonnegative), in every direction, so only these
-    survivors can ever attain the envelope.
-
-    Before the sort, one O(N) mask drops the new points strictly
-    dominated (>= in both, > in one) by a corner: the point of highest
-    s (highest a among those) and the point of highest a (highest s
-    among those), of the new points and of acc.  The sort puts such a
-    point after a corner whose a is at least its own, and a corner
-    outlives the mask (a corner of acc is never masked, and one that
-    dominates a new corner dominates what it dominates), so the result
-    is the same bytes, ties and +-inf included."""
-    if s.size:
-        top_s, top_a = s.max(), a.max()
-        corners = [(top_s, a[s == top_s].max()), (s[a == top_a].max(), top_a)]
-        if acc is not None and acc.shape[0]:
-            corners += [(acc[0, 1], acc[0, 0]), (acc[-1, 1], acc[-1, 0])]
-        drop = np.zeros(s.shape, dtype=bool)
-        for cs, ca in corners:
-            drop |= (s <= cs) & (a <= ca) & ((s < cs) | (a < ca))
-        s, a = s[~drop], a[~drop]
-    if acc is not None:
-        a = np.concatenate([a, acc[:, 0]])
-        s = np.concatenate([s, acc[:, 1]])
-    order = np.lexsort((-a, -s))          # s desc, ties broken by a desc
-    s, a = s[order], a[order]
-    prev = np.concatenate([[-np.inf], np.maximum.accumulate(a)[:-1]])
-    keep = a > prev
-    return np.column_stack([a[keep], s[keep]])
 
 
 # ---------------------------------------------------------------------------

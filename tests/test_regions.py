@@ -1108,34 +1108,40 @@ def test_support_of_system_fewer_rows_than_variables():
 # envelopes and projections
 # ---------------------------------------------------------------------------
 
-def _pareto_unfiltered(s, a, acc):
-    # the merge without the corner mask: concatenate, sort, keep records
-    if acc is not None:
-        a = np.concatenate([a, acc[:, 0]])
-        s = np.concatenate([s, acc[:, 1]])
-    order = np.lexsort((-a, -s))
-    s, a = s[order], a[order]
-    prev = np.concatenate([[-np.inf], np.maximum.accumulate(a)[:-1]])
-    keep = a > prev
-    return np.column_stack([a[keep], s[keep]])
+class _Blocks:
+    """A parameter space that hands over the given rhs blocks, for toy
+    bounds whose rows are the block itself."""
+
+    cards = ()
+    step_key = "step"
+
+    def __init__(self, blocks):
+        self.parts = blocks
+
+    def blocks(self, ch, step, cards):
+        return self.parts, {}
 
 
 @given(seed=st.integers(0, 2 ** 31), sizes=st.lists(st.integers(0, 40), min_size=1,
-                                                    max_size=5))
+                                                    max_size=5),
+       coeffs=st.sampled_from([[(1, 0), (1, 1)], [(1, 0), (0, 1), (1, 1)]]))
 @settings(max_examples=200, deadline=None)
-def test_pareto_corner_mask_keeps_the_merge_bytes(seed, sizes):
-    # few distinct values, so ties are common; +-inf and both signed
-    # zeros among them
+def test_a_sweep_envelope_does_not_depend_on_its_blocks(seed, sizes, coeffs):
+    # the same rows as one block or as several give the same bytes: the
+    # frontier carried across blocks ends on the same maximal rows.  Few
+    # distinct values, so ties are common; +-inf and both signed zeros
+    # among them
     rng = np.random.default_rng(seed)
     values = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, np.inf])
-    acc = want = None
-    for n in sizes:
-        s = rng.choice(values, n)
-        a = np.minimum(rng.choice(values, n), s) if rng.random() < 0.5 else \
-            rng.choice(values, n)
-        acc = regions._pareto_2d(s, a, acc)
-        want = _pareto_unfiltered(s, a, want)
-        assert acc.tobytes() == want.tobytes()
+    coeffs = np.array(coeffs, dtype=float)
+    parts = [rng.choice(values, (n, coeffs.shape[0])) for n in sizes]
+
+    def supports(blocks):
+        bound = Bound("toy", ("R0", "R1"), coeffs, _Blocks(blocks),
+                      lambda block, ch: block, 1.0)
+        return bound.envelope(None).supports
+
+    assert supports([np.concatenate(parts)]).tobytes() == supports(parts).tobytes()
 
 
 @st.composite
@@ -1178,22 +1184,54 @@ def test_tightened_rhs_order_is_containment(case):
             assert bool(np.all(t[x] <= t[y] + 1e-9)) == inside, (rhs[x], rhs[y])
 
 
+@given(case=_repeated_row_regions())
+@settings(max_examples=150, deadline=None)
+def test_chain_tightening_keeps_the_region_and_orders_containment(case):
+    # t(b)_i = min { b_j : a_j >= a_i } prices as b does, is never below
+    # the LP tightening (the support along row i), and t(b) <= t(b')
+    # implies that region(b) lies in region(b'), by the oracle of
+    # test_tightened_rhs_order_is_containment
+    a, rows, rhs = case
+    t = regions._tighten(a, rhs)
+    assert t.shape == (rows.shape[0], rhs.shape[0])
+    dirs = default_dirs_3d(64) if a.shape[1] == 3 else default_dirs_2d(32)
+    got, want = batch_support(rows, t.T, dirs), batch_support(a, rhs, dirs)
+    assert np.array_equal(np.isposinf(got), np.isposinf(want))
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    np.testing.assert_allclose(got, want, atol=0.0,
+                               rtol=2 * a.shape[0] * np.finfo(float).eps)
+    lp = batch_support(a, rhs, rows).T
+    assert not np.any(np.isposinf(lp) & ~np.isposinf(t))
+    assert np.array_equal(np.isneginf(t), np.isneginf(lp))
+    finite = np.isfinite(lp) & np.isfinite(t)
+    assert np.all(t[finite] >= lp[finite] - 2 * a.shape[0] * np.finfo(float).eps
+                  * np.abs(lp[finite]))
+    free = [~np.any(a[np.isfinite(b)] > 0, axis=0) for b in rhs]
+    for i, j in combinations(range(min(rhs.shape[0], 12)), 2):
+        for x, y in ((i, j), (j, i)):
+            if np.all(t[:, x] <= t[:, y]):
+                verts = enumerate_vertices(a, rhs[x])
+                assert verts.shape[0] == 0 or (
+                    np.all(verts @ a.T <= rhs[y] + 1e-9)
+                    and not np.any(free[x] & ~free[y])), (rhs[x], rhs[y])
+
+
 @given(case=_repeated_row_regions(k_min=3), n_dirs=st.sampled_from([3, 8, 520]))
 @settings(max_examples=100, deadline=None)
 def test_maximal_rows_keep_the_envelope(case, n_dirs):
-    # the envelope of a block priced on _maximal's rows is the envelope
-    # of all of them: the same +-inf pattern, and finite values equal up
-    # to the candidate GEMM's rounding, which moves with the block width
+    # the envelope of a block's frontier is the envelope of all of its
+    # rows: the same +-inf pattern, and finite values equal up to the
+    # candidate GEMM's rounding, which moves with the block width
     a, rows, rhs = case
     dirs = default_dirs_3d(512) if n_dirs == 520 else \
         np.vstack([np.eye(3), np.random.default_rng(0).uniform(-0.5, 1.0, (5, 3))])[:n_dirs]
-    kept = regions._maximal(a, rhs, rows)
-    got = regions._fold(a, rhs, None, dirs, np.full(dirs.shape[0], -np.inf))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regions, "_maximal", lambda coeffs, rhs, rows: np.arange(rhs.shape[0]))
-        want = regions._fold(a, rhs, None, dirs, np.full(dirs.shape[0], -np.inf))
+    t = regions._tighten(a, rhs)
+    kept = regions._maximal(t)
+    front = regions._fold(a, rhs, np.empty((rows.shape[0], 0)))
     assert np.array_equal(kept, np.unique(kept))
-    assert np.array_equal(want, batch_support(a, rhs, dirs, reduce_max=True))
+    assert front.tobytes() == t[:, kept].tobytes()
+    got = batch_support(rows, front.T, dirs, reduce_max=True)
+    want = batch_support(a, rhs, dirs, reduce_max=True)
     assert np.array_equal(np.isposinf(got), np.isposinf(want))
     assert np.array_equal(np.isneginf(got), np.isneginf(want))
     np.testing.assert_allclose(got, want, atol=0.0,
@@ -1201,9 +1239,9 @@ def test_maximal_rows_keep_the_envelope(case, n_dirs):
     # an all-empty block keeps its first row, and its envelope is -inf
     empty = np.where(np.isfinite(rhs), -rhs - 1.0, rhs)
     empty[:, 0] = -1.0
-    assert regions._maximal(a, empty, rows).tolist() == [0]
-    assert np.all(regions._fold(a, empty, None, dirs, np.full(dirs.shape[0], -np.inf))
-                  == -np.inf)
+    assert regions._maximal(regions._tighten(a, empty)).tolist() == [0]
+    front = regions._fold(a, empty, np.empty((rows.shape[0], 0)))
+    assert np.all(batch_support(rows, front.T, dirs, reduce_max=True) == -np.inf)
 
 
 def test_maximal_rows_drop_nested_regions():
@@ -1218,22 +1256,35 @@ def test_maximal_rows_drop_nested_regions():
                     [np.inf, 0, 0, np.inf, 9, 9],  # runs off along R0
                     [-1, 0, 0, 9, 9, 9]],          # empty
                    dtype=float)
-    assert regions._maximal(a, rhs, np.eye(3)).tolist() == [1, 3, 5]
+    assert regions._maximal(regions._tighten(a, rhs)).tolist() == [1, 3, 5]
 
 
-@pytest.mark.parametrize("kind", ["dm", "gaussian"])
-def test_outer_sweep_enumerates_the_fan_and_the_rows_once(kind, dual_vertex_keys):
-    # one envelope on the default fan: one enumeration for the fan, one
-    # for the tightening directions, the distinct coefficient rows
+def test_maximal_passes_repeat_down_to_the_skyline():
+    # 2,000 tightened cap/total rows, far more than one pivot sample: one
+    # pass leaves rows that no sampled pivot covers, and the passes
+    # repeat until one row of each maximal value stays
+    rng = np.random.default_rng(7)
+    s = rng.integers(0, 60, 2000) / 4.0
+    t = np.vstack([np.minimum(rng.integers(0, 60, 2000) / 4.0, s), s])
+    above = np.all(t[:, :, None] >= t[:, None, :], axis=0)
+    beaten = above & (~above.T | np.triu(np.ones(above.shape, dtype=bool), 1))
+    kept, want = t[:, regions._maximal(t)], t[:, ~beaten.any(axis=0)]
+    assert kept.shape == want.shape
+    assert np.array_equal(kept[:, np.lexsort(kept)], want[:, np.lexsort(want)])
+
+
+@pytest.mark.parametrize("kind, name, channel, step", [
+    ("dm", "outer", "dm-ex1", 1 / 3), ("gaussian", "outer", "g-mirror", 0.01),
+    ("dm", "t4", "dm-ex1", 0.1), ("gaussian", "t8", "g-mirror", 1e-3)],
+    ids=["dm-outer", "gaussian-outer", "t4", "t8"])
+def test_a_sweep_enumerates_only_its_fan(kind, name, channel, step, dual_vertex_keys):
+    # one envelope on the default fan: the tightening needs no LP, so
+    # the fan is the one matrix and direction list enumerated
     from confbc import dm_bounds, example_channel, gaussian_bounds
-    bound, ch, step = {"dm": (dm_bounds.BOUNDS["outer"], example_channel("dm-ex1"), 1 / 3),
-                       "gaussian": (gaussian_bounds.BOUNDS["outer"],
-                                    example_channel("g-mirror"), 0.01)}[kind]
-    bound.envelope(ch, step)
-    assert regions._dual_vertices.cache_info().misses == 2
-    rows = regions._distinct_rows(bound.coeffs)[0]
-    assert sorted(key[2] for key in set(dual_vertex_keys)) == \
-        [rows.shape, default_dirs_3d().shape]
+    bound = {"dm": dm_bounds.BOUNDS, "gaussian": gaussian_bounds.BOUNDS}[kind][name]
+    env = bound.envelope(example_channel(channel), step)
+    assert regions._dual_vertices.cache_info().misses == 1
+    assert [key[2] for key in set(dual_vertex_keys)] == [env.directions.shape]
 
 
 def test_gauss_t8_suite_fits_the_dual_vertex_memo(dual_vertex_keys):
@@ -1245,26 +1296,18 @@ def test_gauss_t8_suite_fits_the_dual_vertex_memo(dual_vertex_keys):
     assert info.misses == len(set(dual_vertex_keys))
 
 
-class _ThreePoints:
-    """A parameter space of one block of three points, for toy bounds."""
-
-    cards = ()
-    step_key = "step"
-
-    def blocks(self, ch, step, cards):
-        return [np.arange(3.0)[:, None]], {}
-
-
 @pytest.mark.parametrize("coeffs", [[(1, 0), (1, 1)], [(1, 0), (0, 1), (1, 1)]],
                          ids=["cap-total-frontier", "batch-support"])
 def test_a_nan_row_raises_one_error_on_both_sweep_paths(coeffs):
+    # a cap/total pair and a three-row matrix take the one path alike:
+    # a NaN raises before any row is tightened
     def rows(block, ch):
         rhs = np.ones((block.shape[0], len(coeffs)))
         rhs[1, 0] = math.nan
         return rhs
 
-    bound = Bound("toy", ("R0", "R1"), np.array(coeffs, dtype=float), _ThreePoints(),
-                  rows, 1.0)
+    bound = Bound("toy", ("R0", "R1"), np.array(coeffs, dtype=float),
+                  _Blocks([np.arange(3.0)[:, None]]), rows, 1.0)
     with pytest.raises(ValueError, match="rhs has a NaN entry"):
         bound.envelope(None, directions=CANONICAL_DIRS_2D)
 
