@@ -14,10 +14,13 @@ function of those terms, a default step and the applicability check.
 BOUNDS[name].envelope(ch, step, directions, **cards) sweeps a bound's
 simplex grid of auxiliaries and returns the pointwise-max support
 record, i.e. the computable face of the union region; regions.sweep
-walks one grid for several (bound, channel) entries at once.
-*_polytope are thin calls into the table.  inner1_polytope and
-inner2_polytope price full factorizations instead and stay the
-independent oracle for the substitution sweeps.
+walks one grid for several (bound, channel) entries at once, and
+BOUNDS[name].polytope(ch, point) prices one grid point.
+outer_polytope, theorem4_polytope and theorem5_polytope are thin calls
+into the table, kept as the single-point API the benchmark's primal
+oracle calls.  inner1_polytope and inner2_polytope price full
+factorizations instead and stay the independent oracle for the
+substitution sweeps.
 
 Two cooperation orders appear throughout:
   * inner1_*: receiver 2 quantizes first, receiver 1 then splits its
@@ -95,17 +98,13 @@ class AuxFactorization:
 
 
 class OuterAux:
-    """P(u, v, x) for the converse side; the two auxiliary alphabets
-    never need to exceed |X| + 2, and the evaluator holds callers to
-    that so sweeps stay honest."""
+    """P(u, v, x) for the converse side: a plain holder for
+    outer_polytope's argument, kept because the benchmark's primal
+    oracle builds it.  BOUNDS["outer"] checks the axes and the |X| + 2
+    cap on the auxiliary alphabets."""
 
     def __init__(self, puvx):
         self.puvx = np.asarray(puvx, dtype=float)
-        if self.puvx.ndim != 3:
-            raise ValueError("outer auxiliary needs axes (U, V, X)")
-        nu, nv, nx = self.puvx.shape
-        if nu > nx + 2 or nv > nx + 2:
-            raise ValueError("auxiliary alphabets larger than |X|+2 are never needed")
 
 
 def t4_substitution(ch, pvx):
@@ -121,15 +120,13 @@ def t4_substitution(ch, pvx):
     return AuxFactorization(aux, q1=None, q2=q2)
 
 
-def random_factorization(rng, ch, cards=(2, 2, 2), yh1_card=None, yh2_card=None,
-                         q2_on_w=False):
-    """Dirichlet(1) draw of a full factorization.  Quantizer alphabets
-    default to the channel output sizes and are capped at |Y|+1, past
-    which extra quantizer letters stop paying for themselves."""
+def random_factorization(rng, ch, cards=(2, 2, 2), q2_on_w=False):
+    """Dirichlet(1) draw of a full factorization.  The quantizer
+    alphabets are the channel's output alphabets, |Yh1| = |Y1| and
+    |Yh2| = |Y2|."""
     nu, nv, nw = cards
     nx = ch.x_card
-    yh1 = min(yh1_card or ch.y1_card, ch.y1_card + 1)
-    yh2 = min(yh2_card or ch.y2_card, ch.y2_card + 1)
+    yh1, yh2 = ch.y1_card, ch.y2_card
     aux = rng.dirichlet(np.ones(nu * nv * nw * nx)).reshape(nu, nv, nw, nx)
     q1 = rng.dirichlet(np.ones(yh1), size=(nu, nw, ch.y1_card))
     if q2_on_w:
@@ -225,17 +222,11 @@ def _inner_polytope(row1, row2, sum1, sum2, i0):
 # inner bounds, family 1  (quantize-bin-forward at receiver 2 first)
 # ---------------------------------------------------------------------------
 
-def inner1_alpha_polytope(ch, f, alpha1, variant="clipped", terms=None):
-    """Achievable (R0,R1,R2) polytope for one factorization and one
-    explicit link split alpha1 in [0,1].  terms: factorization_terms(ch,
-    f) when the caller already has them."""
-    return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS,
-                              _inner1_alpha_rhs(ch, f, alpha1, variant, terms))
-
-
 def _inner1_alpha_rhs(ch, f, alpha1, variant="clipped", terms=None):
-    """inner1_alpha_polytope's rhs alone, for callers that price many
-    splits on the one _INNER_COEFFS matrix."""
+    """The rhs of the _INNER_COEFFS rows of the achievable (R0,R1,R2)
+    region for one factorization and one explicit link split alpha1 in
+    [0,1].  terms: factorization_terms(ch, f) when the caller already
+    has them."""
     if not 0.0 <= alpha1 <= 1.0:
         raise ValueError("alpha1 must lie in [0, 1]")
     t = terms or factorization_terms(ch, f)
@@ -269,13 +260,8 @@ def inner1_polytope(ch, f):
 # inner bounds, family 2  (decode-and-forward share at receiver 2 first)
 # ---------------------------------------------------------------------------
 
-def inner2_alpha_polytope(ch, f, alpha2, variant="clipped", terms=None):
-    return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS,
-                              _inner2_alpha_rhs(ch, f, alpha2, variant, terms))
-
-
 def _inner2_alpha_rhs(ch, f, alpha2, variant="clipped", terms=None):
-    """inner2_alpha_polytope's rhs alone (see _inner1_alpha_rhs)."""
+    """The family-2 mirror of _inner1_alpha_rhs at link split alpha2."""
     if not 0.0 <= alpha2 <= 1.0:
         raise ValueError("alpha2 must lie in [0, 1]")
     if not f.q2_on_w and f.q2 is not None:
@@ -315,8 +301,8 @@ def appendixB_system(ch, f, alpha1, variant="clipped", terms=None):
     parts R11/R22, reassigned parts R10/R20), bin indices B1/B2, the
     four decoding caps, and the Marton price as a lower bound on
     B1+B2.  Eliminating everything but (R0,R1,R2) must land exactly on
-    inner1_alpha_polytope whenever the bin budget m1+m3 covers the
-    common-layer price."""
+    the _INNER_COEFFS region at _inner1_alpha_rhs whenever the bin
+    budget m1+m3 covers the common-layer price."""
     t = terms or factorization_terms(ch, f)
     m1, m2, m3, m4, i0 = _caps1(t, ch.c12, ch.c21, alpha1, variant)
     rows = [
@@ -423,7 +409,8 @@ def _entropies(ch, block, names):
 class _AuxGrid:
     """Grid of P(aux..., x), one axis per auxiliary, each alphabet
     |X| + 2 unless the caller sizes it.  capped refuses larger alphabets
-    (the converse never needs them).
+    (the converse never needs them), in a grid and in a single point
+    alike.
 
     Only the points whose marginal on the first auxiliary is
     non-increasing are swept (gridding.sorted_grid_chunks, one part per
@@ -449,10 +436,14 @@ class _AuxGrid:
         self.cards = tuple(a + "_card" for a in aux)
         self.capped = capped
 
-    def blocks(self, ch, step, cards):
-        shape = tuple(cards.get(c) or ch.x_card + 2 for c in self.cards)
+    def _check_cap(self, ch, shape):
+        """The alphabets shape of a grid or a point against the cap."""
         if self.capped and max(shape) > ch.x_card + 2:
             raise ValueError("auxiliary alphabets larger than |X|+2 are never needed")
+
+    def blocks(self, ch, step, cards):
+        shape = tuple(cards.get(c) or ch.x_card + 2 for c in self.cards)
+        self._check_cap(ch, shape)
         n = _units(step)
         size, chunks = _budgeted_chunks(shape[0], int(np.prod(shape[1:])) * ch.x_card,
                                         step)
@@ -469,6 +460,7 @@ class _AuxGrid:
             raise ValueError("a point needs axes (%s, X) with |X| = %d, got shape %s"
                              % (", ".join(c[0].upper() for c in self.cards),
                                 ch.x_card, p.shape))
+        self._check_cap(ch, p.shape[:-1])
         _check_mass(p)
         return p[None, ...]
 
@@ -609,7 +601,8 @@ BOUNDS = {b.name: b for b in (
 
 
 # ---------------------------------------------------------------------------
-# single-point evaluators
+# single-point evaluators: thin calls into BOUNDS[name].polytope, which
+# the package calls directly; kept as the benchmark oracle's API
 # ---------------------------------------------------------------------------
 
 def outer_polytope(ch, outer_aux):

@@ -6,12 +6,14 @@ BOUNDS is the table of the swept bounds.  Each entry is a
 regions.Bound: a coefficient matrix, a vectorised row function of the
 power splits (alpha for receiver 1's side split, beta for the
 superposition split) on a grid of split ticks 0, 1/n, ..., 1, a default
-step and its applicability checks.  *_polytope prices one split and
-BOUNDS[name].envelope(ch, step, directions) sweeps the ticks through
-regions.sweep.  The standing
-labeling convention is |a| >= |b| (receiver 1 is the stronger one);
-evaluators raise InapplicableBoundError and tell you to swap the
-receivers when it fails rather than silently relabeling.
+step and its applicability checks.  BOUNDS[name].polytope(ch, split)
+prices one split and BOUNDS[name].envelope(ch, step, directions) sweeps
+the ticks through regions.sweep; the *_polytope functions are thin
+calls into the first, kept as the single-point API the benchmark's
+primal oracle calls.  The standing labeling convention is |a| >= |b|
+(receiver 1 is the stronger one); evaluators raise
+InapplicableBoundError and tell you to swap the receivers when it fails
+rather than silently relabeling.
 
 kappa(a, b, lam) is the combined-output SNR slope; at |lam| = 1 and
 misaligned gains it is infinite, and every row that prices the combined
@@ -76,7 +78,8 @@ def _kappa_psi(k, frac, power):
 class _Splits:
     """Every combination of ticks 0, 1/n, ..., 1 of the named splits, as
     (N, len(names)) blocks.  weak_at_zero: when |a| < |b| the region is
-    its beta = 0 slice, so the grid is that one point."""
+    its beta = 0 slice, so the grid is that one point.  A single point
+    is one value in [0, 1] per name."""
 
     cards = ()
 
@@ -94,12 +97,15 @@ class _Splits:
         return [np.column_stack([g.ravel() for g in grid])], {}
 
     def point(self, ch, p):
-        if self.weak_at_zero and abs(ch.a) < abs(ch.b):
-            return np.zeros((1, 1))
         p = np.atleast_1d(np.asarray(p, dtype=float))
+        if p.shape != (len(self.names),):
+            raise ValueError("a point needs one value per split (%s), got shape %s"
+                             % (", ".join(self.names), p.shape))
         for name, v in zip(self.names, p):
             if not 0.0 <= v <= 1.0:
                 raise ValueError("%s must lie in [0, 1]" % name)
+        if self.weak_at_zero and abs(ch.a) < abs(ch.b):
+            return np.zeros((1, 1))
         return p[None, :]
 
 
@@ -250,7 +256,8 @@ BOUNDS = {b.name: b for b in (
 
 
 # ---------------------------------------------------------------------------
-# single-split polytopes
+# single-split polytopes: thin calls into BOUNDS[name].polytope, which
+# the package calls directly; kept as the benchmark oracle's API
 # ---------------------------------------------------------------------------
 
 def outer_polytope_g(ch, alpha, beta):

@@ -17,8 +17,8 @@ order, so sweeps are reproducible run to run:
     over the cells, part 1 slowest, each in lexicographic order.
 
 One part is the plain simplex grid: the compositions of n into `cells`
-entries in lexicographic order, which is what simplex_grid_chunks and
-simplex_grid return (divided by n).
+entries in lexicographic order, which is what simplex_grid returns
+(divided by n).
 """
 
 import math
@@ -39,11 +39,6 @@ def sorted_grid_size(parts, cells, step):
     n = _units(step)
     return sum(math.prod(math.comb(m + cells - 1, cells - 1) for m in p)
                for p in _partitions(n, parts, n))
-
-
-def simplex_grid_size(cells, step):
-    """Number of grid points: C(n+k-1, k-1) with n = round(1/step)."""
-    return sorted_grid_size(1, cells, step)
 
 
 def _budgeted_chunks(parts, cells, step):
@@ -154,20 +149,11 @@ def _unrank(rank, total, cells, table):
     return out
 
 
-def simplex_grid_chunks(cells, step, chunk=200_000):
-    """Yield (m, cells) float arrays covering the whole grid, in order.
-
-    Rows are exact multiples of 1/n and sum to 1 exactly up to float
-    division (the integer counts always sum to n).
-    """
-    n = _units(step)
-    for counts in sorted_grid_chunks(1, cells, step, chunk=chunk):
-        yield counts / float(n)
-
-
 def simplex_grid(cells, step):
-    """Whole grid as one array; use the chunked form for big sweeps."""
-    return np.concatenate(list(simplex_grid_chunks(cells, step)), axis=0)
+    """The whole plain simplex grid at step 1/n as one float array,
+    rows exact multiples of 1/n; sweeps walk sorted_grid_chunks."""
+    counts = np.concatenate(list(sorted_grid_chunks(1, cells, step)), axis=0)
+    return counts / float(_units(step))
 
 
 def _units(step):

@@ -46,24 +46,6 @@ def binary_entropy(p):
 # pmf containers
 # ---------------------------------------------------------------------------
 
-class Pmf:
-    """A single discrete distribution: probabilities over one alphabet."""
-
-    def __init__(self, probs, name="X"):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1:
-            raise ValueError("Pmf wants a 1-d array of probabilities")
-        _check_mass(probs)
-        self.probs = probs
-        self.name = name
-
-    def __len__(self):
-        return self.probs.shape[0]
-
-    def entropy(self):
-        return float(-xlog2x(self.probs).sum())
-
-
 class JointPmf:
     """Dense joint distribution over named variables.
 
@@ -118,10 +100,6 @@ def entropy(p, names=None):
         drop = tuple(i for n, i in p._axis.items() if n not in keep)
         table = p.table.sum(axis=drop) if drop else p.table
     return float(-xlog2x(table).sum())
-
-
-def conditional_entropy(p, names, given):
-    return entropy(p, tuple(names) + tuple(given)) - entropy(p, given)
 
 
 def mutual_information(p, a, b, given=()):

@@ -57,7 +57,6 @@ _maximal) and prices it once, and a superset is always safe: every
 dropped member lies inside a kept one.
 """
 
-import csv
 import functools
 import math
 from collections import namedtuple
@@ -104,7 +103,8 @@ class ConstraintPolytope:
         self._verts = None
 
     def coeff_matrix(self):
-        """(matrix, rhs), absent +inf rows included."""
+        """(matrix, rhs), absent +inf rows included.  The package reads
+        the attributes; the benchmark's primal oracle reads this."""
         return self.matrix, self.rhs
 
     def vertices(self):
@@ -114,11 +114,6 @@ class ConstraintPolytope:
 
     def support(self, direction):
         return float(batch_support(self.matrix, self.rhs, direction)[0, 0])
-
-    def contains(self, point, tol=_FEAS_TOL):
-        pt, b = np.asarray(point, dtype=float), self.rhs
-        slack = tol * (1.0 + np.abs(np.where(np.isfinite(b), b, 0.0)))
-        return bool(np.all(pt >= -tol) and np.all(self.matrix @ pt <= b + slack))
 
 
 class RegionEnvelope:
@@ -532,20 +527,6 @@ def envelope_dominates(cover, inner, slack=0.0):
               "worst_direction": tuple(cover.directions[worst]),
               "slack": float(slack)}
     return bool(gap[worst] <= slack), report
-
-
-def project_r2_zero(poly):
-    """Drop R2 from a downward-closed 3-d polytope.  Because the region
-    is comprehensive, projecting onto the R2 = 0 plane is the same as
-    slicing, so the rows keep their right-hand sides; a row on R2 alone
-    drops out."""
-    if "R2" not in poly.variables:
-        raise ValueError("nothing to project: no R2 variable")
-    j = poly.variables.index("R2")
-    a = np.delete(poly.matrix, j, axis=1)
-    keep = np.any(a, axis=1)
-    return ConstraintPolytope(poly.variables[:j] + poly.variables[j + 1:],
-                              a[keep], poly.rhs[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -1011,14 +992,6 @@ def write_support_csv(env, path):
     with open(path, "w", newline="") as fh:
         fh.write("dir0,dir1,dir2,support_bits\r\n"
                  + "%.9g,%.9g,%.9g,%.9g\r\n" * dirs.shape[0] % tuple(cells))
-
-
-def write_boundary_csv(points, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["R0", "R1"])
-        for r0, r1 in points:
-            w.writerow(["%.9g" % r0, "%.9g" % r1])
 
 
 def envelope_boundary_2d(env):

@@ -239,7 +239,7 @@ def _suite_dm_example1(seed, grid_step=1e-3):
     ch_hot = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.9)
     env_hot = t4.envelope(ch_hot, grid_step, dirs, v_card=1)
     r01_hot = env_hot.support_at((1, 1))
-    poly = dmb.theorem4_polytope(ch, np.array([[0.5, 0.5]]))
+    poly = t4.polytope(ch, np.array([[0.5, 0.5]]))
     rhs = sorted(poly.rhs.tolist())
     mi = 1.0 - binary_entropy(0.2)
     want_rows = sorted([0.3, mi + 0.5, mi + 0.8, 1.0 + 0.3, 1.0])
@@ -332,8 +332,8 @@ def _suite_gauss_t7(seed, beta_step=1e-3, param_step=1e-2,
     ch = GaussianBc(1.0, 0.5, 1.0, 4.0, c12=0.2, c21=0.7)
     row_dev = 0.0
     for beta in (0.0, 0.25, 0.5, 1.0):
-        t7 = gb.capacity_t7_polytope(ch, beta)
-        out = gb.outer_polytope_g(ch, 0.0, beta)
+        t7 = gb.BOUNDS["t7"].polytope(ch, beta)
+        out = gb.BOUNDS["outer"].polytope(ch, (0.0, beta))
         orhs = out.rhs.tolist()
         trhs = t7.rhs.tolist()
         row_dev = max(row_dev,
@@ -368,7 +368,7 @@ def _suite_gauss_t8(seed, beta_step=1e-2):
     env = gb.BOUNDS["t8"].envelope(ch, beta_step, dirs)
     betas = np.linspace(0.0, 1.0, int(round(1 / beta_step)) + 1)
     # primal vertices, so the oracle shares no code with batch_support
-    oracle = np.max([(gb.capacity_t8_polytope(ch, b).vertices() @ dirs.T)
+    oracle = np.max([(gb.BOUNDS["t8"].polytope(ch, b).vertices() @ dirs.T)
                      .max(axis=0) for b in betas], axis=0)
     dev = float(np.abs(env.supports - oracle).max())
     env_df = gb.BOUNDS["df"].envelope(ch, beta_step, dirs)

@@ -21,12 +21,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from confbc.channels import DmBroadcastChannel, GaussianBc, example_channel
 from confbc.errors import GridTooLargeError, InapplicableBoundError
-from confbc.gridding import (EVAL_BUDGET, simplex_grid, simplex_grid_chunks,
-                             sorted_grid_chunks, sorted_grid_size)
-from confbc.info_core import (JointPmf, binary_entropy, conditional_entropy,
+from confbc.gridding import (EVAL_BUDGET, simplex_grid, sorted_grid_chunks,
+                             sorted_grid_size)
+from confbc.info_core import (JointPmf, binary_entropy, entropy,
                               mutual_information, xlog2x)
 from confbc.regions import (
     CANONICAL_DIRS_3D,
+    ConstraintPolytope,
     batch_support,
     envelope_dominates,
     fm_eliminate,
@@ -235,9 +236,11 @@ def test_sorted_grid_envelope_equals_full_grid(name, chan):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         env = bound.envelope(ch, step, dirs, **cards)
-        for g in simplex_grid_chunks(int(np.prod(shape)) * ch.x_card, step,
-                                     chunk=20_000):
-            rows = bound.rows(bound.terms(ch, g.reshape(-1, *shape, ch.x_card)), ch)
+        n = round(1 / step)
+        for c in sorted_grid_chunks(1, int(np.prod(shape)) * ch.x_card, step,
+                                    chunk=20_000):
+            g = c.reshape(-1, *shape, ch.x_card) / float(n)
+            rows = bound.rows(bound.terms(ch, g), ch)
             want = np.maximum(want, batch_support(bound.coeffs, rows, dirs,
                                                   reduce_max=True))
     assert np.array_equal(np.isposinf(env.supports), np.isposinf(want))
@@ -305,6 +308,14 @@ def _factorization(seed=7):
     return dmb.random_factorization(rng, _ex1())
 
 
+def _alpha_polytope(ch, f, alpha, family=1, **kw):
+    """The inner region of one factorization at one explicit link split:
+    _INNER_COEFFS at the family's split rhs."""
+    rhs = (dmb._inner1_alpha_rhs if family == 1 else dmb._inner2_alpha_rhs)(
+        ch, f, alpha, **kw)
+    return ConstraintPolytope(("R0", "R1", "R2"), dmb._INNER_COEFFS, rhs)
+
+
 def test_alpha_star_range_and_zero_link():
     f = _factorization()
     a1 = dmb.alpha1_star(_ex1(), f)
@@ -315,8 +326,7 @@ def test_alpha_star_range_and_zero_link():
 def test_inner1_resolved_matches_star_split():
     ch = _ex1()
     f = _factorization()
-    star = dmb.inner1_alpha_polytope(ch, f, dmb.alpha1_star(ch, f),
-                                     variant="tilde")
+    star = _alpha_polytope(ch, f, dmb.alpha1_star(ch, f), variant="tilde")
     resolved = dmb.inner1_polytope(ch, f)
     for d in CANONICAL_DIRS_3D:
         assert resolved.support(d) == pytest.approx(star.support(d), abs=1e-9)
@@ -325,9 +335,9 @@ def test_inner1_resolved_matches_star_split():
 def test_inner1_alpha_validation():
     f = _factorization()
     with pytest.raises(ValueError):
-        dmb.inner1_alpha_polytope(_ex1(), f, 1.5)
+        _alpha_polytope(_ex1(), f, 1.5)
     with pytest.raises(ValueError):
-        dmb.inner1_alpha_polytope(_ex1(), f, 0.5, variant="banana")
+        _alpha_polytope(_ex1(), f, 0.5, variant="banana")
 
 
 def test_builders_take_precomputed_terms(monkeypatch):
@@ -337,16 +347,15 @@ def test_builders_take_precomputed_terms(monkeypatch):
     f1 = _factorization()
     f2 = dmb.random_factorization(np.random.default_rng(3), ch, q2_on_w=True)
     t1, t2 = dmb.factorization_terms(ch, f1), dmb.factorization_terms(ch, f2)
-    built = [dmb.inner1_alpha_polytope(ch, f1, 0.4).coeff_matrix(),
-             dmb.inner2_alpha_polytope(ch, f2, 0.4, variant="tilde").coeff_matrix(),
+    built = [_alpha_polytope(ch, f1, 0.4),
+             _alpha_polytope(ch, f2, 0.4, family=2, variant="tilde"),
              dmb.appendixB_system(ch, f1, 0.4)]
     monkeypatch.setattr(dmb, "factorization_terms", None)   # must not be called
-    reused = [dmb.inner1_alpha_polytope(ch, f1, 0.4, terms=t1).coeff_matrix(),
-              dmb.inner2_alpha_polytope(ch, f2, 0.4, variant="tilde",
-                                        terms=t2).coeff_matrix(),
+    reused = [_alpha_polytope(ch, f1, 0.4, terms=t1),
+              _alpha_polytope(ch, f2, 0.4, family=2, variant="tilde", terms=t2),
               dmb.appendixB_system(ch, f1, 0.4, terms=t1)]
-    for (a, b), (a2, b2) in zip(built[:2], reused[:2]):
-        assert np.array_equal(a, a2) and np.array_equal(b, b2)
+    for p, p2 in zip(built[:2], reused[:2]):
+        assert np.array_equal(p.matrix, p2.matrix) and np.array_equal(p.rhs, p2.rhs)
     assert np.array_equal(built[2].matrix, reused[2].matrix)
     assert np.array_equal(built[2].rhs, reused[2].rhs)
 
@@ -358,7 +367,7 @@ def test_inner2_wants_w_conditioned_quantizer():
     with pytest.raises(ValueError):
         dmb.inner2_polytope(_ex1(), f)
     with pytest.raises(ValueError):
-        dmb.inner2_alpha_polytope(_ex1(), f, 0.5)
+        _alpha_polytope(_ex1(), f, 0.5, family=2)
     f2 = dmb.random_factorization(rng, _ex1(), q2_on_w=True)
     poly = dmb.inner2_polytope(_ex1(), f2)             # evaluates fine
     _, rhs = poly.coeff_matrix()
@@ -410,7 +419,7 @@ def test_appendixB_projection_feasible_draw():
         sys = dmb.appendixB_system(ch, f, alpha)
         got = _projection_supports(sys, dirs)
         assert np.all(np.isfinite(got))
-        poly = dmb.inner1_alpha_polytope(ch, f, alpha)
+        poly = _alpha_polytope(ch, f, alpha)
         a, b = poly.coeff_matrix()
         want = batch_support(a, b[None, :], dirs)[0]
         assert np.max(np.abs(got - want)) <= 1e-9
@@ -424,7 +433,7 @@ def test_appendixB_projection_infeasible_draw_is_empty():
     f = _factorization(seed=1)            # bin budget falls short here
     sys = dmb.appendixB_system(ch, f, 0.5)
     assert np.all(_projection_supports(sys, CANONICAL_DIRS_3D) == -math.inf)
-    poly = dmb.inner1_alpha_polytope(ch, f, 0.5)
+    poly = _alpha_polytope(ch, f, 0.5)
     assert poly.support((1, 1, 1)) > -math.inf    # rows alone would claim points
 
 
@@ -442,12 +451,21 @@ def test_outer_polytope_contains_inner():
 
 
 def test_outer_aux_card_guard():
+    # |U| and |V| past |X| + 2 = 4 are refused by the sweep and by a
+    # single point alike, through the table or its wrapper
     ch = _ex1()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="never needed"):
         dmb.BOUNDS["outer"].envelope(ch, 0.5, u_card=7)
     rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        dmb.OuterAux(rng.dirichlet(np.ones(50)).reshape(5, 5, 2))
+    for shape in ((5, 5, 2), (5, 1, 2), (1, 5, 2)):
+        p = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+        with pytest.raises(ValueError, match="never needed"):
+            dmb.BOUNDS["outer"].polytope(ch, p)
+        with pytest.raises(ValueError, match="never needed"):
+            dmb.outer_polytope(ch, dmb.OuterAux(p))
+    # at the cap a point prices
+    p = rng.dirichlet(np.ones(32)).reshape(4, 4, 2)
+    assert dmb.BOUNDS["outer"].polytope(ch, p).rhs.shape == (11,)
 
 
 def test_outer_grid_budget_guard():
@@ -517,7 +535,7 @@ def _t4_terms_oracle(ch, pvx):
         "x_y1_v": mi(j, ("X",), ("Y1",), ("V",)),
         "xj_v": mi(j, ("X",), ("Y1", "Y2"), ("V",)),
         "x_j": mi(j, ("X",), ("Y1", "Y2")),
-        "y2_xy1": conditional_entropy(j, ("Y2",), ("X", "Y1")),
+        "y2_xy1": entropy(j, ("X", "Y1", "Y2")) - entropy(j, ("X", "Y1")),
     }
 
 

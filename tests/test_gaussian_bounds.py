@@ -45,8 +45,14 @@ def test_outer_polytope_row_anatomy():
     k = kappa(ch.a, ch.b, ch.lam)
     # the split-free sum row is psi(kappa * P)
     assert b[-1] == pytest.approx(gb.psi(k * ch.power), abs=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="in \\[0, 1\\]"):
         gb.outer_polytope_g(ch, 1.5, 0.0)
+    # a point is one value per split name: no fewer, no more
+    sep = GaussianBc(1.0, 0.5, 1.0, 4.0, c12=0.2, c21=0.7)
+    for name, c, point in (("outer", ch, 0.5), ("outer", ch, (0.5, 0.25, 0.1)),
+                           ("t7", sep, (0.5, 0.9)), ("t7", sep, ())):
+        with pytest.raises(ValueError, match="one value per split"):
+            gb.BOUNDS[name].polytope(c, point)
 
 
 def test_outer_rows_go_infinite_at_misaligned_unit_correlation():

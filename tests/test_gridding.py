@@ -14,8 +14,6 @@ from confbc.gridding import (
     EVAL_BUDGET,
     _budgeted_chunks,
     simplex_grid,
-    simplex_grid_chunks,
-    simplex_grid_size,
     sorted_grid_chunks,
     sorted_grid_size,
 )
@@ -23,9 +21,10 @@ from confbc.gridding import (
 
 def test_grid_size_is_compositions_count():
     # n = 4 units over 3 cells: C(6, 2) = 15
-    assert simplex_grid_size(3, 0.25) == 15
-    assert simplex_grid_size(1, 0.125) == 1
-    assert simplex_grid_size(2, 0.5) == 3      # (1,0), (.5,.5), (0,1)
+    for cells, step, size in ((3, 0.25, 15), (1, 0.125, 1),
+                              (2, 0.5, 3)):      # (1,0), (.5,.5), (0,1)
+        assert sorted_grid_size(1, cells, step) == size
+        assert simplex_grid(cells, step).shape == (size, cells)
 
 
 def test_grid_rows_are_exact_multiples():
@@ -41,9 +40,9 @@ def test_grid_rows_are_exact_multiples():
 
 def test_chunking_matches_whole_grid():
     whole = simplex_grid(4, 0.25)
-    parts = np.concatenate(list(simplex_grid_chunks(4, 0.25, chunk=7)), axis=0)
+    parts = np.concatenate(list(sorted_grid_chunks(1, 4, 0.25, chunk=7)), axis=0)
     assert whole.shape == parts.shape == (35, 4)
-    assert np.array_equal(whole, parts)
+    assert np.array_equal(whole, parts / 4.0)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 10_000])
@@ -52,10 +51,11 @@ def test_chunks_match_stars_and_bars(chunk):
     n, cells = 5, 4
     want = [[hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (n + cells - 1,))]
             for bars in combinations(range(n + cells - 1), cells - 1)]
-    blocks = list(simplex_grid_chunks(cells, 1.0 / n, chunk=chunk))
+    blocks = list(sorted_grid_chunks(1, cells, 1.0 / n, chunk=chunk))
     assert [len(b) for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
     got = np.concatenate(blocks, axis=0)
-    assert np.array_equal(got, np.array(want) / float(n))
+    assert np.array_equal(got, want)
+    assert np.array_equal(simplex_grid(cells, 1.0 / n), np.array(want) / float(n))
 
 
 def test_single_cell_grid():
@@ -65,7 +65,7 @@ def test_single_cell_grid():
 
 def test_step_validation():
     with pytest.raises(ValueError):
-        simplex_grid_size(3, 0.3)
+        sorted_grid_size(1, 3, 0.3)
     with pytest.raises(ValueError):
         simplex_grid(3, 0.0)
 
@@ -78,7 +78,7 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setattr(gridding, "EVAL_BUDGET", size - 1)
     with pytest.raises(GridTooLargeError):
         _budgeted_chunks(2, 3, 1 / 6)
-    assert simplex_grid_size(32, 0.001) > EVAL_BUDGET   # why the guard exists
+    assert sorted_grid_size(1, 32, 0.001) > EVAL_BUDGET   # why the guard exists
 
 
 
@@ -101,7 +101,7 @@ def test_sorted_grid_size_counts_the_rows(parts, cells, n):
 
 
 def test_sorted_grid_one_part_is_the_simplex_grid():
-    assert sorted_grid_size(1, 4, 0.2) == simplex_grid_size(4, 0.2) == 56
+    assert sorted_grid_size(1, 4, 0.2) == len(simplex_grid(4, 0.2)) == 56
     assert sorted_grid_size(1, 32, 0.001) == math.comb(1031, 31)
 
 

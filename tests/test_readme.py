@@ -1,9 +1,11 @@
-"""README's examples run against the code they describe.
+"""README's examples run against the code they describe, and every
+public name of the package has a caller or is documented.
 
 Each ```python block is executed as written, and the inequality-system
 JSON example is projected through `confbc fm` and priced both ways.
 """
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -13,7 +15,8 @@ import pytest
 from confbc.cli import main
 from confbc.regions import LinearSystem, support_of_system
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def _blocks(lang):
@@ -43,3 +46,34 @@ def test_readme_system_json_through_fm(tmp_path):
     whole = support_of_system(LinearSystem.from_json_dict(doc), (1.0, 0.0, 0.0))
     assert support_of_system(projected, (1.0,)) == pytest.approx(whole, abs=1e-12)
     assert whole == pytest.approx(1.75, abs=1e-12)
+
+
+def _loaded_names(path):
+    """Every name a module reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a module-level public function or class of the package is either
+    # read somewhere in the package or the benchmark, or named in README
+    # or CI; a name only tests call is dead weight.  Imports, docstrings
+    # and other strings do not count
+    modules = sorted((ROOT / "src" / "confbc").glob("*.py"))
+    public = {node.name: path.stem
+              for path in modules if path.name != "__init__.py"
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    loaded = set().union(*map(_loaded_names,
+                              modules + sorted((ROOT / "perfbench").glob("*.py"))))
+    words = set(re.findall(r"\w+", README + (
+        ROOT / ".github" / "workflows" / "tests.yml").read_text()))
+    orphans = sorted("%s.%s" % (public[n], n) for n in public
+                     if n not in loaded and n not in words)
+    assert not orphans, "public names with no caller: %s" % ", ".join(orphans)

@@ -31,9 +31,7 @@ from confbc.regions import (
     fan_2d,
     fm_eliminate,
     octant_fibonacci,
-    project_r2_zero,
     support_of_system,
-    write_boundary_csv,
     write_support_csv,
 )
 
@@ -87,8 +85,9 @@ def test_box_supports():
     assert p.support((1, 0, 0)) == pytest.approx(1.0)
     assert p.support((1, 1, 1)) == pytest.approx(6.0)
     assert p.support((2, 1, 1)) == pytest.approx(7.0)
-    assert p.contains((1.0, 2.0, 3.0))
-    assert not p.contains((1.0 + 1e-6, 2.0, 3.0))
+    # the far corner is a vertex, and nothing reaches past it along R0
+    assert [1.0, 2.0, 3.0] in p.vertices().tolist()
+    assert p.vertices()[:, 0].max() < 1.0 + 1e-6
 
 
 def test_sum_row_cuts_corner():
@@ -1349,16 +1348,20 @@ def test_support_at_exact_lookup():
 
 
 def test_project_r2_zero():
+    # a rate region is downward closed, so eliminating R2 (with R >= 0
+    # explicit) gives the R2 = 0 slice: the rows keep their rhs, the R2
+    # column goes, and with it the row on R2 alone
     p = _box(1.0, 2.0, 3.0, extra=[((1, 0, 1), 1.5)])
-    q = project_r2_zero(p)
+    system = LinearSystem(VARS3, np.vstack([p.matrix, -np.eye(3)]),
+                          np.concatenate([p.rhs, np.zeros(3)]))
+    q = fm_eliminate(system, ["R2"])
     assert q.variables == ("R0", "R1")
-    # the R2 column goes, and with it the row on R2 alone
-    assert q.matrix.tolist() == [[1, 0], [0, 1], [1, 0]]
-    assert q.rhs.tolist() == [1.0, 2.0, 1.5]
-    assert q.support((1, 0)) == pytest.approx(1.0)   # R0+R2 row becomes R0 <= 1.5
-    assert q.support((0, 1)) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        project_r2_zero(q)
+    sliced = ConstraintPolytope(("R0", "R1"), [[1, 0], [0, 1], [1, 0]], [1.0, 2.0, 1.5])
+    dirs = np.vstack([default_dirs_2d(16), [(-1, 0), (0, -1)]])
+    assert np.allclose(support_of_system(q, dirs),
+                       batch_support(sliced.matrix, sliced.rhs, dirs)[0], atol=1e-12)
+    assert sliced.support((1, 0)) == pytest.approx(1.0)   # R0+R2 row becomes R0 <= 1.5
+    assert sliced.support((0, 1)) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1411,7 +1414,7 @@ def test_write_support_csv_format(tmp_path):
     assert path.read_bytes() == b"dir0,dir1,dir2,support_bits\r\n"
 
 
-def test_boundary_walk_square(tmp_path):
+def test_boundary_walk_square():
     dirs = fan_2d(91)
     sups = batch_support(np.eye(2), np.array([[1.0, 2.0]]), dirs)[0]
     env = RegionEnvelope(("R0", "R1"), dirs, sups)
@@ -1423,11 +1426,6 @@ def test_boundary_walk_square(tmp_path):
     assert np.min(np.abs(pts - [1.0, 2.0]).sum(axis=1)) <= 1e-9
     # R0 strictly increasing along the walk
     assert np.all(np.diff(pts[:, 0]) >= -1e-12)
-    path = tmp_path / "bd.csv"
-    write_boundary_csv(pts, path)
-    rows = list(csv.reader(open(path)))
-    assert rows[0] == ["R0", "R1"]
-    assert len(rows) == pts.shape[0] + 1
 
 
 def test_boundary_walk_needs_2d():
