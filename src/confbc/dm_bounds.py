@@ -22,6 +22,37 @@ oracle calls.  inner1_polytope and inner2_polytope price full
 factorizations instead and stay the independent oracle for the
 substitution sweeps.
 
+A full factorization's rows read 13 mutual informations of its joint
+p(u, v, w, x, y1, y2, yh1, yh2), and factorization_terms prices them for
+a stack of R draws that share their alphabets at once.  One einsum forms
+the (R, U, V, W, X, Y1, Y2, Yh1, Yh2) joints, letters uvwxabcd (a = Y1,
+b = Y2, c = Yh1, d = Yh2).  Each of the 23 entropies of _ENTROPIES, named
+by the letters of its marginal,
+    w  uw  vw  uvw  a  wa  uwa  ad  wad  uwad  wab  uwab  uvwab  wabd
+    uwabd  uwabc  uvwabc  b  wb  vwb  bc  wbc  vwbc,
+is one axis sum, one xlog2x and one row sum, and each term of _TERMS is
+I(A; B | G) = H(AG) + H(BG) - H(ABG) - H(G):
+    uw_y1       = H(uw) + H(a) - H(uwa)
+    uw_y1h2     = H(uw) + H(ad) - H(uwad)
+    u_y1_w      = H(uw) + H(wa) - H(uwa) - H(w)
+    u_y1h2_w    = H(uw) + H(wad) - H(uwad) - H(w)
+    vw_y2       = H(vw) + H(b) - H(vwb)
+    vw_h1y2     = H(vw) + H(bc) - H(vwbc)
+    v_y2_w      = H(vw) + H(wb) - H(vwb) - H(w)
+    v_h1y2_w    = H(vw) + H(wbc) - H(vwbc) - H(w)
+    h1_uy1_vwy2 = H(vwbc) + H(uvwab) - H(uvwabc) - H(vwb)
+    h1_uy1_wy2  = H(wbc) + H(uwab) - H(uwabc) - H(wb)
+    h2_y2_uwy1  = H(uwad) + H(uwab) - H(uwabd) - H(uwa)
+    h2_y2_wy1   = H(wad) + H(wab) - H(wabd) - H(wa)
+    u_v_w       = H(uw) + H(vw) - H(uvw) - H(w)
+Each entropy sums the joint's cells in the order info_core.entropy does
+on compose_joint's table, so a draw's terms have matched
+mutual_information's bit for bit on every draw tried; those two stay the
+test oracle, held to 1e-12.  The split helpers (_caps1,
+_caps2, the _rhs builders, alpha*_star) work elementwise, so a stack's
+rhs rows come out as one (R, 5) array that batch_support prices in one
+call.
+
 Two cooperation orders appear throughout:
   * inner1_*: receiver 2 quantizes first, receiver 1 then splits its
     link between decode-and-forward and quantize-bin-and-forward
@@ -66,8 +97,9 @@ import numpy as np
 from .channels import is_semi_deterministic, more_capable_evidence
 from .errors import InapplicableBoundError
 from .gridding import _SWEEP_CHUNK, _budgeted_chunks, _units
-from .info_core import (OUTPUTS, ROWS, JointPmf, _check_mass, _price_rows,
-                        compose_joint, mutual_information)
+from .info_core import (MASS_TOL, MAX_CELLS, NEG_TOL, OUTPUTS, ROWS, JointPmf,
+                        _check_mass, _check_rows, _price_rows, mutual_information,
+                        xlog2x)
 from .regions import Bound, ConstraintPolytope, LinearSystem
 
 
@@ -137,48 +169,146 @@ def random_factorization(rng, ch, cards=(2, 2, 2), q2_on_w=False):
 
 
 # ---------------------------------------------------------------------------
-# mutual-information bookkeeping for one factorization
+# mutual-information bookkeeping for a stack of factorizations
 # ---------------------------------------------------------------------------
 
-def factorization_terms(ch, f):
+# The factorization joint's axes after the stack axis, one letter each as
+# in compose_joint: u, v, w, x, then a = Y1, b = Y2, c = Yh1, d = Yh2.
+_JOINT_AXES = "uvwxabcd"
+
+# The entropies the terms read, each named by the letters of its marginal.
+_ENTROPIES = ("w", "uw", "vw", "uvw", "a", "wa", "uwa", "ad", "wad", "uwad",
+              "wab", "uwab", "uvwab", "wabd", "uwabd", "uwabc", "uvwabc",
+              "b", "wb", "vwb", "bc", "wbc", "vwbc")
+
+# Each term I(A; B | G) = H(AG) + H(BG) - H(ABG) - H(G), as those four
+# entropies (no H(G) when G is empty).
+_TERMS = {
+    "uw_y1": ("uw", "a", "uwa", None),                  # I(UW; Y1)
+    "uw_y1h2": ("uw", "ad", "uwad", None),              # I(UW; Y1 Yh2)
+    "u_y1_w": ("uw", "wa", "uwa", "w"),                 # I(U; Y1 | W)
+    "u_y1h2_w": ("uw", "wad", "uwad", "w"),             # I(U; Y1 Yh2 | W)
+    "vw_y2": ("vw", "b", "vwb", None),                  # I(VW; Y2)
+    "vw_h1y2": ("vw", "bc", "vwbc", None),              # I(VW; Yh1 Y2)
+    "v_y2_w": ("vw", "wb", "vwb", "w"),                 # I(V; Y2 | W)
+    "v_h1y2_w": ("vw", "wbc", "vwbc", "w"),             # I(V; Yh1 Y2 | W)
+    "h1_uy1_vwy2": ("vwbc", "uvwab", "uvwabc", "vwb"),  # I(Yh1; U Y1 | V W Y2)
+    "h1_uy1_wy2": ("wbc", "uwab", "uwabc", "wb"),       # I(Yh1; U Y1 | W Y2)
+    "h2_y2_uwy1": ("uwad", "uwab", "uwabd", "uwa"),     # I(Yh2; Y2 | U W Y1)
+    "h2_y2_wy1": ("wad", "wab", "wabd", "wa"),          # I(Yh2; Y2 | W Y1)
+    "u_v_w": ("uw", "vw", "uvw", "w"),                  # I(U; V | W)
+}
+
+
+def _draws(fs):
+    """The draws of fs: one AuxFactorization, or a sequence of them."""
+    return [fs] if isinstance(fs, AuxFactorization) else list(fs)
+
+
+def _check_stack(draws):
+    """A stack's draws must share their alphabets and quantizer layout."""
+    if not draws:
+        raise ValueError("a stack needs at least one draw")
+    layout = (("aux alphabets", lambda f: f.aux.shape),
+              ("q2_on_w", lambda f: f.q2_on_w),
+              ("q1 shape", lambda f: None if f.q1 is None else f.q1.shape),
+              ("q2 shape", lambda f: None if f.q2 is None else f.q2.shape))
+    for i, f in enumerate(draws[1:], 1):
+        for what, get in layout:
+            if get(f) != get(draws[0]):
+                raise ValueError("a stack mixes %s: draw 0 has %s, draw %d has %s"
+                                 % (what, get(draws[0]), i, get(f)))
+
+
+def _check_masses(tables):
+    """_check_mass on each (R, ...) table of a stack: the first draw that
+    fails raises its own message."""
+    flat = tables.reshape(len(tables), -1)
+    bad = np.any(flat < -NEG_TOL, axis=1) | (np.abs(flat.sum(axis=1) - 1.0) > MASS_TOL)
+    for table in tables[bad]:
+        _check_mass(table)
+
+
+def _joint_stack(ch, draws):
+    """The (R, U, V, W, X, Y1, Y2, Yh1, Yh2) joints of a stack of draws:
+    compose_joint's checks and product, draw by draw, with a stack axis.
+    A None quantizer is constant."""
+    _check_stack(draws)
+    f = draws[0]
+    r = len(draws)
+    nu, nv, nw, nx = f.cards
+    t = np.asarray(ch.transition, dtype=float)
+    if t.shape[0] != nx:
+        raise ValueError("channel input alphabet disagrees with aux X axis")
+    ny1, ny2 = t.shape[1:]
+    aux = np.stack([d.aux for d in draws])
+    _check_masses(aux)
+    q1 = (np.ones((r, nu, nw, ny1, 1)) if f.q1 is None
+          else np.stack([d.q1 for d in draws]))
+    q2 = (np.ones((r, nw, ny2, 1) if f.q2_on_w else (r, ny2, 1)) if f.q2 is None
+          else np.stack([d.q2 for d in draws]))
+    _check_rows(q1, "q1")
+    _check_rows(q2, "q2")
+    if not f.q2_on_w:
+        q2 = np.broadcast_to(q2[:, None], (r, nw) + q2.shape[1:])
+    cells = aux[0].size * ny1 * ny2 * q1.shape[-1] * q2.shape[-1]
+    if cells > MAX_CELLS:
+        raise ValueError("joint alphabet has %d cells, over the %d cap" % (cells, MAX_CELLS))
+    # the operands in the order compose_joint's contraction multiplies
+    # them, so a draw's joint is compose_joint's to the bit
+    joint = np.einsum("rwbd,ruwac,xab,ruvwx->ruvwxabcd", q2, q1, t, aux)
+    _check_masses(joint)
+    return joint
+
+
+def factorization_terms(ch, fs):
     """All the mutual informations the inner-bound rows draw on, as a
-    plain dict.  Computed once per factorization and shared by the
-    polytope builders, the split optimizers, and the pre-elimination
-    system so they can never drift apart numerically."""
-    p = compose_joint(JointPmf(("U", "V", "W", "X"), f.aux), ch,
-                      q1=f.q1, q2=f.q2, q2_on_w=f.q2_on_w)
-    mi = mutual_information
-    return {
-        "uw_y1": mi(p, ("U", "W"), ("Y1",)),
-        "uw_y1h2": mi(p, ("U", "W"), ("Y1", "Yh2")),
-        "u_y1_w": mi(p, ("U",), ("Y1",), ("W",)),
-        "u_y1h2_w": mi(p, ("U",), ("Y1", "Yh2"), ("W",)),
-        "vw_y2": mi(p, ("V", "W"), ("Y2",)),
-        "vw_h1y2": mi(p, ("V", "W"), ("Yh1", "Y2")),
-        "v_y2_w": mi(p, ("V",), ("Y2",), ("W",)),
-        "v_h1y2_w": mi(p, ("V",), ("Yh1", "Y2"), ("W",)),
-        "h1_uy1_vwy2": mi(p, ("Yh1",), ("U", "Y1"), ("V", "W", "Y2")),
-        "h1_uy1_wy2": mi(p, ("Yh1",), ("U", "Y1"), ("W", "Y2")),
-        "h2_y2_uwy1": mi(p, ("Yh2",), ("Y2",), ("U", "W", "Y1")),
-        "h2_y2_wy1": mi(p, ("Yh2",), ("Y2",), ("W", "Y1")),
-        "u_v_w": mi(p, ("U",), ("V",), ("W",)),
-    }
+    dict of the _TERMS names.  Computed once per factorization and shared
+    by the polytope builders, the split optimizers, and the
+    pre-elimination system so they can never drift apart numerically.
+
+    fs -- one AuxFactorization, or a stack: a sequence of them sharing
+          their alphabets and quantizer layout.  A stack of R draws gives
+          each term as an (R,) array, and draw i's terms never depend on
+          the other draws; one draw is priced as a stack of one and its
+          terms come back as scalars.
+
+    Each of the _ENTROPIES is one axis sum of the stacked joint, one
+    xlog2x and one row sum, and each term a difference of them, snapped
+    to 0 where rounding leaves it in (-NEG_TOL, 0)."""
+    draws = _draws(fs)
+    joint = _joint_stack(ch, draws)
+    h = {}
+    for key in _ENTROPIES:
+        drop = tuple(1 + i for i, a in enumerate(_JOINT_AXES) if a not in key)
+        marginal = joint.sum(axis=drop)
+        h[key] = -xlog2x(marginal).reshape(len(draws), -1).sum(axis=1)
+    terms = {}
+    for name, (ag, bg, abg, g) in _TERMS.items():
+        v = h[ag] + h[bg] - h[abg]
+        if g:
+            v -= h[g]
+        terms[name] = np.where((v > -NEG_TOL) & (v < 0.0), 0.0, v)
+    if isinstance(fs, AuxFactorization):
+        return {name: v[0] for name, v in terms.items()}
+    return terms
 
 
 def _caps1(t, c12, c21, alpha1, variant):
     """The four min-caps and the common-layer price for the
-    quantize-first-at-2 scheme at link split alpha1."""
+    quantize-first-at-2 scheme at link split alpha1, elementwise over
+    stacked terms and splits."""
     z1 = alpha1 * c12 - t["h1_uy1_vwy2"]
     z2 = c21 - t["h2_y2_uwy1"]
     if variant == "clipped":
-        z1, z2 = max(z1, 0.0), max(z2, 0.0)
+        z1, z2 = np.maximum(z1, 0.0), np.maximum(z2, 0.0)
     elif variant != "tilde":
         raise ValueError("variant must be 'clipped' or 'tilde'")
     df = (1.0 - alpha1) * c12
-    m1 = min(t["u_y1_w"] + z2, t["u_y1h2_w"])
-    m2 = min(t["uw_y1"] + z2, t["uw_y1h2"])
-    m3 = min(t["v_y2_w"] + z1, t["v_h1y2_w"])
-    m4 = min(t["vw_y2"] + z1, t["vw_h1y2"]) + df
+    m1 = np.minimum(t["u_y1_w"] + z2, t["u_y1h2_w"])
+    m2 = np.minimum(t["uw_y1"] + z2, t["uw_y1h2"])
+    m3 = np.minimum(t["v_y2_w"] + z1, t["v_h1y2_w"])
+    m4 = np.minimum(t["vw_y2"] + z1, t["vw_h1y2"]) + df
     return m1, m2, m3, m4, t["u_v_w"]
 
 
@@ -187,14 +317,14 @@ def _caps2(t, c12, c21, alpha2, variant):
     e1 = c12 - t["h1_uy1_vwy2"]
     e2 = alpha2 * c21 - t["h2_y2_uwy1"]
     if variant == "clipped":
-        e1, e2 = max(e1, 0.0), max(e2, 0.0)
+        e1, e2 = np.maximum(e1, 0.0), np.maximum(e2, 0.0)
     elif variant != "tilde":
         raise ValueError("variant must be 'clipped' or 'tilde'")
     df = (1.0 - alpha2) * c21
-    n1 = min(t["uw_y1"] + e2, t["uw_y1h2"]) + df
+    n1 = np.minimum(t["uw_y1"] + e2, t["uw_y1h2"]) + df
     n2 = t["vw_y2"]
-    n3 = min(t["u_y1_w"] + e2, t["u_y1h2_w"])
-    n4 = min(t["v_y2_w"] + e1, t["v_h1y2_w"])
+    n3 = np.minimum(t["u_y1_w"] + e2, t["u_y1h2_w"])
+    n4 = np.minimum(t["v_y2_w"] + e1, t["v_h1y2_w"])
     return n1, n2, n3, n4, t["u_v_w"]
 
 
@@ -208,8 +338,14 @@ _INNER_COEFFS = np.array([
 def _inner_rhs(row1, row2, sum1, sum2, i0):
     """The rhs of the inner region's _INNER_COEFFS rows: caps row1
     (R0+R1), row2 (R0+R2), and the two sum-row partners, less the
-    Marton price i0."""
-    return [row1, row2, sum1 + row2 - i0, row1 + sum2 - i0, row1 + row2 - i0]
+    Marton price i0.  (5,) for one draw's caps, (R, 5) for a stack's."""
+    return np.stack([row1, row2, sum1 + row2 - i0, row1 + sum2 - i0, row1 + row2 - i0],
+                    axis=-1)
+
+
+def _check_split(alpha, name):
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
+        raise ValueError("%s must lie in [0, 1]" % name)
 
 
 def _inner_polytope(row1, row2, sum1, sum2, i0):
@@ -224,11 +360,10 @@ def _inner_polytope(row1, row2, sum1, sum2, i0):
 
 def _inner1_alpha_rhs(ch, f, alpha1, variant="clipped", terms=None):
     """The rhs of the _INNER_COEFFS rows of the achievable (R0,R1,R2)
-    region for one factorization and one explicit link split alpha1 in
-    [0,1].  terms: factorization_terms(ch, f) when the caller already
-    has them."""
-    if not 0.0 <= alpha1 <= 1.0:
-        raise ValueError("alpha1 must lie in [0, 1]")
+    region for one factorization, or a stack of them, and one explicit
+    link split alpha1 in [0,1] (or one per draw).  terms:
+    factorization_terms(ch, f) when the caller already has them."""
+    _check_split(alpha1, "alpha1")
     t = terms or factorization_terms(ch, f)
     m1, m2, m3, m4, i0 = _caps1(t, ch.c12, ch.c21, alpha1, variant)
     return _inner_rhs(m2, m4, m1, m3, i0)
@@ -237,11 +372,12 @@ def _inner1_alpha_rhs(ch, f, alpha1, variant="clipped", terms=None):
 def alpha1_star(ch, f, terms=None):
     """The link split that dominates every other choice (all of the
     forward link once the quantizer description fits, else all of it
-    to quantization).  Zero when there is no forward link at all."""
+    to quantization).  Zero when there is no forward link at all.
+    Elementwise over a stack's terms."""
     if ch.c12 == 0.0:
         return 0.0
     t = terms or factorization_terms(ch, f)
-    return min(t["h1_uy1_wy2"] / ch.c12, 1.0)
+    return np.minimum(t["h1_uy1_wy2"] / ch.c12, 1.0)
 
 
 def inner1_polytope(ch, f):
@@ -249,10 +385,10 @@ def inner1_polytope(ch, f):
     right-hand sides are resolved to plain numbers."""
     t = factorization_terms(ch, f)
     c12, c21 = ch.c12, ch.c21
-    row1 = min(t["uw_y1"] + c21 - t["h2_y2_uwy1"], t["uw_y1h2"])
+    row1 = np.minimum(t["uw_y1"] + c21 - t["h2_y2_uwy1"], t["uw_y1h2"])
     row2 = t["vw_y2"] + c12 - t["h1_uy1_vwy2"]
-    mid3 = min(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
-    mid4 = min(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
+    mid3 = np.minimum(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
+    mid4 = np.minimum(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
     return _inner_polytope(row1, row2, mid3, mid4, t["u_v_w"])
 
 
@@ -260,12 +396,15 @@ def inner1_polytope(ch, f):
 # inner bounds, family 2  (decode-and-forward share at receiver 2 first)
 # ---------------------------------------------------------------------------
 
+def _check_family2(f):
+    if any(not d.q2_on_w and d.q2 is not None for d in _draws(f)):
+        raise ValueError("family 2 wants q2 conditioned on (W, Y2)")
+
+
 def _inner2_alpha_rhs(ch, f, alpha2, variant="clipped", terms=None):
     """The family-2 mirror of _inner1_alpha_rhs at link split alpha2."""
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError("alpha2 must lie in [0, 1]")
-    if not f.q2_on_w and f.q2 is not None:
-        raise ValueError("family 2 wants q2 conditioned on (W, Y2)")
+    _check_split(alpha2, "alpha2")
+    _check_family2(f)
     t = terms or factorization_terms(ch, f)
     return _inner_rhs(*_caps2(t, ch.c12, ch.c21, alpha2, variant))
 
@@ -274,18 +413,17 @@ def alpha2_star(ch, f, terms=None):
     if ch.c21 == 0.0:
         return 0.0
     t = terms or factorization_terms(ch, f)
-    return min(t["h2_y2_wy1"] / ch.c21, 1.0)
+    return np.minimum(t["h2_y2_wy1"] / ch.c21, 1.0)
 
 
 def inner2_polytope(ch, f):
-    if not f.q2_on_w and f.q2 is not None:
-        raise ValueError("family 2 wants q2 conditioned on (W, Y2)")
+    _check_family2(f)
     t = factorization_terms(ch, f)
     c12, c21 = ch.c12, ch.c21
     row1 = t["uw_y1"] + c21 - t["h2_y2_uwy1"]
     row2 = t["vw_y2"]
-    mid3 = min(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
-    mid4 = min(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
+    mid3 = np.minimum(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
+    mid4 = np.minimum(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
     return _inner_polytope(row1, row2, mid3, mid4, t["u_v_w"])
 
 

@@ -148,36 +148,44 @@ def _suite_fm_equivalence(seed, trials=100, n_dirs=50):
     rng = np.random.default_rng(seed)
     dirs = np.vstack([CANONICAL_DIRS_3D, rng.random((n_dirs, 3))])
     eliminate = ("R10", "R11", "R20", "R22", "B1", "B2")
+    alphas = (0.0, 0.5, 1.0)
+    # every draw first, in the order one loop would take them, so the
+    # terms and the published rows of all of them are priced in one call
+    draws = [dmb.random_factorization(rng, ch) for _ in range(trials)]
+    t = dmb.factorization_terms(ch, draws)
+    rows = np.stack([dmb._inner1_alpha_rhs(ch, draws, alpha, terms=t)
+                     for alpha in alphas], axis=1)                    # (trials, 3, 5)
+    sup_rows = batch_support(dmb._INNER_COEFFS, rows.reshape(-1, rows.shape[-1]),
+                             dirs).reshape(trials, len(alphas), -1)
+    budget = []
+    for alpha in alphas:
+        m1, _, m3, _, i0 = dmb._caps1(t, ch.c12, ch.c21, alpha, "clipped")
+        budget.append(m1 + m3 - i0)
     worst = 0.0
     feasible = 0
     infeasible = 0
     shrink_ok = True
-    pairs = 0
-    for _ in range(trials):
-        f = dmb.random_factorization(rng, ch)
-        t = dmb.factorization_terms(ch, f)
-        for alpha in (0.0, 0.5, 1.0):
-            m1, _, m3, _, i0 = dmb._caps1(t, ch.c12, ch.c21, alpha, "clipped")
-            rows = dmb._inner1_alpha_rhs(ch, f, alpha, terms=t)
-            sup_rows = batch_support(dmb._INNER_COEFFS, [rows], dirs)[0]
-            proj = fm_eliminate(dmb.appendixB_system(ch, f, alpha, terms=t),
+    for i, f in enumerate(draws):
+        ti = {name: v[i] for name, v in t.items()}
+        for j, alpha in enumerate(alphas):
+            proj = fm_eliminate(dmb.appendixB_system(ch, f, alpha, terms=ti),
                                 eliminate)
             sup_proj = support_of_system(proj, dirs)
-            pairs += dirs.shape[0]
-            if m1 + m3 - i0 >= -1e-12:
+            if budget[j][i] >= -1e-12:
                 feasible += 1
-                dev = np.abs(sup_proj - sup_rows)
+                dev = np.abs(sup_proj - sup_rows[i, j])
                 dev = dev[np.isfinite(dev)]
                 worst = max(worst, float(dev.max()) if dev.size else 0.0)
-                if np.any(np.isinf(sup_proj) != np.isinf(sup_rows)):
+                if np.any(np.isinf(sup_proj) != np.isinf(sup_rows[i, j])):
                     worst = math.inf
             else:
                 infeasible += 1
-                if np.any(sup_proj > sup_rows + 1e-9):
+                if np.any(sup_proj > sup_rows[i, j] + 1e-9):
                     shrink_ok = False
     return [
         _check("projection-matches-rows", worst <= 1e-9, max_abs_dev=worst,
-               support_pairs=pairs, feasible_draws=feasible),
+               support_pairs=trials * len(alphas) * dirs.shape[0],
+               feasible_draws=feasible),
         _check("binning-infeasible-only-shrinks", shrink_ok,
                infeasible_draws=infeasible),
     ]
@@ -192,30 +200,27 @@ def _suite_alpha_star(seed, trials=100, n_alpha=21):
     rng = np.random.default_rng(seed)
     alphas = np.linspace(0.0, 1.0, n_alpha)
     dirs = CANONICAL_DIRS_3D
+    # every draw first, the two families in turn as one loop would take
+    # them; then each family's terms and splits are priced in one call
+    draws = ([], [])
+    for _ in range(trials):
+        draws[0].append(dmb.random_factorization(rng, ch))
+        draws[1].append(dmb.random_factorization(rng, ch, q2_on_w=True))
     worst = -math.inf
     star_in_range = True
-
-    def excess(split_rhs, star):
+    for fs, star_of, split_rhs in ((draws[0], dmb.alpha1_star, dmb._inner1_alpha_rhs),
+                                   (draws[1], dmb.alpha2_star, dmb._inner2_alpha_rhs)):
+        t = dmb.factorization_terms(ch, fs)
+        star = star_of(ch, fs, terms=t)
+        star_in_range &= bool(np.all((0.0 <= star) & (star <= 1.0)))
         # the star split and the swept ones share a matrix: one pricing
-        sup = batch_support(dmb._INNER_COEFFS, [split_rhs(al) for al in (star, *alphas)],
-                            dirs)
+        rhs = np.stack([split_rhs(ch, fs, al, variant="tilde", terms=t)
+                        for al in (star, *alphas)], axis=1)          # (trials, 1 + n_alpha, 5)
+        sup = batch_support(dmb._INNER_COEFFS, rhs.reshape(-1, rhs.shape[-1]),
+                            dirs).reshape(trials, 1 + n_alpha, -1)
         with np.errstate(invalid="ignore"):
-            gain = sup[1:] - sup[0]
-        return float(np.max(np.where(np.isnan(gain), -np.inf, gain)))
-
-    for _ in range(trials):
-        f1 = dmb.random_factorization(rng, ch)
-        t1 = dmb.factorization_terms(ch, f1)
-        star1 = dmb.alpha1_star(ch, f1, terms=t1)
-        star_in_range &= 0.0 <= star1 <= 1.0
-        worst = max(worst, excess(lambda al: dmb._inner1_alpha_rhs(
-            ch, f1, al, variant="tilde", terms=t1), star1))
-        f2 = dmb.random_factorization(rng, ch, q2_on_w=True)
-        t2 = dmb.factorization_terms(ch, f2)
-        star2 = dmb.alpha2_star(ch, f2, terms=t2)
-        star_in_range &= 0.0 <= star2 <= 1.0
-        worst = max(worst, excess(lambda al: dmb._inner2_alpha_rhs(
-            ch, f2, al, variant="tilde", terms=t2), star2))
+            gain = sup[:, 1:] - sup[:, :1]
+        worst = max(worst, float(np.max(np.where(np.isnan(gain), -np.inf, gain))))
     return [
         _check("star-split-dominates", worst <= 1e-9, max_excess_bits=worst,
                trials=trials, alphas_per_trial=n_alpha),
@@ -388,8 +393,10 @@ def _suite_gauss_gaps(seed, trials=500, beta_step=0.01):
     rng = np.random.default_rng(seed)
     channels = []
     for _ in range(trials):
-        a = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
-        b = a * rng.uniform(0.0, 1.0) * rng.choice([-1.0, 1.0])
+        # a sign as an index draws what rng.choice((-1.0, 1.0)) draws,
+        # from the same stream, in about 40% of its time
+        a = rng.uniform(0.2, 3.0) * (-1.0, 1.0)[rng.integers(2)]
+        b = a * rng.uniform(0.0, 1.0) * (-1.0, 1.0)[rng.integers(2)]
         channels.append(GaussianBc(a, b, rng.uniform(-0.99, 0.99),
                                    rng.uniform(0.01, 100.0),
                                    c12=rng.uniform(0.0, 2.0), c21=rng.uniform(0.0, 2.0)))

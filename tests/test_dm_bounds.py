@@ -23,7 +23,7 @@ from confbc.channels import DmBroadcastChannel, GaussianBc, example_channel
 from confbc.errors import GridTooLargeError, InapplicableBoundError
 from confbc.gridding import (EVAL_BUDGET, simplex_grid, sorted_grid_chunks,
                              sorted_grid_size)
-from confbc.info_core import (JointPmf, binary_entropy, entropy,
+from confbc.info_core import (JointPmf, binary_entropy, compose_joint, entropy,
                               mutual_information, xlog2x)
 from confbc.regions import (
     CANONICAL_DIRS_3D,
@@ -358,6 +358,134 @@ def test_builders_take_precomputed_terms(monkeypatch):
         assert np.array_equal(p.matrix, p2.matrix) and np.array_equal(p.rhs, p2.rhs)
     assert np.array_equal(built[2].matrix, reused[2].matrix)
     assert np.array_equal(built[2].rhs, reused[2].rhs)
+
+
+# ---------------------------------------------------------------------------
+# stacked factorization terms
+# ---------------------------------------------------------------------------
+
+_ORACLE_TERMS = {      # I(A; B | G) for each term, as compose_joint's names
+    "uw_y1": (("U", "W"), ("Y1",), ()),
+    "uw_y1h2": (("U", "W"), ("Y1", "Yh2"), ()),
+    "u_y1_w": (("U",), ("Y1",), ("W",)),
+    "u_y1h2_w": (("U",), ("Y1", "Yh2"), ("W",)),
+    "vw_y2": (("V", "W"), ("Y2",), ()),
+    "vw_h1y2": (("V", "W"), ("Yh1", "Y2"), ()),
+    "v_y2_w": (("V",), ("Y2",), ("W",)),
+    "v_h1y2_w": (("V",), ("Yh1", "Y2"), ("W",)),
+    "h1_uy1_vwy2": (("Yh1",), ("U", "Y1"), ("V", "W", "Y2")),
+    "h1_uy1_wy2": (("Yh1",), ("U", "Y1"), ("W", "Y2")),
+    "h2_y2_uwy1": (("Yh2",), ("Y2",), ("U", "W", "Y1")),
+    "h2_y2_wy1": (("Yh2",), ("Y2",), ("W", "Y1")),
+    "u_v_w": (("U",), ("V",), ("W",)),
+}
+
+
+def _random_stack(seed, nx, ny1, ny2, cards, nh1, nh2, q1_none, q2_on_w, r):
+    """A random channel and r draws sharing alphabets and quantizer layout."""
+    rng = np.random.default_rng(seed)
+    ch = DmBroadcastChannel(rng.dirichlet(np.ones(ny1 * ny2), size=nx).reshape(nx, ny1, ny2))
+    nu, nv, nw = cards
+    draws = []
+    for _ in range(r):
+        aux = rng.dirichlet(np.ones(nu * nv * nw * nx)).reshape(nu, nv, nw, nx)
+        q1 = None if q1_none else rng.dirichlet(np.ones(nh1), size=(nu, nw, ny1))
+        q2 = rng.dirichlet(np.ones(nh2), size=(nw, ny2) if q2_on_w else ny2)
+        draws.append(dmb.AuxFactorization(aux, q1=q1, q2=q2, q2_on_w=q2_on_w))
+    return ch, draws
+
+
+_STACKS = dict(seed=st.integers(0, 2 ** 31), nx=st.integers(1, 4),
+               ny1=st.integers(1, 3), ny2=st.integers(1, 3),
+               cards=st.tuples(*[st.integers(1, 3)] * 3),
+               nh1=st.integers(1, 3), nh2=st.integers(1, 3),
+               q1_none=st.booleans(), q2_on_w=st.booleans(), r=st.integers(1, 6))
+
+
+@given(**_STACKS)
+@settings(max_examples=60, deadline=None)
+def test_stacked_terms_match_the_joint_oracle(seed, nx, ny1, ny2, cards, nh1, nh2,
+                                              q1_none, q2_on_w, r):
+    # every term of every draw against compose_joint + mutual_information
+    ch, draws = _random_stack(seed, nx, ny1, ny2, cards, nh1, nh2, q1_none, q2_on_w, r)
+    terms = dmb.factorization_terms(ch, draws)
+    assert set(terms) == set(_ORACLE_TERMS)
+    for i, f in enumerate(draws):
+        p = compose_joint(JointPmf(("U", "V", "W", "X"), f.aux), ch,
+                          q1=f.q1, q2=f.q2, q2_on_w=f.q2_on_w)
+        for name, (a, b, g) in _ORACLE_TERMS.items():
+            assert terms[name].shape == (r,)
+            assert terms[name][i] == pytest.approx(mutual_information(p, a, b, g),
+                                                   abs=1e-12)
+
+
+@given(**_STACKS)
+@settings(max_examples=40, deadline=None)
+def test_stacked_terms_do_not_depend_on_the_other_draws(seed, nx, ny1, ny2, cards, nh1,
+                                                        nh2, q1_none, q2_on_w, r):
+    # draw i of a stack gives the bytes of a stack of one, and a bare draw
+    # the same value as a scalar
+    ch, draws = _random_stack(seed, nx, ny1, ny2, cards, nh1, nh2, q1_none, q2_on_w, r)
+    terms = dmb.factorization_terms(ch, draws)
+    for i, f in enumerate(draws):
+        one = dmb.factorization_terms(ch, [f])
+        bare = dmb.factorization_terms(ch, f)
+        for name, v in terms.items():
+            assert one[name].tobytes() == v[i:i + 1].tobytes()
+            assert np.ndim(bare[name]) == 0 and bare[name].tobytes() == v[i].tobytes()
+
+
+def test_t4_substitution_terms_treat_no_quantizer_as_constant():
+    # q1 = None forwards nothing from receiver 1: every term with Yh1 in
+    # it reads as the same term without it
+    ch = _ex1()
+    f = dmb.t4_substitution(ch, np.array([[0.1, 0.2], [0.3, 0.4]]))
+    t = dmb.factorization_terms(ch, [f, f])
+    assert np.array_equal(t["h1_uy1_vwy2"], [0.0, 0.0])
+    assert np.array_equal(t["h1_uy1_wy2"], [0.0, 0.0])
+    assert np.array_equal(t["vw_h1y2"], t["vw_y2"])
+
+
+def test_stack_rejects_mixed_layouts():
+    ch = _ex1()
+    rng = np.random.default_rng(0)
+    f = dmb.random_factorization(rng, ch)
+    mixed = {
+        "aux alphabets": dmb.random_factorization(rng, ch, cards=(2, 3, 2)),
+        "q2_on_w": dmb.AuxFactorization(f.aux, q1=f.q1,
+                                        q2=np.stack([f.q2, f.q2]), q2_on_w=True),
+        "q1 shape": dmb.AuxFactorization(f.aux, q2=f.q2),
+    }
+    for what, g in mixed.items():
+        with pytest.raises(ValueError, match="mixes %s: draw 0 has .*, draw 2 has" % what):
+            dmb.factorization_terms(ch, [f, f, g])
+    with pytest.raises(ValueError, match="at least one draw"):
+        dmb.factorization_terms(ch, [])
+
+
+def test_a_bad_draw_anywhere_in_a_stack_raises_its_own_message():
+    # the message compose_joint gives that draw alone
+    ch = _ex1()
+    rng = np.random.default_rng(1)
+    good = [dmb.random_factorization(rng, ch) for _ in range(3)]
+    f = good[0]
+    heavy = f.aux * (1 + 1e-6)
+    negative = f.aux.copy()
+    negative[0, 0, 0, :] += (-negative[0, 0, 0, 0] - 1e-3, negative[0, 0, 0, 0] + 1e-3)
+    bad_q1 = f.q1.copy()
+    bad_q1[0, 0, 0] = (1.2, -0.2)
+    bad_q2 = f.q2 * 1.1
+    for bad in (dmb.AuxFactorization(heavy, q1=f.q1, q2=f.q2),
+                dmb.AuxFactorization(negative, q1=f.q1, q2=f.q2),
+                dmb.AuxFactorization(f.aux, q1=bad_q1, q2=f.q2),
+                dmb.AuxFactorization(f.aux, q1=f.q1, q2=bad_q2)):
+        with pytest.raises(ValueError) as per_draw:
+            compose_joint(JointPmf(("U", "V", "W", "X"), bad.aux), ch,
+                          q1=bad.q1, q2=bad.q2, q2_on_w=bad.q2_on_w)
+        for at in range(4):
+            with pytest.raises(ValueError) as stacked:
+                dmb.factorization_terms(ch, good[:at] + [bad] + good[at:])
+            assert str(stacked.value) == str(per_draw.value)
 
 
 def test_inner2_wants_w_conditioned_quantizer():
