@@ -22,6 +22,7 @@ noise.
 """
 
 import math
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -367,24 +368,55 @@ def gap_certificates(channels, beta_step=0.01):
     the channel pairs its rows at split beta with BOUNDS["outer"] rows at
     (alpha, beta) = (0, beta): gap = outer - inner, maximized over the
     ticks of beta_step; worst_beta is the first tick attaining it (for a
-    gap constant in beta, where rounding peaks).  Rows are priced on the
-    c12 = 0 copy of each channel, which is exact: both rows of every t9
-    and df pair carry c12 alike, and t10 needs c12 = 0.
-
-    Every channel is checked for |a| >= |b| before anything is priced.
-    The channels are then grouped by the sections their c12 = 0 copies
-    admit, and each group is priced in blocks of channel x tick rows
-    (_GAP_BLOCK_ROWS, or one channel's ticks if more): the BOUNDS row
-    functions run once per block on a stand-in channel whose fields are
-    per-row arrays, so the arithmetic of every row is the one a single
-    channel gets, and the certificates are the same values as one
-    channel at a time.
+    gap constant in beta, where rounding peaks).  The gaps are those of
+    gap_table, which documents how they are priced.
 
     Returns one dict per channel, in order: {"channel", "beta_step",
     "sections": [{name, required_bits, pairs: [{inner_row, outer_row,
     gap_bits, worst_beta, required_bits, slack_bits}], pass}], "pass"}.
     slack = required - gap, so every slack >= 0 means the advertised
     approximation factors really hold for that channel.
+    """
+    channels = list(channels)
+    labels = {name: (tuple(p[0] for p in pairs), tuple(p[2] for p in pairs))
+              for name, _, _, pairs in _GAP_PAIRS}
+    sections = [[] for _ in channels]
+    for blk in gap_table(channels, beta_step):
+        labels_in, labels_out = labels[blk.name]
+        for i, req, g, w in zip(blk.members.tolist(), blk.required.tolist(),
+                                blk.gaps.tolist(), blk.worst.tolist()):
+            sections[i].append(_section(blk.name, req, zip(labels_in, labels_out, g, w)))
+    return [{"channel": ch.to_json_dict(), "beta_step": beta_step, "sections": secs,
+             "pass": all(s["pass"] for s in secs)}
+            for ch, secs in zip(channels, sections)]
+
+
+_GapBlock = namedtuple("_GapBlock", ("name", "members", "required", "gaps", "worst"))
+
+
+def gap_table(channels, beta_step=0.01):
+    """The gaps of gap_certificates as arrays: one _GapBlock per priced
+    block and section, in order, with
+
+    name     -- the section's name in _GAP_PAIRS
+    members  -- (M,) indices into channels of the block's channels that
+                the section's inner bound admits
+    required -- (M,) the section's required bits for each of them
+    gaps     -- (M, P) outer - inner row of each of the section's P pairs,
+                maximized over the beta ticks
+    worst    -- (M, P) the first tick attaining each maximum
+
+    Every channel is checked for |a| >= |b| before anything is priced.
+    Rows are priced on the c12 = 0 copy of each channel, which is exact:
+    both rows of every t9 and df pair carry c12 alike, and t10 needs
+    c12 = 0.  The channels are grouped by the sections their copies
+    admit, and each group is priced in blocks of channel x tick rows
+    (_GAP_BLOCK_ROWS, or one channel's ticks if more): the BOUNDS row
+    functions run once per block on a stand-in channel whose fields are
+    per-row arrays, so the arithmetic of every row is the one a single
+    channel gets, and the gaps are the same values as one channel at a
+    time.  Each channel sits in one block, so its sections come in
+    _GAP_PAIRS order.
     """
     channels = list(channels)
     for ch in channels:
@@ -396,29 +428,26 @@ def gap_certificates(channels, beta_step=0.01):
                                 for _, inner, _, _ in _GAP_PAIRS), []).append(i)
     betas = _ticks(beta_step)
     per_block = max(1, _GAP_BLOCK_ROWS // betas.size)
-    blocks = [(admitted, members[lo:lo + per_block])
-              for admitted, members in groups.items()
-              for lo in range(0, len(members), per_block)]
-    sections = [[] for _ in channels]
-    for admitted, members in blocks:
-        stack = _channel_stack([copies[i] for i in members], betas.size)
-        split = np.tile(betas, len(members))[:, None]
-        terms = _beta_terms(stack, split)
-        outer = BOUNDS["outer"].rows(np.column_stack([np.zeros_like(split), split]), stack)
-        for (name, inner, required, pairs), ok in zip(_GAP_PAIRS, admitted):
-            if not ok:
-                continue
-            labels_in, rows_in, labels_out, rows_out = zip(*pairs)
-            gaps = (outer[:, list(rows_out)]
-                    - BOUNDS[inner].rows(terms, stack)[:, list(rows_in)]).reshape(
-                        len(members), betas.size, len(pairs))
-            worst = betas[gaps.argmax(axis=1)].tolist()
-            for i, g, w in zip(members, gaps.max(axis=1).tolist(), worst):
-                sections[i].append(_section(name, required(channels[i]),
-                                            zip(labels_in, labels_out, g, w)))
-    return [{"channel": ch.to_json_dict(), "beta_step": beta_step, "sections": secs,
-             "pass": all(s["pass"] for s in secs)}
-            for ch, secs in zip(channels, sections)]
+    table = []
+    for admitted, group in groups.items():
+        for lo in range(0, len(group), per_block):
+            members = group[lo:lo + per_block]
+            stack = _channel_stack([copies[i] for i in members], betas.size)
+            split = np.tile(betas, len(members))[:, None]
+            terms = _beta_terms(stack, split)
+            outer = BOUNDS["outer"].rows(np.column_stack([np.zeros_like(split), split]),
+                                         stack)
+            for (name, inner, required, pairs), ok in zip(_GAP_PAIRS, admitted):
+                if not ok:
+                    continue
+                _, rows_in, _, rows_out = zip(*pairs)
+                gaps = (outer[:, list(rows_out)]
+                        - BOUNDS[inner].rows(terms, stack)[:, list(rows_in)]).reshape(
+                            len(members), betas.size, len(pairs))
+                table.append(_GapBlock(name, np.array(members),
+                                      np.array([required(channels[i]) for i in members]),
+                                      gaps.max(axis=1), betas[gaps.argmax(axis=1)]))
+    return table
 
 
 def _admits(bound, ch):

@@ -64,12 +64,25 @@ def _fit_budget(n, count):
             else:
                 hi = mid - 1
         raise GridTooLargeError(
-            "sweep needs %s%d evaluations, over the %d-point budget; the "
+            "sweep needs %s evaluations, over the %d-point budget; the "
             "finest step within that point budget is 1/%d = %r (%d points), "
             "which bounds the grid, not the run time"
-            % ("" if exact else "at least ", size, EVAL_BUDGET, lo, 1.0 / lo,
-               count(lo)[0]))
+            % (_count_text(size, exact), EVAL_BUDGET, lo, 1.0 / lo, count(lo)[0]))
     return size
+
+
+def _count_text(size, exact):
+    """A point count for a message: its digits up to 40 of them, else
+    its first four digits and its power of ten, from integer arithmetic
+    (Python refuses str() of an int past 4,300 digits, and float()
+    overflows past 1e308).  Such a count is cut, not rounded, so it is
+    "at least" the figure, as is an inexact one."""
+    if size < 10 ** 40:
+        return "%s%d" % ("" if exact else "at least ", size)
+    digits = int(math.log10(size))          # off by one at most; fixed below
+    digits += (10 ** (digits + 1) <= size) - (10 ** digits > size)
+    lead = size // 10 ** (digits - 3)
+    return "at least %d.%03de+%d" % (lead // 1000, lead % 1000, digits)
 
 
 def _count(parts, cells, n):

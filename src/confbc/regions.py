@@ -31,7 +31,8 @@ kernel (support_of_system, _is_empty); the vertex prune of an
 elimination asks it for the supports along the axes and the rows.
 Primal vertex enumeration stays for a polytope's own vertices, the
 2-d boundary walk and as the oracle the dual kernel is checked
-against; an LP solver only appears in the test suite.
+against, one region (enumerate_vertices) or a stack of them on one
+matrix (vertex_supports); an LP solver only appears in the test suite.
 
 Fourier-Motzkin elimination splits the same way.  Which rows pair
 (Chernikov's rule among them), how they scale and which proportional
@@ -213,21 +214,74 @@ def enumerate_vertices(a, b):
     """Feasible basic solutions of the rate region a @ x <= b, x >= 0.
 
     Exact-ish for the 1-3 dimensional systems used here; returns an
-    (n, k) array of distinct vertices (possibly empty).  A +inf row is
-    absent and a -inf row leaves no vertex; a NaN one raises ValueError.
-    Each basis is solved afresh, so this stays the oracle of the dual
-    kernel.
+    (n, k) array of distinct vertices (possibly empty), in basis order.
+    A +inf row is absent and a -inf row leaves no vertex; a NaN one
+    raises ValueError.  The one-region case of _vertices, which solves
+    every basis afresh, so this stays the oracle of the dual kernel.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float)
-    _reject_nan(rhs=b)
-    k = a.shape[1]
-    if np.any(b == -INF):
-        return np.empty((0, k))
-    a = np.vstack([a[b < INF], -np.eye(k)])
-    b = np.concatenate([b[b < INF], np.zeros(k)])
+    sols, keep = _vertices(a, np.asarray(b, dtype=float)[None, :])
+    return sols[0, keep[0]]
+
+
+def vertex_supports(coeffs, rhs, dirs):
+    """Supports of many same-shaped rate regions from their vertices.
+
+    coeffs -- (m, k) shared coefficient matrix
+    rhs    -- (N, m) per-region right-hand sides (+inf = row absent,
+              -inf = that region is empty)
+    dirs   -- (D, k) directions
+    returns (N, D): the max of x . d over each region's vertices, the
+    rows of enumerate_vertices(coeffs, rhs[n]), bit for bit, as each
+    region's vertices are priced in a product of their own shape.  An
+    empty region (a -inf row, or no vertex) gives -inf.  A direction the
+    region runs off to infinity along still gets the max over its
+    vertices, not +inf: this is the primal oracle of batch_support on
+    bounded regions.  A NaN anywhere in the input raises ValueError.
+    """
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
+    if rhs.shape[1:] != coeffs.shape[:1]:
+        raise ValueError("rhs rows have %d entries but coeffs has %d rows"
+                         % (rhs.shape[1], coeffs.shape[0]))
+    dirs = _directions(dirs, coeffs.shape[1])
+    sols, keep = _vertices(coeffs, rhs)
+    count = keep.sum(axis=1)
+    out = np.full((rhs.shape[0], dirs.shape[0]), -INF)
+    # the regions with c vertices share one (c, k) @ (k, D) product
+    # shape, so a stacked product rounds as each region's own would.
+    # (A set, not np.unique, which imports numpy.ma on first use: 15 ms
+    # and 1.3 MiB in a fresh interpreter.)
+    for c in sorted(set(count.tolist()) - {0}):
+        group = np.nonzero(count == c)[0]
+        verts = sols[group][keep[group]].reshape(group.size, c, -1)
+        out[group] = (verts @ dirs.T).max(axis=1)
+    return out
+
+
+def _vertices(coeffs, rhs):
+    """The basic solutions of the rate regions coeffs @ x <= rhs[n],
+    x >= 0, for an (N, m) rhs stack: an (N, T, k) array, one solution
+    per nonsingular k-row basis of [coeffs; -I] (picked once, in basis
+    order), and the (N, T) mask of the vertices among them (_vertex_mask).
+    A basis that uses an absent (+inf) row of a region is no vertex of
+    it, and a region with a -inf row has none.  Every basis is solved
+    for every rhs in one batched solve; its rhs on the absent rows, and
+    the whole rhs of an empty region, is solved as 0 so no inf enters
+    the arithmetic."""
+    _reject_nan(coeffs=coeffs, rhs=rhs)
+    n, k = rhs.shape[0], coeffs.shape[1]
+    a = np.vstack([coeffs, -np.eye(k)])
+    absent = np.concatenate([rhs == INF, np.zeros((n, k), dtype=bool)], axis=1)
+    dead = np.any(rhs == -INF, axis=1)
+    b = np.concatenate([rhs, np.zeros((n, k))], axis=1)
+    b[absent | dead[:, None]] = 0.0
     idx, mats = _bases(a, k)
-    return _feasible_vertices(a, b, np.linalg.solve(mats, b[idx][..., None])[..., 0])
+    # (..., k, 1) right-hand sides: a stack of matrices for every numpy
+    sols = np.linalg.solve(mats, b[:, idx][..., None])[..., 0]
+    live = ~np.any(absent[:, idx], axis=2) & ~dead[:, None]
+    b[absent] = INF
+    return sols, _vertex_mask(a, b, sols, live)
 
 
 def _reject_nan(**arrays):
@@ -249,22 +303,33 @@ def _directions(dirs, k):
     return dirs
 
 
-def _feasible_vertices(a, b, verts):
-    """The distinct basic solutions verts (one per basis, in basis
-    order) that satisfy a @ x <= b, with b finite.  The rows are checked
-    a block of _PRICE_CELLS values at a time, for the memory reason
-    batch_support prices in such blocks."""
-    if verts.shape[0] == 0:
-        return np.empty((0, a.shape[1]))
+def _vertex_mask(a, b, sols, live):
+    """(N, T) mask over the solutions sols (N, T, k) of the systems
+    a @ x <= b[n], b finite or +inf: those in the (N, T) mask live that
+    satisfy every row within _FEAS_TOL and are the first, in order, of
+    the ones that round alike at 1e-9 (a degenerate vertex solved from
+    several bases).  The rows are checked a block of _PRICE_CELLS values
+    at a time, for the memory reason batch_support prices in such
+    blocks."""
+    n, t, k = sols.shape
     limit = b + _FEAS_TOL * (1.0 + np.abs(b))
+    flat = sols.reshape(n * t, k)
+    ok = np.empty(n * t, dtype=bool)
     step = max(1, _PRICE_CELLS // max(a.shape[0], 1))
-    verts = verts[np.concatenate([np.all(verts[lo:lo + step] @ a.T <= limit, axis=1)
-                                  for lo in range(0, verts.shape[0], step)])]
-    if verts.shape[0] == 0:
-        return verts
-    # dedup at 1e-9 granularity but hand back full-precision points
-    _, first = np.unique(np.round(verts, 9), axis=0, return_index=True)
-    return verts[np.sort(first)]
+    for lo in range(0, n * t, step):
+        hi = min(lo + step, n * t)
+        ok[lo:hi] = np.all(flat[lo:hi] @ a.T <= limit[np.arange(lo, hi) // t], axis=1)
+    # a stable sort on (system, rounded solution) leaves each group's
+    # first solution at its head
+    cand = np.nonzero(ok & live.ravel())[0]
+    key = np.vstack([cand // t, np.round(flat[cand], 9).T])
+    order = np.lexsort(key[::-1])
+    key = key[:, order]
+    head = np.ones(order.size, dtype=bool)
+    head[1:] = np.any(key[:, 1:] != key[:, :-1], axis=0)
+    keep = np.zeros(n * t, dtype=bool)
+    keep[cand[order[head]]] = True
+    return keep.reshape(n, t)
 
 
 def _combos(n, k):

@@ -265,6 +265,18 @@ def test_region_gaussian_budget_is_exit_4(g_channel, capsys, monkeypatch):
     assert "1/9 = %r (100 points)" % (1 / 9) in err
 
 
+def test_region_budget_with_a_count_past_4300_digits_is_exit_4(dm_channel, capsys):
+    # the outer grid at 1e-300 has over 4,300 digits of points, past
+    # Python's int-to-str limit; its count once crashed the message (exit 1)
+    assert main(["region", "--channel", dm_channel, "--bound", "outer",
+                 "--grid", "1e-300"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert re.search(r"sweep needs at least \d\.\d{3}e\+\d{4,} evaluations, over the "
+                     r"100000000-point budget; the finest step within that point "
+                     r"budget is 1/\d+ ", err), err
+
+
 def test_bound_choices_and_default_steps_come_from_the_tables(g_channel,
                                                              tmp_path):
     names = list(dict.fromkeys([*dmb.BOUNDS, *gb.BOUNDS]))

@@ -81,6 +81,19 @@ def test_budget_guard(monkeypatch):
     assert sorted_grid_size(1, 32, 0.001) > EVAL_BUDGET   # why the guard exists
 
 
+def test_budget_message_count_is_cut_not_rounded():
+    # past 40 digits a count prints as its first four digits and its
+    # exponent, exact at every power of ten whatever the float log says
+    text = gridding._count_text
+    assert text(10 ** 40 - 1, True) == "9" * 40
+    assert text(1200487746, False) == "at least 1200487746"
+    for e in (40, 41, 308, 309, 5000):
+        assert text(10 ** e, True) == "at least 1.000e+%d" % e
+        if e > 40:
+            assert text(10 ** e - 1, True) == "at least 9.999e+%d" % (e - 1)
+    assert text(123456 * 10 ** 9000, True) == "at least 1.234e+9005"
+
+
 
 def _sorted_grid(parts, cells, n, chunk=_SWEEP_CHUNK):
     return np.concatenate(list(sorted_grid_chunks(parts, cells, 1.0 / n,

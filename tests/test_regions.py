@@ -32,6 +32,7 @@ from confbc.regions import (
     fm_eliminate,
     octant_fibonacci,
     support_of_system,
+    vertex_supports,
     write_support_csv,
 )
 
@@ -444,6 +445,103 @@ def test_constraint_polytope_rejects_nan():
     p = ConstraintPolytope(("R1", "R2"), [[1, 1], [1, 0]], [2.0, 1.0])
     with pytest.raises(ValueError, match="NaN"):
         p.support([math.nan, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the stacked primal oracle
+# ---------------------------------------------------------------------------
+
+def _vertex_max(a, b, dirs):
+    """max of x . d over enumerate_vertices(a, b), -inf with no vertex."""
+    verts = enumerate_vertices(a, b)
+    return (verts @ dirs.T).max(axis=0) if verts.shape[0] \
+        else np.full(dirs.shape[0], -math.inf)
+
+
+@st.composite
+def _region_stacks(draw):
+    """(coeffs, rhs stack, dirs): small integer rows in 1-3 variables,
+    zero and negative entries included, so vertices are often degenerate
+    and some regions unbounded; rhs entries mix random floats, small
+    integers, 0, negatives and +-inf; 0-6 regions."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 6))
+    a = np.reshape(draw(st.lists(st.integers(-1, 3), min_size=m * k, max_size=m * k)),
+                   (m, k)).astype(float)
+    entry = st.one_of(st.floats(-1.0, 4.0), st.integers(-1, 3).map(float),
+                      st.sampled_from([0.0, math.inf, -math.inf]))
+    rhs = np.reshape(draw(st.lists(entry, min_size=n * m, max_size=n * m)),
+                     (n, m)).astype(float)
+    d = draw(st.integers(1, 8))
+    dirs = np.reshape(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * k,
+                                    max_size=d * k)), (d, k))
+    return a, rhs, dirs
+
+
+@given(case=_region_stacks())
+@settings(max_examples=300, deadline=None)
+def test_vertex_supports_equal_the_vertex_max_of_each_region(case):
+    # bit for bit: each region's vertices are solved from the same bases
+    # and priced in a product of the shape its own enumeration gives
+    a, rhs, dirs = case
+    got = vertex_supports(a, rhs, dirs)
+    assert got.shape == (rhs.shape[0], dirs.shape[0])
+    for b, row in zip(rhs, got):
+        assert row.tobytes() == _vertex_max(a, b, dirs).tobytes(), b
+
+
+def test_vertex_supports_absent_and_empty_rows():
+    # the box x <= 1, y <= 2 with its y cap absent is the strip x <= 1,
+    # priced from its own vertices; a -inf row empties a region
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
+    rhs = np.array([[1.0, 2.0, 2.5],
+                    [1.0, math.inf, 2.5],
+                    [1.0, math.inf, math.inf],
+                    [1.0, -math.inf, 2.5],
+                    [math.inf] * 3])
+    got = vertex_supports(a, rhs, dirs)
+    assert got[0].tolist() == [1.0, 2.0, 2.5, 0.0]
+    assert np.array_equal(got[1], vertex_supports(a[[0, 2]], rhs[1, [0, 2]], dirs)[0])
+    assert got[1].tolist() == [1.0, 2.5, 2.5, 0.0]
+    # unbounded along +y: the max over the strip's vertices (0, 0) and
+    # (1, 0), not +inf, which is what batch_support answers
+    assert got[2].tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert batch_support(a, rhs[2:3], dirs)[0, 1] == math.inf
+    assert got[3].tolist() == [-math.inf] * 4
+    # no finite row: the origin is the one vertex of the quadrant
+    assert got[4].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert vertex_supports(a, np.zeros((0, 3)), dirs).shape == (0, 4)
+
+
+@pytest.mark.parametrize("where", ["rhs", "dirs"])
+def test_vertex_supports_rejects_nan(where):
+    args = {"rhs": np.array([[2.0, 1.0], [1.0, 1.0]]),
+            "dirs": np.array([[1.0, 1.0], [0.0, 1.0]])}
+    args[where][1, 1] = np.nan
+    with pytest.raises(ValueError, match="%s has a NaN entry" % where):
+        vertex_supports(np.array([[1.0, 1.0], [1.0, 0.0]]), args["rhs"], args["dirs"])
+
+
+def test_vertex_supports_match_batch_support_on_bounded_regions():
+    # regions capped by a finite all-ones row are bounded, so the primal
+    # and dual supports agree to the 1e-9 of the other primal oracles;
+    # a negative rhs empties a region in both
+    rng = np.random.default_rng(5)
+    dirs = np.vstack([default_dirs_3d(64), rng.uniform(-1.0, 1.0, size=(8, 3))])
+    for a in [_DUP_ROWS] + [rng.integers(0, 3, size=(rng.integers(2, 7), 3)).astype(float)
+                            for _ in range(8)]:
+        a = np.vstack([a, np.ones((1, 3))])
+        a = a[np.any(a > 0, axis=1)]
+        rhs = rng.uniform(0.0, 3.0, size=(60, a.shape[0]))
+        rhs[:, :-1][rng.random((60, a.shape[0] - 1)) < 0.2] = np.inf
+        rhs[::7] = np.round(rhs[::7])                      # degenerate vertices
+        rhs[3::11, 0] = -0.5
+        got, want = vertex_supports(a, rhs, dirs), batch_support(a, rhs, dirs)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        assert np.all(np.isfinite(want[~np.isneginf(want)]))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 @given(r=st.tuples(st.floats(0.1, 5), st.floats(0.1, 5), st.floats(0.1, 5)),
@@ -994,8 +1092,9 @@ def test_vertex_prune_keeps_the_rows_active_at_the_solved_vertices(system):
     sys = LinearSystem(("x", "y", "z")[:a.shape[1]], a, b)
     # the oracle solves every basis afresh; an empty system stays whole
     idx, mats = regions._bases(a, a.shape[1])
-    verts = regions._feasible_vertices(
-        a, b, np.linalg.solve(mats, b[idx][..., None])[..., 0])
+    sols = np.linalg.solve(mats, b[idx][..., None])[..., 0]
+    live = np.ones((1, sols.shape[0]), dtype=bool)
+    verts = sols[regions._vertex_mask(a, b[None, :], sols[None], live)[0]]
     active = np.any(np.abs(verts @ a.T - b) <= 1e-7 * (1.0 + np.abs(b)), axis=0)
     keep = active if verts.shape[0] else np.ones(a.shape[0], dtype=bool)
     pruned = regions._vertex_prune(sys)

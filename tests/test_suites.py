@@ -3,13 +3,15 @@ report plumbing.  Full-strength runs happen in the acceptance tests;
 here the randomized suites run with small trial counts."""
 
 import json
+import math
 
 import pytest
 
 import numpy as np
 
+import confbc.gaussian_bounds as gb
 from confbc.errors import ConfbcError
-from confbc.suites import _finite_json, run_suite, suite_names
+from confbc.suites import _finite_json, _gap_channels, run_suite, suite_names
 
 
 EXPECTED = {
@@ -83,6 +85,39 @@ def test_small_runs_of_randomized_suites():
     assert run_suite("alpha-star", seed=1, trials=6, n_alpha=5).passed
     assert run_suite("fm-equivalence", seed=1, trials=8, n_dirs=6).passed
     assert run_suite("gauss-gaps", seed=1, trials=25).passed
+
+
+def _tightened_claims():
+    """_GAP_PAIRS with the two-sided half bit claimed as 0 bits, so
+    certificates fail, and the one-sided one as +inf bits."""
+    (n0, i0, _, p0), (n1, i1, _, p1), rest = gb._GAP_PAIRS
+    return ((n0, i0, lambda ch: 0.0, p0), (n1, i1, lambda ch: math.inf, p1), rest)
+
+
+@pytest.mark.parametrize("claims", ["published", "tightened"])
+@pytest.mark.parametrize("seed", range(4))
+def test_gauss_gaps_verdicts_equal_the_certificates(seed, claims, monkeypatch):
+    # the suite reads the gap table with numpy, gap_certificates builds
+    # dicts from it: the least slack of each section and the failure
+    # count must be the same floats and count either way
+    if claims == "tightened":
+        monkeypatch.setattr(gb, "_GAP_PAIRS", _tightened_claims())
+    trials, step = 30, 0.05
+    checks = {c["name"]: c for c in
+              run_suite("gauss-gaps", seed=seed, trials=trials, beta_step=step).checks}
+    certs = gb.gap_certificates(_gap_channels(np.random.default_rng(seed), trials),
+                                beta_step=step)
+    want = {}
+    for cert in certs:
+        for sec in cert["sections"]:
+            want[sec["name"]] = min(want.get(sec["name"], math.inf),
+                                    min(q["slack_bits"] for q in sec["pairs"]))
+    failures = sum(not cert["pass"] for cert in certs)
+    assert checks["all-certificates-pass"]["failures"] == failures
+    assert (failures > 0) == (claims == "tightened")
+    assert {name[len("slack-"):]: c["min_slack_bits"] for name, c in checks.items()
+            if name.startswith("slack-")} == want
+    assert len(want) == 3
 
 
 def test_one_sided_exact_region_suite():
