@@ -1,27 +1,27 @@
-"""Simplex grids, their sorted (symmetry-reduced) form, and the
+"""Simplex grids, their sorted (one point per orbit) form, and the
 evaluation budget for the parameter sweeps.
 
 A grid with step 1/n over `parts` parts of `cells` cells each is the set
 of probability vectors of parts * cells entries that are integer
 multiples of 1/n, i.e. the compositions of n into parts * cells
-entries.  Its *sorted* form keeps the points whose part sums are
-non-increasing, m_1 >= m_2 >= ... >= m_parts >= 0: one representative
-(or more) of every orbit under permutations of the parts.
-
-sorted_grid_chunks emits these points as integer counts in one fixed
-order, so sweeps are reproducible run to run:
-
-  * the partitions (m_1, ..., m_parts) of n, first part descending,
-    then the rest in the same order recursively, from (n, 0, ..., 0);
-  * within one partition, the product of the compositions of each m_i
-    over the cells, part 1 slowest, each in lexicographic order.
-
-One part is the plain simplex grid: the compositions of n into `cells`
-entries in lexicographic order, which is what simplex_grid returns
-(divided by n).
+entries.  Its *sorted* form keeps the one point of each orbit under
+permutations of the parts whose parts are ordered by sum m, descending,
+then by index in the lexicographic list of the L_m compositions of m;
+the order is total, so that point is unique.  sorted_grid_blocks emits
+them in one fixed order, so sweeps are reproducible run to run: the
+partitions m_1 >= ... >= m_parts >= 0 of n, first part descending, then
+the rest in the same order recursively, from (n, 0, ..., 0); within one,
+the product of its runs of r equal parts m, the first slowest, each the
+non-decreasing r-tuples of indices into m's list in lexicographic order.
+Every part is gathered from its list (counts, or the lattice codes
+dm_bounds makes of it), so no point is unranked.  One part is the plain
+simplex grid in lexicographic order: simplex_grid, divided by n.
 """
 
+import functools
 import math
+from collections import Counter
+from itertools import accumulate, chain, combinations, combinations_with_replacement, islice
 
 import numpy as np
 
@@ -33,19 +33,13 @@ _SWEEP_CHUNK = 65536    # grid points per block of a bound sweep
 
 def sorted_grid_size(parts, cells, step):
     """Number of points of the sorted grid: the sum over the partitions
-    of n of the product of C(m_i + cells - 1, cells - 1).  One part
-    gives C(n + cells - 1, cells - 1).  The cost is one term per
-    partition of n into `parts` parts."""
+    of n of the product over each run of r equal parts m of
+    C(L_m + r - 1, r), L_m = C(m + cells - 1, cells - 1).  One part gives
+    L_n.  The cost is one term per partition of n into `parts` parts."""
     n = _units(step)
-    return sum(math.prod(math.comb(m + cells - 1, cells - 1) for m in p)
+    return sum(math.prod(math.comb(math.comb(m + cells - 1, cells - 1) + r - 1, r)
+                         for m, r in Counter(p).items())
                for p in _partitions(n, parts, n))
-
-
-def _budgeted_chunks(parts, cells, step):
-    """(size, sorted_grid_chunks in _SWEEP_CHUNK blocks) after the budget
-    check of _fit_budget."""
-    size = _fit_budget(_units(step), lambda m: _count(parts, cells, m))
-    return size, sorted_grid_chunks(parts, cells, step)
 
 
 def _fit_budget(n, count):
@@ -87,11 +81,10 @@ def _count_text(size, exact):
 
 def _count(parts, cells, n):
     """(size, exact) of the sorted grid at step 1/n, without walking the
-    partitions of a grid that is far over the budget.  Relabelling the
-    parts moves a point inside an orbit of at most parts! points, and
-    the sorted grid holds at least one point of every orbit, so its size
-    is at least the full grid's over parts!.  When that floor is over
-    parts! budgets it is returned instead of the size."""
+    partitions of a grid that is far over the budget.  An orbit holds at
+    most parts! points and the sorted grid one of each, so its size is
+    at least the full grid's over parts!.  When that floor is over parts!
+    budgets it is returned instead of the size."""
     floor = -(-math.comb(n + parts * cells - 1, parts * cells - 1)
               // math.factorial(parts))
     if parts > 1 and floor > math.factorial(parts) * EVAL_BUDGET:
@@ -99,73 +92,80 @@ def _count(parts, cells, n):
     return sorted_grid_size(parts, cells, 1.0 / n), True
 
 
-def sorted_grid_chunks(parts, cells, step, chunk=_SWEEP_CHUNK):
-    """Yield (rows, parts * cells) int64 count blocks covering the
-    sorted grid in the module's order; every row sums to n.  Blocks
-    hold `chunk` rows, the last one fewer."""
+def sorted_grid_blocks(parts, cells, step, emit=lambda c: c, chunk=_SWEEP_CHUNK):
+    """Yield (parts, w, points) blocks of the sorted grid in the module's
+    order, `chunk` points each, the last one fewer: [i, :, j] is part i of
+    point j, a row of emit(c) for the (L, cells) int64 composition list c
+    it is gathered from (by default the counts, w = cells).  Buffers are
+    whole chunks: their freed size moves glibc's mmap threshold for later
+    pricing."""
     n = _units(step)
-    if math.comb(n + cells - 1, cells - 1) > np.iinfo(np.int64).max:
-        raise GridTooLargeError("a grid part has too many points to enumerate")
-    # table[r, s] = C(s + r - 1, r - 1), the compositions of s into r cells
-    table = np.zeros((cells + 1, n + 1), dtype=np.int64)
-    table[1] = 1
-    for r in range(2, cells + 1):
-        table[r] = np.cumsum(table[r - 1])
-    width = parts * cells
-    block, pos = np.empty((chunk, width), dtype=np.int64), 0
-    for part in _partitions(n, parts, n):
-        sizes = [int(table[cells, m]) for m in part]
-        total, done = math.prod(sizes), 0
-        while done < total:
-            take = min(chunk - pos, total - done)
-            digits = np.unravel_index(np.arange(done, done + take), sizes)
-            for i, (m, rank) in enumerate(zip(part, digits)):
-                block[pos:pos + take, i * cells:(i + 1) * cells] = \
-                    _unrank(rank, m, cells, table)
+    if parts == 1:      # the one list is the grid: read it in pieces
+        pieces = (emit(c).T[None] for c in _compositions(n, cells, chunk))
+    else:
+        lists = {m: emit(np.vstack([*_compositions(m, cells, chunk)])) for m in range(n + 1)}
+
+        @functools.lru_cache(maxsize=None)
+        def run(m, r):      # (r, w, N_run): the non-decreasing r-tuples of m's list
+            every = combinations_with_replacement(range(len(lists[m])), r)
+            at = np.fromiter(chain.from_iterable(every), np.intp).reshape(-1, r)
+            return np.ascontiguousarray(lists[m][at].transpose(1, 2, 0))
+
+        pieces = (piece for p in _partitions(n, parts, n)
+                  for piece in _pieces([run(m, r) for m, r in Counter(p).items()], chunk))
+    block, pos = None, chunk
+    for piece in pieces:
+        while piece.shape[-1]:
+            if pos == chunk:
+                block, pos = np.empty(piece.shape[:2] + (chunk,), piece.dtype), 0
+            take = min(chunk - pos, piece.shape[-1])
+            block[..., pos:pos + take], piece = piece[..., :take], piece[..., take:]
             pos += take
-            done += take
             if pos == chunk:
                 yield block
-                block, pos = np.empty((chunk, width), dtype=np.int64), 0
-    if pos:
-        yield block[:pos]
+    if 0 < pos < chunk:
+        yield block[..., :pos]
+
+
+def _compositions(m, cells, chunk):
+    """The compositions of m over the cells, lexicographic, in (<= chunk,
+    cells) int64 pieces: the gaps between cells - 1 bars in m + cells - 1 slots."""
+    bars = combinations(range(m + cells - 1), cells - 1)
+    for lo in range(0, math.comb(m + cells - 1, cells - 1), chunk):
+        take = min(chunk, math.comb(m + cells - 1, cells - 1) - lo)
+        at = np.fromiter(chain.from_iterable(islice(bars, take)), np.int64,
+                         take * (cells - 1)).reshape(take, cells - 1)
+        yield np.diff(at, axis=1, prepend=-1, append=m + cells - 1) - 1
+
+
+def _pieces(runs, chunk):
+    """The product of the runs ((r, w, N_run) each, the first slowest) in
+    pieces of max(chunk, rest) points at most, each run on its own axis."""
+    step = max(1, chunk // math.prod(p.shape[-1] for p in runs[1:]))
+    for i in range(0, runs[0].shape[-1], step):
+        now = [runs[0][..., i:i + step]] + runs[1:]
+        shape = tuple(p.shape[-1] for p in now)
+        out = np.empty((sum(len(p) for p in now), now[0].shape[1]) + shape, now[0].dtype)
+        at = (0, *accumulate(map(len, now)))
+        for a, p in enumerate(now):
+            out[at[a]:at[a + 1]] = p.reshape(p.shape[:2] + (1,) * a + shape[a:a + 1]
+                                             + (1,) * (len(shape) - a - 1))
+        yield out.reshape(out.shape[:2] + (-1,))
 
 
 def _partitions(n, parts, top):
     """Non-increasing `parts`-tuples of parts <= top summing to n, the
     first part descending."""
     if parts == 1:
-        if n <= top:
-            yield (n,)
-        return
-    for m in range(min(n, top), -(-n // parts) - 1, -1):
-        for rest in _partitions(n - m, parts - 1, m):
-            yield (m,) + rest
-
-
-def _unrank(rank, total, cells, table):
-    """Rows of the compositions of `total` into `cells` entries with the
-    given lexicographic ranks.  Those whose first entry is below f number
-    table[r, t] - table[r, t - f] (r cells, sum t), so the first entry
-    leaves the smallest s with table[r, s] >= table[r, t] - rank to the
-    cells after it."""
-    out = np.empty((rank.size, cells), dtype=np.int64)
-    t = total
-    for j in range(cells - 1):
-        below = table[cells - j]
-        after = below[t] - rank
-        s = np.searchsorted(below, after)
-        out[:, j] = t - s
-        rank = below[s] - after
-        t = s
-    out[:, -1] = t
-    return out
+        return iter([(n,)] if n <= top else [])
+    return ((m,) + rest for m in range(min(n, top), -(-n // parts) - 1, -1)
+            for rest in _partitions(n - m, parts - 1, m))
 
 
 def simplex_grid(cells, step):
     """The whole plain simplex grid at step 1/n as one float array,
-    rows exact multiples of 1/n; sweeps walk sorted_grid_chunks."""
-    counts = np.concatenate(list(sorted_grid_chunks(1, cells, step)), axis=0)
+    rows exact multiples of 1/n; sweeps walk sorted_grid_blocks."""
+    counts = np.concatenate(list(_compositions(_units(step), cells, _SWEEP_CHUNK)))
     return counts / float(_units(step))
 
 

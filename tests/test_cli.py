@@ -74,6 +74,17 @@ def test_region_csv_and_json(g_channel, tmp_path, capsys):
         float(r[3])
 
 
+def test_region_json_counts_the_points_swept(dm_channel, capsys):
+    # a dm sweep reports the exact point count its budget check took:
+    # one P(v, x) per relabelling of V, one P(u, v, x) per one of U
+    for bound, step, points in (("t4", "0.1", 1_100), ("outer", repr(1 / 3), 528)):
+        assert main(["region", "--channel", dm_channel, "--bound", bound,
+                     "--grid", step, "--dirs", "9", "--json"]) == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert meta["points"] == points == gridding.sorted_grid_size(
+            4, 2 * (4 if bound == "outer" else 1), float(step))
+
+
 def test_region_r2_slice_and_svg(g_channel, tmp_path):
     svg = tmp_path / "region.svg"
     rc = main(["region", "--channel", g_channel, "--bound", "outer",
@@ -245,13 +256,24 @@ def test_cards_below_one_are_exit_1(dm_channel, capsys):
 
 
 def test_region_budget_names_a_step_that_fits(dm_channel, capsys):
-    # t4 at step 0.01 over sorted P(v) with |V| = 4 and binary X is
-    # 1,200,487,746 points; 1/68 is the finest step within the 1e8 budget
+    # t4 at step 0.01, one P(v, x) per relabelling of V with |V| = 4 and
+    # binary X, is 1,092,839,609 points; 1/69 is the finest step within
+    # the 1e8 budget
     assert main(["region", "--channel", dm_channel, "--bound", "t4",
                  "--grid", "0.01"]) == 4
     err = capsys.readouterr().err
-    assert "1200487746 evaluations" in err
-    assert "1/68 = %r (95457983 points)" % (1 / 68) in err
+    assert "1092839609 evaluations" in err
+    assert "1/69 = %r (92171324 points)" % (1 / 69) in err
+
+
+def test_region_two_auxiliary_budget_names_a_step_that_fits(dm_channel, capsys):
+    # outer's P(u, v, x), one per relabelling of U with |U| = |V| = 4 and
+    # binary X, is 185,012,488 points at 1/11 and 49,148,220 at 1/10
+    assert main(["region", "--channel", dm_channel, "--bound", "outer",
+                 "--grid", repr(1 / 11)]) == 4
+    err = capsys.readouterr().err
+    assert "185012488 evaluations" in err
+    assert "1/10 = %r (49148220 points)" % (1 / 10) in err
 
 
 def test_region_gaussian_budget_is_exit_4(g_channel, capsys, monkeypatch):

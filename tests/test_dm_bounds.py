@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from confbc.channels import DmBroadcastChannel, GaussianBc, example_channel
 from confbc.errors import GridTooLargeError, InapplicableBoundError
-from confbc.gridding import (EVAL_BUDGET, simplex_grid, sorted_grid_chunks,
+from confbc.gridding import (EVAL_BUDGET, simplex_grid, sorted_grid_blocks,
                              sorted_grid_size)
 from confbc.info_core import (JointPmf, binary_entropy, compose_joint, entropy,
                               mutual_information, xlog2x)
@@ -236,10 +236,9 @@ def test_sorted_grid_envelope_equals_full_grid(name, chan):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         env = bound.envelope(ch, step, dirs, **cards)
-        n = round(1 / step)
-        for c in sorted_grid_chunks(1, int(np.prod(shape)) * ch.x_card, step,
-                                    chunk=20_000):
-            g = c.reshape(-1, *shape, ch.x_card) / float(n)
+        full = simplex_grid(int(np.prod(shape)) * ch.x_card, step)
+        for lo in range(0, len(full), 20_000):
+            g = full[lo:lo + 20_000].reshape(-1, *shape, ch.x_card)
             rows = bound.rows(bound.terms(ch, g), ch)
             want = np.maximum(want, batch_support(bound.coeffs, rows, dirs,
                                                   reduce_max=True))
@@ -708,31 +707,33 @@ def _outer_rows_oracle(ch, puvx):
        nv=st.integers(1, 4), n=st.integers(1, 7))
 @settings(max_examples=40, deadline=None)
 def test_lattice_terms_match_joint_pmf(seed, cards, nu, nv, n):
-    # count blocks of the sorted grids, priced from the lattice table, at
-    # the finest step up to 1/n whose grid has at most 3,000 points
+    # the sorted grids' points as lattice codes, priced from the lattice
+    # table, at the finest step up to 1/n whose grid has at most 3,000
+    # points
     rng = np.random.default_rng(seed)
     ch = _random_dm(rng, *cards)
     nx = cards[0]
 
-    def blocks(parts, cells):
+    def blocks(parts, letters):
         m = max(m for m in range(1, n + 1)
-                if sorted_grid_size(parts, cells, 1 / m) <= 3000)
-        return m, sorted_grid_chunks(parts, cells, 1 / m, chunk=701)
+                if sorted_grid_size(parts, letters * nx, 1 / m) <= 3000)
+        for counts in sorted_grid_blocks(parts, letters * nx, 1 / m, chunk=701):
+            counts = counts.reshape(parts, letters, nx, -1)
+            codes = np.tensordot((m + 1) ** np.arange(nx), counts, axes=(0, 2))
+            yield (np.moveaxis(counts, -1, 0) / m,
+                   dmb._Codes(codes.astype(np.int32), m))
 
     dmb._lattice_table.cache_clear()
-    m, chunks = blocks(nv, nx)
-    for chunk in chunks:
-        got = dmb._t4_mi_batch(ch, dmb._Counts(chunk.reshape(-1, nv, nx), m))
-        for i in rng.choice(chunk.shape[0], min(2, chunk.shape[0]), replace=False):
-            for k, v in _t4_terms_oracle(ch, chunk[i].reshape(nv, nx) / m).items():
+    for points, codes in blocks(nv, 1):
+        got = dmb._t4_mi_batch(ch, dmb._Codes(codes.codes[:, 0], codes.n))
+        for i in rng.choice(len(points), min(2, len(points)), replace=False):
+            for k, v in _t4_terms_oracle(ch, points[i, :, 0]).items():
                 assert got[k][i] == pytest.approx(v, abs=1e-12), k
     outer = dmb.BOUNDS["outer"]
-    m, chunks = blocks(nu, nv * nx)
-    for chunk in chunks:
-        block = chunk.reshape(-1, nu, nv, nx)
-        got = outer.rows(outer.terms(ch, dmb._Counts(block, m)), ch)
-        for i in rng.choice(chunk.shape[0], min(2, chunk.shape[0]), replace=False):
-            assert np.allclose(got[i], _outer_rows_oracle(ch, block[i] / m),
+    for points, codes in blocks(nu, nv):
+        got = outer.rows(outer.terms(ch, codes), ch)
+        for i in rng.choice(len(points), min(2, len(points)), replace=False):
+            assert np.allclose(got[i], _outer_rows_oracle(ch, points[i]),
                                rtol=0.0, atol=1e-12)
 
 
@@ -742,7 +743,7 @@ def test_lattice_rank_is_one_to_one(nx, n):
     # into |X| + 1 cells less the last, take C(n + |X|, |X|) distinct
     # codes inside the lattice table, and the table decodes each code
     # back to its row
-    rows = np.concatenate(list(sorted_grid_chunks(1, nx + 1, 1 / n)))[:, :nx]
+    rows = np.concatenate([b[0].T for b in sorted_grid_blocks(1, nx + 1, 1 / n)])[:, :nx]
     assert rows.shape[0] == math.comb(n + nx, nx)
     code = rows @ (n + 1) ** np.arange(nx)
     assert np.unique(code).size == rows.shape[0]
@@ -780,7 +781,7 @@ def test_lattice_code_is_one_to_one_additive_and_priced(seed, nx, n):
 
 def test_t4_sweep_prices_the_lattice_not_the_grid(monkeypatch):
     # the xlog2x cells of a sweep are the lattice table's: the same at
-    # |V| = 2 and 3, and far below the 60,737 points of the |V| = 3 grid
+    # |V| = 2 and 3, and far below the 54,857 points of the |V| = 3 grid
     cells = []
 
     def counted(p):
@@ -795,8 +796,8 @@ def test_t4_sweep_prices_the_lattice_not_the_grid(monkeypatch):
         dmb.BOUNDS["t4"].envelope(_ex1(), 1 / 30, v_card=v)
         per_card[v] = sum(cells)
     width = 1 + 2 + 2 + 4            # a row's mass, then its Y1, Y2, Y1Y2 marginals
-    assert sorted_grid_size(3, 2, 1 / 30) == 60_737
-    assert 0 < per_card[2] == per_card[3] <= width * (31 ** 2 + 2) < 60_737
+    assert sorted_grid_size(3, 2, 1 / 30) == 54_857
+    assert 0 < per_card[2] == per_card[3] <= width * (31 ** 2 + 2) < 54_857
 
 
 def _table_rows(monkeypatch):
@@ -836,7 +837,7 @@ def test_one_letter_aux_prices_its_own_rows(monkeypatch):
     n = max(m for m in range(1, 2000) if math.comb(m + 3, 3) <= EVAL_BUDGET)
     blocks, _ = t4.space.blocks(ch, 1 / n, {"v_card": 1})
     block = next(blocks)
-    assert not isinstance(block, dmb._Counts)
+    assert not isinstance(block, dmb._Codes)
     terms = t4.terms(ch, block)
     assert terms["x_j"].shape == (block.shape[0],)
     assert built == []
