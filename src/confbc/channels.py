@@ -153,17 +153,10 @@ def is_semi_deterministic(ch, tol=1e-12):
     channel probability.  Returns (flag, f) with f[x, y1] = that y2
     (zero-filled on impossible pairs), or (False, None).
     """
-    t = ch.transition
-    f = np.zeros((ch.x_card, ch.y1_card), dtype=np.int64)
-    for x in range(ch.x_card):
-        for y1 in range(ch.y1_card):
-            row = t[x, y1]
-            live = np.nonzero(row > tol)[0]
-            if live.size > 1:
-                return False, None
-            if live.size == 1:
-                f[x, y1] = live[0]
-    return True, f
+    live = ch.transition > tol
+    if np.any(live.sum(axis=2) > 1):
+        return False, None
+    return True, live.argmax(axis=2).astype(np.int64)
 
 
 def more_capable_evidence(ch, grid_step=0.05):

@@ -95,12 +95,11 @@ from functools import partial
 import numpy as np
 
 from .channels import is_semi_deterministic, more_capable_evidence
-from .errors import InapplicableBoundError
 from .gridding import _SWEEP_CHUNK, _count, _fit_budget, _units, sorted_grid_blocks
 from .info_core import (MASS_TOL, MAX_CELLS, NEG_TOL, OUTPUTS, ROWS, JointPmf,
                         _check_mass, _check_rows, _price_rows, mutual_information,
                         xlog2x)
-from .regions import Bound, ConstraintPolytope, LinearSystem
+from .regions import Bound, Check, ConstraintPolytope, LinearSystem
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +640,8 @@ def _outer_rows(h, ch):
     ], axis=-1)
 
 
-def _require_semi_det(ch, who):
-    if not is_semi_deterministic(ch)[0]:
-        raise InapplicableBoundError(
-            "%s needs Y2 to be a function of (X, Y1) for this channel" % who)
+_SEMI_DET = Check(lambda ch: is_semi_deterministic(ch)[0],
+                  "%s needs Y2 to be a function of (X, Y1) for this channel")
 
 
 def _t4_mi_batch(ch, pvx):
@@ -729,12 +726,12 @@ BOUNDS = {b.name: b for b in (
     Bound("inner2", _RATE_VARS, _INNER_COEFFS, _PVX, _inner_rows(2), 0.1,
           terms=_t4_mi_batch, meta=lambda ch: {"family": 2}),
     Bound("t4", ("R0", "R1"), _T4_COEFFS, _PVX, _t4_rows(True), 0.02,
-          terms=_t4_mi_batch, checks=(_require_semi_det,), meta=_t4_meta(True)),
+          terms=_t4_mi_batch, checks=(_SEMI_DET,), meta=_t4_meta(True)),
     Bound("cutset-fig3", ("R0", "R1"), _T4_COEFFS[:-1], _PVX, _t4_rows(False),
-          0.02, terms=_t4_mi_batch, checks=(_require_semi_det,),
+          0.02, terms=_t4_mi_batch, checks=(_SEMI_DET,),
           meta=_t4_meta(False)),
     Bound("t5", _RATE_VARS, _T5_COEFFS, _PVX, _t5_rows, 0.05,
-          terms=_t4_mi_batch, checks=(_require_semi_det,), warn=_warn_theorem5),
+          terms=_t4_mi_batch, checks=(_SEMI_DET,), warn=_warn_theorem5),
 )}
 
 

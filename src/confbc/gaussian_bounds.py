@@ -21,16 +21,17 @@ output goes absent (rhs = +inf) rather than pretending the genie sees
 noise.
 """
 
+import functools
 import math
 from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
 
-from .channels import GaussianBc, kappa
+from .channels import kappa
 from .errors import InapplicableBoundError
 from .gridding import _fit_budget, _units
-from .regions import Bound
+from .regions import Bound, Check
 
 _RATE3 = ("R0", "R1", "R2")
 _RATE2 = ("R0", "R1")
@@ -48,15 +49,9 @@ def _residual(snr_slope, power, frac):
     return psi((1.0 - frac) * g / (frac * g + 1.0))
 
 
-def _require_ordered(ch, who):
-    if abs(ch.a) < abs(ch.b):
-        raise InapplicableBoundError(
-            "%s assumes |a| >= |b|; swap the receiver labels and retry" % who)
-
-
-def _require_no_forward_link(ch, who):
-    if ch.c12 != 0.0:
-        raise InapplicableBoundError("%s needs c12 = 0" % who)
+_ORDERED = Check(lambda ch: np.abs(ch.a) >= np.abs(ch.b),
+                 "%s assumes |a| >= |b|; swap the receiver labels and retry")
+_NO_FORWARD_LINK = Check(lambda ch: ch.c12 == 0.0, "%s needs c12 = 0")
 
 
 def _stack_rows(*rows):
@@ -78,9 +73,9 @@ def _kappa_psi(k, frac, power):
 
 class _Splits:
     """Every combination of ticks 0, 1/n, ..., 1 of the named splits, as
-    (N, len(names)) blocks.  weak_at_zero: when |a| < |b| the region is
-    its beta = 0 slice, so the grid is that one point.  A single point
-    is one value in [0, 1] per name."""
+    (N, len(names)) blocks; meta["points"] is N.  weak_at_zero: when
+    |a| < |b| the region is its beta = 0 slice, so the grid is that one
+    point.  A single point is one value in [0, 1] per name."""
 
     cards = ()
 
@@ -91,11 +86,11 @@ class _Splits:
 
     def blocks(self, ch, step, cards):
         if self.weak_at_zero and abs(ch.a) < abs(ch.b):
-            return [np.zeros((1, 1))], {}
+            return [np.zeros((1, 1))], {"points": 1}
         k = len(self.names)
-        _fit_budget(_units(step), lambda m: ((m + 1) ** k, True))
+        size = _fit_budget(_units(step), lambda m: ((m + 1) ** k, True))
         grid = np.meshgrid(*[_ticks(step)] * k, indexing="ij")
-        return [np.column_stack([g.ravel() for g in grid])], {}
+        return [np.column_stack([g.ravel() for g in grid])], {"points": size}
 
     def point(self, ch, p):
         p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -154,15 +149,13 @@ def _outer_rows_g(split, ch):
 # exact capacity regions at perfectly correlated noises
 # ---------------------------------------------------------------------------
 
-def _require_separable(ch, who):
-    """The exact results need |lam| = 1 with misaligned gains (so the
-    two outputs together reveal X): they do not cover the aligned
-    (physically degraded) case."""
-    if abs(ch.lam) != 1.0:
-        raise InapplicableBoundError("%s needs |lam| = 1" % who)
-    if abs(ch.b - ch.lam * ch.a) <= 1e-12 * max(1.0, abs(ch.a)):
-        raise InapplicableBoundError(
-            "%s does not apply when b = lam * a (one output degrades the other)" % who)
+# The exact results need |lam| = 1 with misaligned gains (so the two
+# outputs together reveal X): they do not cover the aligned (physically
+# degraded) case.
+_SEPARABLE = (
+    Check(lambda ch: np.abs(ch.lam) == 1.0, "%s needs |lam| = 1"),
+    Check(lambda ch: np.abs(ch.b - ch.lam * ch.a) > 1e-12 * np.maximum(1.0, np.abs(ch.a)),
+          "%s does not apply when b = lam * a (one output degrades the other)"))
 
 
 def _beta_terms(ch, split):
@@ -198,9 +191,7 @@ def _q_slope(ch):
     return 0.5 * (kappa(ch.a, ch.b, ch.lam) + ch.a * ch.a)
 
 
-def _require_partial(ch, who):
-    if abs(ch.lam) >= 1.0:
-        raise InapplicableBoundError("%s needs |lam| < 1" % who)
+_PARTIAL = Check(lambda ch: np.abs(ch.lam) < 1.0, "%s needs |lam| < 1")
 
 
 _T9_COEFFS = np.array([(1, 0), (1, 1), (1, 1), (1, 1), (1, 1)], dtype=float)
@@ -242,17 +233,17 @@ _BETA = _Splits("beta")
 BOUNDS = {b.name: b for b in (
     Bound("outer", _RATE3, _OUTER_COEFFS_G,
           _Splits("alpha", "beta", step_key="param_step"), _outer_rows_g, 0.01,
-          checks=(_require_ordered,)),
+          checks=(_ORDERED,)),
     Bound("t7", _RATE2, _T7_COEFFS, _Splits("beta", weak_at_zero=True),
-          _t7_rows, 1e-3, terms=_beta_terms, checks=(_require_separable,)),
+          _t7_rows, 1e-3, terms=_beta_terms, checks=_SEPARABLE),
     Bound("t8", _RATE3, _T8_COEFFS, _BETA, _t8_rows, 1e-3, terms=_beta_terms,
-          checks=(_require_separable, _require_ordered, _require_no_forward_link)),
+          checks=_SEPARABLE + (_ORDERED, _NO_FORWARD_LINK)),
     Bound("t9", _RATE2, _T9_COEFFS, _BETA, _t9_rows, 1e-3, terms=_beta_terms,
-          checks=(_require_partial, _require_ordered)),
+          checks=(_PARTIAL, _ORDERED)),
     Bound("t10", _RATE3, _T10_COEFFS, _BETA, _t10_rows, 1e-3, terms=_beta_terms,
-          checks=(_require_partial, _require_ordered, _require_no_forward_link)),
+          checks=(_PARTIAL, _ORDERED, _NO_FORWARD_LINK)),
     Bound("df", _RATE3, _DF_COEFFS, _BETA, _df_rows, 1e-2, terms=_beta_terms,
-          checks=(_require_ordered,)),
+          checks=(_ORDERED,)),
 )}
 
 
@@ -368,8 +359,8 @@ def gap_certificates(channels, beta_step=0.01):
     the channel pairs its rows at split beta with BOUNDS["outer"] rows at
     (alpha, beta) = (0, beta): gap = outer - inner, maximized over the
     ticks of beta_step; worst_beta is the first tick attaining it (for a
-    gap constant in beta, where rounding peaks).  The gaps are those of
-    gap_table, which documents how they are priced.
+    gap constant in beta, where rounding peaks).  The gaps, slacks and
+    verdicts are those of gap_table, which documents how they are priced.
 
     Returns one dict per channel, in order: {"channel", "beta_step",
     "sections": [{name, required_bits, pairs: [{inner_row, outer_row,
@@ -383,15 +374,24 @@ def gap_certificates(channels, beta_step=0.01):
     sections = [[] for _ in channels]
     for blk in gap_table(channels, beta_step):
         labels_in, labels_out = labels[blk.name]
-        for i, req, g, w in zip(blk.members.tolist(), blk.required.tolist(),
-                                blk.gaps.tolist(), blk.worst.tolist()):
-            sections[i].append(_section(blk.name, req, zip(labels_in, labels_out, g, w)))
+        for i, req, gaps, worst, slack, ok in zip(
+                blk.members.tolist(), blk.required.tolist(), blk.gaps.tolist(),
+                blk.worst.tolist(), blk.slack.tolist(), blk.passed.tolist()):
+            pairs = [{"inner_row": li, "outer_row": lo, "gap_bits": g, "worst_beta": w,
+                      "required_bits": req, "slack_bits": sl}
+                     for li, lo, g, w, sl in zip(labels_in, labels_out, gaps, worst, slack)]
+            sections[i].append({"name": blk.name, "required_bits": req, "pairs": pairs,
+                                "pass": ok})
     return [{"channel": ch.to_json_dict(), "beta_step": beta_step, "sections": secs,
              "pass": all(s["pass"] for s in secs)}
             for ch, secs in zip(channels, sections)]
 
 
-_GapBlock = namedtuple("_GapBlock", ("name", "members", "required", "gaps", "worst"))
+_GapBlock = namedtuple("_GapBlock", ("name", "members", "required", "gaps", "worst",
+                                     "slack", "passed"))
+
+# the least slack a pair passes with: rounding in the rows, not a gap
+_SLACK_TOL = -1e-9
 
 
 def gap_table(channels, beta_step=0.01):
@@ -405,75 +405,67 @@ def gap_table(channels, beta_step=0.01):
     gaps     -- (M, P) outer - inner row of each of the section's P pairs,
                 maximized over the beta ticks
     worst    -- (M, P) the first tick attaining each maximum
+    slack    -- (M, P) required - gaps, +inf where required is +inf
+    passed   -- (M,) whether every slack of the channel is >= _SLACK_TOL
 
-    Every channel is checked for |a| >= |b| before anything is priced.
-    Rows are priced on the c12 = 0 copy of each channel, which is exact:
-    both rows of every t9 and df pair carry c12 alike, and t10 needs
-    c12 = 0.  The channels are grouped by the sections their copies
-    admit, and each group is priced in blocks of channel x tick rows
-    (_GAP_BLOCK_ROWS, or one channel's ticks if more): the BOUNDS row
-    functions run once per block on a stand-in channel whose fields are
+    The checks read one stand-in of every channel (_channel_stack),
+    elementwise: all must have |a| >= |b| before anything is priced,
+    and a section admits the channels where all its inner bound's
+    Bound.checks hold.  The stand-in has c12 = 0, and so do the rows:
+    that is exact, as both rows of every t9 and df pair carry c12 alike,
+    and t10 needs c12 = 0.  The channels are grouped by the sections
+    they admit, and each group is priced in blocks of channel x tick
+    rows (_GAP_BLOCK_ROWS, or one channel's ticks if more): the BOUNDS
+    row functions run once per block on a stand-in whose fields are
     per-row arrays, so the arithmetic of every row is the one a single
     channel gets, and the gaps are the same values as one channel at a
     time.  Each channel sits in one block, so its sections come in
     _GAP_PAIRS order.
     """
     channels = list(channels)
-    for ch in channels:
-        _require_ordered(ch, "gap_certificate")
-    copies = [GaussianBc(ch.a, ch.b, ch.lam, ch.power, c21=ch.c21) for ch in channels]
+    every = _channel_stack(channels, 1)
+    if not np.all(_ORDERED.holds(every)):
+        raise InapplicableBoundError(_ORDERED.why % "gap_certificate")
+    admitted = np.column_stack([
+        functools.reduce(np.logical_and, [c.holds(every) for c in BOUNDS[inner].checks])
+        for _, inner, _, _ in _GAP_PAIRS])
     groups = {}
-    for i, ch0 in enumerate(copies):
-        groups.setdefault(tuple(_admits(BOUNDS[inner], ch0)
-                                for _, inner, _, _ in _GAP_PAIRS), []).append(i)
+    for i, key in enumerate(map(tuple, admitted.tolist())):
+        groups.setdefault(key, []).append(i)
     betas = _ticks(beta_step)
     per_block = max(1, _GAP_BLOCK_ROWS // betas.size)
     table = []
-    for admitted, group in groups.items():
+    for admits, group in groups.items():
         for lo in range(0, len(group), per_block):
             members = group[lo:lo + per_block]
-            stack = _channel_stack([copies[i] for i in members], betas.size)
+            stack = _channel_stack([channels[i] for i in members], betas.size)
             split = np.tile(betas, len(members))[:, None]
             terms = _beta_terms(stack, split)
             outer = BOUNDS["outer"].rows(np.column_stack([np.zeros_like(split), split]),
                                          stack)
-            for (name, inner, required, pairs), ok in zip(_GAP_PAIRS, admitted):
+            for (name, inner, required, pairs), ok in zip(_GAP_PAIRS, admits):
                 if not ok:
                     continue
                 _, rows_in, _, rows_out = zip(*pairs)
                 gaps = (outer[:, list(rows_out)]
                         - BOUNDS[inner].rows(terms, stack)[:, list(rows_in)]).reshape(
                             len(members), betas.size, len(pairs))
-                table.append(_GapBlock(name, np.array(members),
-                                      np.array([required(channels[i]) for i in members]),
-                                      gaps.max(axis=1), betas[gaps.argmax(axis=1)]))
+                req = np.array([required(channels[i]) for i in members])
+                top = gaps.max(axis=1)
+                unbounded = np.isinf(req)[:, None]
+                slack = np.where(unbounded, math.inf,
+                                 req[:, None] - np.where(unbounded, 0.0, top))
+                table.append(_GapBlock(name, np.array(members), req, top,
+                                       betas[gaps.argmax(axis=1)], slack,
+                                       np.all(slack >= _SLACK_TOL, axis=1)))
     return table
 
 
-def _admits(bound, ch):
-    try:
-        bound.admit(ch, warn=False)
-    except InapplicableBoundError:
-        return False
-    return True
-
-
 def _channel_stack(channels, ticks):
-    """A stand-in channel for the row functions: each field an array
-    holding every channel's value once per tick, channel-major; c12 is
-    0, as on every copy gap_certificates prices."""
+    """A stand-in channel for the checks and the row functions: each
+    field an array holding every channel's value ticks times in a row,
+    channel-major; c12 is 0, as in every row gap_table prices."""
     def field(name):
         return np.repeat([getattr(ch, name) for ch in channels], ticks)
     return SimpleNamespace(a=field("a"), b=field("b"), lam=field("lam"),
                            power=field("power"), c12=0.0, c21=field("c21"))
-
-
-def _section(name, req, pairs):
-    """One certificate section from its (inner label, outer label, gap,
-    worst beta) pairs."""
-    found = [{"inner_row": li, "outer_row": lo, "gap_bits": g, "worst_beta": w,
-              "required_bits": req,
-              "slack_bits": math.inf if math.isinf(req) else req - g}
-             for li, lo, g, w in pairs]
-    return {"name": name, "required_bits": req, "pairs": found,
-            "pass": all(q["slack_bits"] >= -1e-9 for q in found)}

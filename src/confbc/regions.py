@@ -52,10 +52,10 @@ grid once for any number of them.  A swept bound is a union of regions
 on one matrix, whose support is its largest member's, so only maximal
 members need pricing.  Each rhs b is tightened onto its region in
 closed form, t(b)_i the least b_j over the rows a_j >= a_i; then t(b)
-<= t(b') implies that region(b) lies in region(b').  sweep carries a
-superset of the maximal tightened rows across the blocks (_fold,
-_maximal) and prices it once, and a superset is always safe: every
-dropped member lies inside a kept one.
+<= t(b') implies that region(b) lies in region(b').  sweep carries the
+maximal tightened rows across the blocks (_fold, _maximal) and prices
+them once: a superset of the maximal members, which is always safe, as
+every dropped member lies inside a kept one.
 """
 
 import functools
@@ -598,6 +598,13 @@ def envelope_dominates(cover, inner, slack=0.0):
 # bound tables and the one sweep
 # ---------------------------------------------------------------------------
 
+class Check(namedtuple("Check", ("holds", "why"))):
+    """One applicability condition of a Bound: holds(ch), a predicate in
+    numpy operations that is true where the bound covers ch, on one
+    channel or elementwise on a stand-in whose fields are arrays, and
+    why, the InapplicableBoundError message, with one %s for who asks."""
+
+
 class Bound(namedtuple("Bound", ("name", "variables", "coeffs", "space", "rows",
                                  "step", "terms", "checks", "warn", "meta"),
                        defaults=(lambda ch, block: block, (), None,
@@ -615,15 +622,17 @@ class Bound(namedtuple("Bound", ("name", "variables", "coeffs", "space", "rows",
     step   -- the default step
     terms  -- terms(ch, block): a block's information terms, computed
               once per block for all bounds swept together
-    checks -- check(ch, who) raising InapplicableBoundError when the
-              bound does not cover ch
+    checks -- Check records; admit raises the why of the first whose
+              holds(ch) fails, and gaussian_bounds.gap_table reads them
+              elementwise on a stack of channels
     warn   -- warn(ch) for channels the bound may not be tight on
     meta   -- meta(ch): extra envelope meta
     """
 
     def admit(self, ch, warn=True):
         for check in self.checks:
-            check(ch, "bound %r" % self.name)
+            if not check.holds(ch):
+                raise InapplicableBoundError(check.why % ("bound %r" % self.name))
         if warn and self.warn is not None:
             self.warn(ch)
 
@@ -655,9 +664,9 @@ def sweep(entries, step=None, directions=None, **cards):
     for a cap/total pair), so the order finds a superset of the maximal
     regions, which is safe: every dropped region lies inside a kept one.
     Each entry carries the maximal tightened rows of the blocks so far,
-    its frontier, and folds every block into it (_fold, whose passes
-    repeat until one drops nothing, _maximal); the frontier is priced
-    once, at the end, on the distinct rows.
+    its frontier, and folds every block into it (_fold, which keeps the
+    skyline of both, _maximal); the frontier is priced once, at the end,
+    on the distinct rows.
     """
     bound, ch = entries[0]
     for b, c in entries:
@@ -728,24 +737,32 @@ def _tighten(coeffs, rhs):
 
 
 def _maximal(t):
-    """Ascending indices of columns of t, (p, N) tightened rows, that
-    include a column of every maximal value.
+    """Ascending indices of columns of t, (p, N) tightened rows: one
+    column of each maximal value, the skyline.
 
     The pivots are the maximal columns of an evenly strided sample of at
-    most _PIVOT_SAMPLE of the columns kept, ties to the lower index, so
-    no pivot is >= another, and a column goes when some pivot is >= it.
-    A pass that samples every column kept leaves one column of each
-    maximal value and nothing else.  One that samples only some leaves
-    whatever no pivot covers, so passes repeat, each on the columns the
-    last one kept, until a pass drops nothing; a block of tens of
-    thousands of rows (a t4 block) then prices a few, not thousands.
-    The pivots meet the kept columns a group at a time, in (group,
-    column) masks of at most _PRICE_CELLS entries (a single pivot
-    excepted)."""
+    most _PIVOT_SAMPLE of the kept columns never sampled before, ties to
+    the lower index, so no pivot is >= another, and a column goes when
+    some pivot is >= it.  Passes repeat until every kept column has been
+    sampled; a block of tens of thousands of rows (a t4 block) then
+    prices a few, not thousands.  Each kept column was then a pivot, no
+    later pivot is >= it and it is >= no column kept after its pass, so
+    the kept columns are exactly one of each maximal value.  The
+    pivots meet the kept columns a group at a time, in (group, column)
+    masks of at most _PRICE_CELLS entries (a single pivot excepted).
+
+    Two rows need one pass, which thins a large block faster than a
+    sort of it would: a sort finishes on what it keeps, in O(N log N)
+    where N/64 passes over a skyline of N columns make N^2 pivot tests
+    (N = 1,001 in a t8 sweep).  In order of t_0 descending,
+    then t_1 descending, then index, every earlier column has t_0 at
+    least a column's, so it is maximal iff its t_1 tops all of theirs."""
     kept = np.arange(t.shape[1])
-    while True:
-        size = kept.size
-        sample = kept[::max(1, -(-size // _PIVOT_SAMPLE))]
+    fresh = np.ones(t.shape[1], dtype=bool)
+    while np.any(fresh[kept]):
+        unseen = kept[fresh[kept]]
+        sample = unseen[::max(1, -(-unseen.size // _PIVOT_SAMPLE))]
+        fresh[sample] = False
         above = _at_least(t, sample, sample)
         # q beats j when t_q >= t_j and the two differ, or are equal and q < j
         beaten = above & (~above.T | np.triu(np.ones(above.shape, dtype=bool), 1))
@@ -758,8 +775,11 @@ def _maximal(t):
             done += group.size
             # the only pivot that is >= a pivot is that pivot
             kept = kept[is_pivot[kept] | ~np.any(_at_least(t, group, kept), axis=0)]
-        if kept.size == size:
-            return kept
+        if t.shape[0] == 2:
+            order = kept[np.lexsort((-t[1, kept], -t[0, kept]))]
+            tops = np.maximum.accumulate(t[1, order])
+            return np.sort(order[np.r_[True, t[1, order[1:]] > tops[:-1]]])
+    return kept
 
 
 def _at_least(t, top, cols):

@@ -112,6 +112,16 @@ def test_semi_deterministic_detection():
     t = np.full((2, 2, 2), 0.25)
     flag3, f3 = is_semi_deterministic(DmBroadcastChannel(t))
     assert not flag3 and f3 is None
+    # (x, y1) = (0, 1) and (1, 0) never occur, so f is 0 there; elsewhere
+    # f is the one y2 above the tolerance, as int64
+    t = np.zeros((2, 2, 3))
+    t[0, 0] = (1e-13, 0.0, 1.0 - 1e-13)
+    t[1, 1, 1] = 1.0
+    flag, f = is_semi_deterministic(DmBroadcastChannel(t))
+    assert flag and f.dtype == np.int64
+    assert f.tolist() == [[2, 0], [0, 1]]
+    t[1, 1] = (0.0, 0.5, 0.5)
+    assert is_semi_deterministic(DmBroadcastChannel(t)) == (False, None)
 
 
 def test_more_capable_evidence_signs():

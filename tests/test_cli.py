@@ -85,6 +85,20 @@ def test_region_json_counts_the_points_swept(dm_channel, capsys):
             4, 2 * (4 if bound == "outer" else 1), float(step))
 
 
+def test_region_json_counts_the_splits_swept(g_channel, tmp_path, capsys):
+    # a Gaussian sweep reports its split count as well: every (alpha,
+    # beta) pair of the converse, every beta of t7, and t7's one beta = 0
+    # slice when receiver 1 is the weaker one
+    weak = tmp_path / "weak.json"
+    dump_channel(GaussianBc(0.5, 1.0, 1.0, 3.0), weak)
+    for channel, bound, points in ((g_channel, "outer", 25), (g_channel, "t7", 5),
+                                   (str(weak), "t7", 1)):
+        assert main(["region", "--channel", channel, "--bound", bound,
+                     "--grid", "0.25", "--dirs", "9", "--json"]) == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert meta["points"] == points
+
+
 def test_region_r2_slice_and_svg(g_channel, tmp_path):
     svg = tmp_path / "region.svg"
     rc = main(["region", "--channel", g_channel, "--bound", "outer",

@@ -10,6 +10,7 @@
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,12 +321,48 @@ def test_gap_certificates_equal_the_scalar_rows(block_rows, monkeypatch):
 def test_gap_certificates_check_order_before_pricing(monkeypatch):
     def priced(*args):
         raise AssertionError("priced before every channel was checked")
-    monkeypatch.setattr(gb, "_channel_stack", priced)
     monkeypatch.setattr(gb, "_beta_terms", priced)
+    for name, bound in gb.BOUNDS.items():
+        monkeypatch.setitem(gb.BOUNDS, name, bound._replace(rows=priced))
     chs = _mixed_channels()[:4]
     chs.insert(2, GaussianBc(0.5, 1.0, 0.2, 1.0))          # |a| < |b|
     with pytest.raises(InapplicableBoundError, match="gap_certificate"):
         gb.gap_certificates(chs)
+
+
+def test_checks_agree_elementwise_with_admit():
+    # every Gaussian bound's checks, read once on a stand-in whose fields
+    # are arrays over many channels, admit exactly where Bound.admit
+    # does, and the first check failing for a channel carries admit's
+    # message for it
+    chs = _mixed_channels() + [
+        GaussianBc(1.0, 1.0, 1.0, 2.0),              # |lam| = 1, aligned gains
+        GaussianBc(1.5, -1.5, -1.0, 2.0, c21=0.3),   # aligned at lam = -1
+        GaussianBc(1.5, 0.5, -1.0, 2.0, c21=0.3),    # |lam| = 1, misaligned
+        GaussianBc(1.5, 0.5, 1.0, 2.0, c12=0.4),     # misaligned, c12 > 0
+        GaussianBc(1.5, 0.5, 0.5, 2.0, c12=0.4),     # partial, c12 > 0
+        GaussianBc(0.5, 1.5, 0.5, 2.0),              # |a| < |b|
+        GaussianBc(0.5, 1.5, 1.0, 2.0),              # |a| < |b|, misaligned
+        GaussianBc(1.2, -1.2, 0.3, 2.0),             # |a| = |b|
+        GaussianBc(1.2, 1.2, -1.0, 2.0)]             # |a| = |b|, misaligned
+    stand_in = SimpleNamespace(**{f: np.array([getattr(ch, f) for ch in chs])
+                                  for f in ("a", "b", "lam", "power", "c12", "c21")})
+    failed = set()
+    for name, bound in gb.BOUNDS.items():
+        holds = np.array([np.broadcast_to(c.holds(stand_in), len(chs))
+                          for c in bound.checks])
+        for ch, col in zip(chs, holds.T):
+            try:
+                bound.admit(ch, warn=False)
+                got = None
+            except InapplicableBoundError as exc:
+                got = str(exc)
+            first = np.flatnonzero(~col)
+            want = bound.checks[first[0]].why % ("bound %r" % name) if first.size else None
+            assert got == want, (name, ch.to_json_dict())
+            failed.update(c.why for c, ok in zip(bound.checks, col) if not ok)
+    # each check fails on some channel, so none goes untested
+    assert failed == {c.why for b in gb.BOUNDS.values() for c in b.checks}
 
 
 def test_gap_certificate_separable_edge():

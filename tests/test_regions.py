@@ -1357,18 +1357,39 @@ def test_maximal_rows_drop_nested_regions():
     assert regions._maximal(regions._tighten(a, rhs)).tolist() == [1, 3, 5]
 
 
+def _skyline(t):
+    """Brute force: the columns of t that no other column beats, where q
+    beats j when t_q >= t_j and the two differ, or are equal and q < j."""
+    above = np.all(t[:, :, None] >= t[:, None, :], axis=0)
+    beaten = above & (~above.T | np.triu(np.ones(above.shape, dtype=bool), 1))
+    return np.flatnonzero(~beaten.any(axis=0))
+
+
 def test_maximal_passes_repeat_down_to_the_skyline():
     # 2,000 tightened cap/total rows, far more than one pivot sample: one
     # pass leaves rows that no sampled pivot covers, and the passes
-    # repeat until one row of each maximal value stays
+    # repeat (or, with two rows, a sort finishes) until one row of each
+    # maximal value stays; a constant third row keeps the skyline
     rng = np.random.default_rng(7)
     s = rng.integers(0, 60, 2000) / 4.0
-    t = np.vstack([np.minimum(rng.integers(0, 60, 2000) / 4.0, s), s])
-    above = np.all(t[:, :, None] >= t[:, None, :], axis=0)
-    beaten = above & (~above.T | np.triu(np.ones(above.shape, dtype=bool), 1))
-    kept, want = t[:, regions._maximal(t)], t[:, ~beaten.any(axis=0)]
-    assert kept.shape == want.shape
-    assert np.array_equal(kept[:, np.lexsort(kept)], want[:, np.lexsort(want)])
+    t3 = np.vstack([np.minimum(rng.integers(0, 60, 2000) / 4.0, s), s, np.zeros(2000)])
+    for t in (t3[:2], t3):
+        kept, want = t[:, regions._maximal(t)], t[:, _skyline(t)]
+        assert kept.shape == want.shape
+        assert np.array_equal(kept[:, np.lexsort(kept)], want[:, np.lexsort(want)])
+
+
+@pytest.mark.parametrize("rows", [2, 3], ids=["sorted", "passes"])
+def test_maximal_samples_every_column_it_keeps(rows):
+    # 101 anti-diagonal columns (i, 100 - i), all maximal, so a pivot
+    # sample covers nothing of them, and column 101 lies under column 99;
+    # the first sample takes every other column, neither 99 nor 101, and
+    # a pass drops nothing.  Sampling the columns never sampled before
+    # (or a sort, with two rows) reaches the skyline, where stopping
+    # there would keep column 101; a constant third row keeps it
+    t = np.vstack([np.arange(102.0), 100.0 - np.arange(102.0), np.ones(102)])[:rows]
+    t[:2, 101] = (99.0, 0.5)
+    assert regions._maximal(t).tolist() == _skyline(t).tolist() == list(range(101))
 
 
 @pytest.mark.parametrize("kind, name, channel, step", [
