@@ -15,6 +15,7 @@ evaluation budget.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -26,14 +27,20 @@ from . import gaussian_bounds as gb
 from .channels import load_channel
 from .errors import (ChannelFormatError, ConfbcError, GridTooLargeError,
                      InapplicableBoundError)
-from .regions import (RegionEnvelope, default_dirs_2d, default_dirs_3d,
-                      envelope_boundary_2d, write_support_csv)
+from .regions import (CANONICAL_DIRS_2D, CANONICAL_DIRS_3D, LinearSystem,
+                      RegionEnvelope, default_dirs_2d, default_dirs_3d,
+                      envelope_boundary_2d, fm_eliminate, write_support_csv)
 from .suites import _finite_json, run_suite, suite_names
 
 _TABLES = {"dm": dmb.BOUNDS, "gaussian": gb.BOUNDS}
 _BOUND_NAMES = tuple(dict.fromkeys([*dmb.BOUNDS, *gb.BOUNDS]))
 # sweep --metric sumrate-gap: the converse and its inner bound, per kind
 _GAP_BOUNDS = {"dm": ("outer", "inner1"), "gaussian": ("outer", "df")}
+# the documented exit codes, most specific first (JSONDecodeError is a ValueError)
+_EXIT_CODES = ((InapplicableBoundError, 2),
+               ((ChannelFormatError, json.JSONDecodeError), 3),
+               (GridTooLargeError, 4),
+               ((ConfbcError, ValueError, OSError), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +59,9 @@ def _pick_dirs(bound, n, r2_slice):
     if n is not None and n < 1:
         raise ValueError("--dirs must be a positive integer, got %d" % n)
     if len(bound.variables) == 3 and not r2_slice:
-        return default_dirs_3d(n or 512), None
-    dirs2 = default_dirs_2d(n or 181)
-    return (np.column_stack([dirs2, np.zeros(dirs2.shape[0])]) if r2_slice
-            else dirs2), dirs2
+        return default_dirs_3d(n or 512)
+    dirs = default_dirs_2d(n or 181)
+    return np.column_stack([dirs, np.zeros(dirs.shape[0])]) if r2_slice else dirs
 
 
 def _envelope(ch, bound, dirs, args):
@@ -69,10 +75,10 @@ def _cmd_region(args):
         raise InapplicableBoundError("only the R2 = 0 slice is supported")
     bound = _bound(ch, args.bound)
     slicing = args.r2 is not None and len(bound.variables) == 3
-    dirs, dirs2 = _pick_dirs(bound, args.dirs, slicing)
+    dirs = _pick_dirs(bound, args.dirs, slicing)
     env = _envelope(ch, bound, dirs, args)
     if slicing:
-        env = RegionEnvelope(("R0", "R1"), dirs2, env.supports,
+        env = RegionEnvelope(("R0", "R1"), dirs[:, :2], env.supports,
                              meta={**env.meta, "slice": "R2=0"})
     if args.out:
         write_support_csv(env, args.out)
@@ -89,16 +95,12 @@ def _cmd_region(args):
                "meta": env.meta}
         print(json.dumps(_finite_json(doc)))
     elif not args.out and not args.svg:
-        seen = set()
-        for d, s in zip(env.directions, env.supports):
-            if np.all(d == np.round(d)) and d.max() <= 2:   # canonical rows
-                key = tuple(d)
-                if key in seen:          # fans repeat the axis directions
-                    continue
-                seen.add(key)
-                print("support %s = %.9g"
-                      % ("+".join("%g*%s" % (w, v) for w, v
-                                  in zip(d, env.variables) if w), s))
+        # the default fans start with the canonical rows
+        k = len(CANONICAL_DIRS_2D if len(env.variables) == 2 else CANONICAL_DIRS_3D)
+        for d, s in zip(env.directions[:k], env.supports[:k]):
+            print("support %s = %.9g"
+                  % ("+".join("%g*%s" % (w, v) for w, v
+                              in zip(d, env.variables) if w), s))
     return 0
 
 
@@ -170,7 +172,6 @@ def _cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_fm(args):
-    from .regions import LinearSystem, fm_eliminate
     with open(args.system) as fh:
         doc = json.load(fh)
     system = LinearSystem.from_json_dict(doc)
@@ -280,6 +281,7 @@ def _write_svg(curves, path, xlab="R0", ylab="R1"):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="confbc",
@@ -287,19 +289,22 @@ def _build_parser():
                     "with conferencing decoders")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="verb", required=True)
+    # the channel, grid and alphabet sizes region and sweep both take
+    swept = argparse.ArgumentParser(add_help=False)
+    swept.add_argument("--channel", required=True,
+                       help="channel JSON file (or inline JSON)")
+    swept.add_argument("--grid", type=float, default=None,
+                       help="parameter grid step (bound-specific default)")
+    swept.add_argument("--u-card", type=int, default=None)
+    swept.add_argument("--v-card", type=int, default=None)
 
-    r = sub.add_parser("region", help="evaluate a bound's support envelope")
-    r.add_argument("--channel", required=True,
-                   help="channel JSON file (or inline JSON)")
+    r = sub.add_parser("region", parents=[swept],
+                       help="evaluate a bound's support envelope")
     r.add_argument("--bound", required=True, choices=_BOUND_NAMES)
-    r.add_argument("--grid", type=float, default=None,
-                   help="parameter grid step (bound-specific default)")
     r.add_argument("--dirs", type=int, default=None,
                    help="number of swept support directions")
     r.add_argument("--r2", type=float, default=None,
                    help="slice a 3-d region at R2=0 (only 0 is accepted)")
-    r.add_argument("--u-card", type=int, default=None)
-    r.add_argument("--v-card", type=int, default=None)
     r.add_argument("--out", help="write dir/support CSV here")
     r.add_argument("--svg", help="write a boundary SVG here (2-d regions)")
     r.add_argument("--json", action="store_true",
@@ -312,8 +317,8 @@ def _build_parser():
     v.add_argument("--json", help="also write the report as JSON here")
     v.set_defaults(fn=_cmd_verify)
 
-    s = sub.add_parser("sweep", help="vary one parameter, track one metric")
-    s.add_argument("--channel", required=True)
+    s = sub.add_parser("sweep", parents=[swept],
+                       help="vary one parameter, track one metric")
     s.add_argument("--vary", required=True,
                    choices=("lambda", "power", "c12", "c21"))
     s.add_argument("--start", type=float, required=True)
@@ -324,9 +329,6 @@ def _build_parser():
     s.add_argument("--bound", default="outer", choices=_BOUND_NAMES)
     s.add_argument("--dir", default="1,1,1",
                    help="comma direction for dir-support")
-    s.add_argument("--grid", type=float, default=None)
-    s.add_argument("--u-card", type=int, default=None)
-    s.add_argument("--v-card", type=int, default=None)
     s.add_argument("--out", help="write value/metric CSV here")
     s.set_defaults(fn=_cmd_sweep)
 
@@ -353,21 +355,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InapplicableBoundError as exc:
+    except (ConfbcError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ChannelFormatError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except GridTooLargeError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
-    except ConfbcError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return next(code for types, code in _EXIT_CODES
+                    if isinstance(exc, types))
 
 
 if __name__ == "__main__":

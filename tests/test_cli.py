@@ -24,7 +24,8 @@ import confbc.gaussian_bounds as gb
 import confbc.gridding as gridding
 from confbc.channels import GaussianBc, dump_channel, example_channel
 from confbc.cli import _build_parser, main
-from confbc.regions import LinearSystem, support_of_system
+from confbc.regions import (CANONICAL_DIRS_2D, CANONICAL_DIRS_3D, LinearSystem,
+                            default_dirs_2d, default_dirs_3d, support_of_system)
 
 
 @pytest.fixture()
@@ -55,6 +56,44 @@ def test_region_human_output(g_channel, capsys):
     lines = [l for l in out.splitlines() if l.startswith("support")]
     assert len(lines) == 5                     # the canonical 2-d rows
     assert any("1*R0+1*R1" in l for l in lines)
+
+
+@pytest.mark.parametrize("n", [1, 2, 181, 512])
+def test_default_fans_start_with_the_canonical_rows(n):
+    # region's default stdout prints the fan's first rows as the canonical ones
+    assert np.array_equal(default_dirs_2d(n)[:len(CANONICAL_DIRS_2D)], CANONICAL_DIRS_2D)
+    assert np.array_equal(default_dirs_3d(n)[:len(CANONICAL_DIRS_3D)], CANONICAL_DIRS_3D)
+
+
+_OUTER_3D = """\
+support 1*R0 = 0.653677461
+support 1*R1 = 1.5
+support 1*R2 = 0.653677461
+support 1*R0+1*R1 = 1.5
+support 1*R0+1*R2 = 0.653677461
+support 1*R1+1*R2 = 1.75
+support 1*R0+1*R1+1*R2 = 1.75
+support 2*R0+1*R1+1*R2 = 1.96310487
+"""
+_SLICE_2D = """\
+support 1*R0 = 0.653677461
+support 1*R1 = 1.5
+support 1*R0+1*R1 = 1.5
+support 2*R0+1*R1 = 1.96310487
+support 1*R0+2*R1 = 3
+"""
+
+
+@pytest.mark.parametrize("bound, extra, golden", [
+    ("outer", [], _OUTER_3D), ("outer", ["--dirs", "1"], _OUTER_3D),
+    ("outer", ["--r2", "0"], _SLICE_2D), ("outer", ["--r2", "0", "--dirs", "1"], _SLICE_2D),
+    # a one-direction 2-d fan is (1, 0) again, printed once
+    ("t7", ["--dirs", "1"], _SLICE_2D)],
+    ids=["3d", "3d-dirs-1", "r2-slice", "r2-slice-dirs-1", "2d-dirs-1"])
+def test_region_default_stdout_golden(g_channel, capsys, bound, extra, golden):
+    assert main(["region", "--channel", g_channel, "--bound", bound,
+                 "--grid", "0.25"] + extra) == 0
+    assert capsys.readouterr().out == golden
 
 
 def test_region_csv_and_json(g_channel, tmp_path, capsys):
@@ -345,6 +384,21 @@ def test_cards_a_bound_lacks_are_exit_2(dm_channel, g_channel, capsys):
                  "--grid", "0.25", "--v-card", "2"]) == 0
 
 
+def test_parser_is_built_once_and_survives_a_rejected_call(g_channel, capsys):
+    assert _build_parser() is _build_parser()
+    argv = ["region", "--channel", g_channel, "--bound", "t7", "--grid", "0.25"]
+    before = vars(_build_parser().parse_args(argv))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["region", "--channel", g_channel, "--bound", "nope"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert vars(_build_parser().parse_args(argv)) == before
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_region_unknown_bound_argparse(dm_channel):
     with pytest.raises(SystemExit):
         main(["region", "--channel", dm_channel, "--bound", "t99"])
@@ -447,14 +501,18 @@ _FM_ROWS = [{"coeffs": {"R": 1, "B1": 1}, "rhs": 2.0},
     # the coefficients would land in one B1 column and --eliminate take the other
     ({"variables": ["R", "B1", "B1"], "rows": _FM_ROWS}, "['R', 'B1', 'B1']"),
     ({"variables": [1, "B1"], "rows": _FM_ROWS[1:]}, "[1, 'B1']"),
+    # a JSONDecodeError is a ValueError, whose own exit code is 1
+    ("{not json", "line 1 column 2"),
 ], ids=["no-variables", "no-rows", "undeclared-variable", "text-coefficient",
-        "text-rhs", "nan-rhs", "repeated-variable", "non-string-variable"])
+        "text-rhs", "nan-rhs", "repeated-variable", "non-string-variable", "not-json"])
 def test_fm_malformed_system_is_exit_3(tmp_path, capsys, doc, where):
     sys_path = tmp_path / "sys.json"
-    sys_path.write_text(json.dumps(doc))        # NaN goes out as the NaN literal
+    # NaN goes out as the NaN literal
+    sys_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["fm", "--system", str(sys_path), "--eliminate", "B1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert where in captured.err
 
 
