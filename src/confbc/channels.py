@@ -148,24 +148,25 @@ def dump_channel(ch, path):
 # structural probes
 # ---------------------------------------------------------------------------
 
-def is_semi_deterministic(ch, tol=1e-12):
+def is_semi_deterministic(ch):
     """Whether Y2 is a function of (X, Y1) wherever (x, y1) has positive
-    channel probability.  Returns (flag, f) with f[x, y1] = that y2
-    (zero-filled on impossible pairs), or (False, None).
+    channel probability (above 1e-12).  Returns (flag, f) with f[x, y1] =
+    that y2 (zero-filled on impossible pairs), or (False, None).
     """
-    live = ch.transition > tol
+    live = ch.transition > 1e-12
     if np.any(live.sum(axis=2) > 1):
         return False, None
     return True, live.argmax(axis=2).astype(np.int64)
 
 
-def more_capable_evidence(ch, grid_step=0.05):
-    """Sweep input pmfs and report the minimum of I(X;Y1) - I(X;Y2).
+def more_capable_evidence(ch):
+    """Sweep input pmfs at step 0.05 and report the minimum of I(X;Y1) - I(X;Y2).
 
     A nonnegative minimum over a fine grid is (numerical) evidence that
     receiver 1's marginal channel is more capable than receiver 2's.
     Returns {"min_gap", "argmin_px", "grid_step"}.
     """
+    grid_step = 0.05
     px = simplex_grid(ch.x_card, grid_step)
     h = dict(zip(info_core.ROWS, info_core._price_rows(ch.transition, px)))
     gaps = (h["Y1"] - h["Y1|X"]) - (h["Y2"] - h["Y2|X"])

@@ -58,9 +58,10 @@ def _bound(ch, name):
 def _pick_dirs(bound, n, r2_slice):
     if n is not None and n < 1:
         raise ValueError("--dirs must be a positive integer, got %d" % n)
+    count = () if n is None else (n,)
     if len(bound.variables) == 3 and not r2_slice:
-        return default_dirs_3d(n or 512)
-    dirs = default_dirs_2d(n or 181)
+        return default_dirs_3d(*count)
+    dirs = default_dirs_2d(*count)
     return np.column_stack([dirs, np.zeros(dirs.shape[0])]) if r2_slice else dirs
 
 
@@ -86,8 +87,7 @@ def _cmd_region(args):
         if len(env.variables) != 2:
             raise InapplicableBoundError(
                 "SVG wants a 2-d region; pass --r2 0 to slice")
-        _write_svg([(args.bound, envelope_boundary_2d(env))], args.svg,
-                   xlab=env.variables[0], ylab=env.variables[1])
+        _write_svg([(args.bound, envelope_boundary_2d(env))], args.svg)
     if args.json:
         doc = {"bound": args.bound, "channel": ch.to_json_dict(),
                "variables": list(env.variables),
@@ -227,8 +227,8 @@ def _cmd_plot(args):
 _PALETTE = ("#c2410c", "#1d4ed8", "#15803d", "#7e22ce", "#be123c")
 
 
-def _write_svg(curves, path, xlab="R0", ylab="R1"):
-    """Minimal standalone SVG: axes plus one polyline per region."""
+def _write_svg(curves, path):
+    """Minimal standalone SVG: (R0, R1) axes plus one polyline per region."""
     w, h, m = 640.0, 480.0, 60.0
     xmax = ymax = 1e-9
     for _, pts in curves:
@@ -251,11 +251,11 @@ def _write_svg(curves, path, xlab="R0", ylab="R1"):
            % (m, h - m, w - m, h - m),
            '<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="black"/>'
            % (m, m, m, h - m),
-           '<text x="%g" y="%g" text-anchor="middle">%s (bits)</text>'
-           % (w / 2, h - m / 3, xlab),
+           '<text x="%g" y="%g" text-anchor="middle">R0 (bits)</text>'
+           % (w / 2, h - m / 3),
            '<text x="%g" y="%g" text-anchor="middle" '
-           'transform="rotate(-90 %g %g)">%s (bits)</text>'
-           % (m / 3, h / 2, m / 3, h / 2, ylab),
+           'transform="rotate(-90 %g %g)">R1 (bits)</text>'
+           % (m / 3, h / 2, m / 3, h / 2),
            '<text x="%g" y="%g" text-anchor="middle">0</text>'
            % (m, h - m + 16),
            '<text x="%g" y="%g" text-anchor="middle">%.3g</text>'

@@ -151,19 +151,13 @@ def t4_substitution(ch, pvx):
     return AuxFactorization(aux, q1=None, q2=q2)
 
 
-def random_factorization(rng, ch, cards=(2, 2, 2), q2_on_w=False):
-    """Dirichlet(1) draw of a full factorization.  The quantizer
-    alphabets are the channel's output alphabets, |Yh1| = |Y1| and
-    |Yh2| = |Y2|."""
-    nu, nv, nw = cards
-    nx = ch.x_card
-    yh1, yh2 = ch.y1_card, ch.y2_card
-    aux = rng.dirichlet(np.ones(nu * nv * nw * nx)).reshape(nu, nv, nw, nx)
-    q1 = rng.dirichlet(np.ones(yh1), size=(nu, nw, ch.y1_card))
-    if q2_on_w:
-        q2 = rng.dirichlet(np.ones(yh2), size=(nw, ch.y2_card))
-    else:
-        q2 = rng.dirichlet(np.ones(yh2), size=ch.y2_card)
+def random_factorization(rng, ch, q2_on_w=False):
+    """Dirichlet(1) draw of a full factorization with binary U, V and W.
+    The quantizer alphabets are the channel's output alphabets, |Yh1| =
+    |Y1| and |Yh2| = |Y2|."""
+    aux = rng.dirichlet(np.ones(8 * ch.x_card)).reshape(2, 2, 2, ch.x_card)
+    q1 = rng.dirichlet(np.ones(ch.y1_card), size=(2, 2, ch.y1_card))
+    q2 = rng.dirichlet(np.ones(ch.y2_card), size=(2, ch.y2_card) if q2_on_w else ch.y2_card)
     return AuxFactorization(aux, q1=q1, q2=q2, q2_on_w=q2_on_w)
 
 
@@ -433,15 +427,15 @@ def inner2_polytope(ch, f):
 _SPLIT_VARS = ("R0", "R1", "R2", "R10", "R11", "R20", "R22", "B1", "B2")
 
 
-def appendixB_system(ch, f, alpha1, variant="clipped", terms=None):
+def appendixB_system(ch, f, alpha1, terms=None):
     """The family-1 scheme before projection: split rates (private
     parts R11/R22, reassigned parts R10/R20), bin indices B1/B2, the
-    four decoding caps, and the Marton price as a lower bound on
+    four clipped decoding caps, and the Marton price as a lower bound on
     B1+B2.  Eliminating everything but (R0,R1,R2) must land exactly on
     the _INNER_COEFFS region at _inner1_alpha_rhs whenever the bin
     budget m1+m3 covers the common-layer price."""
     t = terms or factorization_terms(ch, f)
-    m1, m2, m3, m4, i0 = _caps1(t, ch.c12, ch.c21, alpha1, variant)
+    m1, m2, m3, m4, i0 = _caps1(t, ch.c12, ch.c21, alpha1, "clipped")
     rows = [
         ({"R1": 1, "R10": -1, "R11": -1}, 0.0),
         ({"R1": -1, "R10": 1, "R11": 1}, 0.0),
@@ -695,7 +689,7 @@ def _t5_rows(m, ch):
 def _warn_theorem5(ch):
     if ch.c12 > 0:
         warnings.warn("one-sided bound: the channel's c12 is ignored")
-    ev = more_capable_evidence(ch, grid_step=0.05)
+    ev = more_capable_evidence(ch)
     if ev["min_gap"] < -1e-9:
         warnings.warn("receiver 1 is not more capable near P(x)=%s "
                       "(gap %.3g); bound may not be the capacity region"

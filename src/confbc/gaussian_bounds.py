@@ -30,7 +30,7 @@ import numpy as np
 
 from .channels import kappa
 from .errors import InapplicableBoundError
-from .gridding import _fit_budget, _units
+from .gridding import _SWEEP_CHUNK, _fit_budget, _units
 from .regions import Bound, Check
 
 _RATE3 = ("R0", "R1", "R2")
@@ -72,8 +72,9 @@ def _kappa_psi(k, frac, power):
 
 
 class _Splits:
-    """Every combination of ticks 0, 1/n, ..., 1 of the named splits, as
-    (N, len(names)) blocks; meta["points"] is N.  weak_at_zero: when
+    """Every combination of ticks 0, 1/n, ..., 1 of the named splits, the
+    last name fastest, in (<= _SWEEP_CHUNK, len(names)) blocks gathered
+    from the ticks; meta["points"] is their count.  weak_at_zero: when
     |a| < |b| the region is its beta = 0 slice, so the grid is that one
     point.  A single point is one value in [0, 1] per name."""
 
@@ -87,10 +88,12 @@ class _Splits:
     def blocks(self, ch, step, cards):
         if self.weak_at_zero and abs(ch.a) < abs(ch.b):
             return [np.zeros((1, 1))], {"points": 1}
-        k = len(self.names)
-        size = _fit_budget(_units(step), lambda m: ((m + 1) ** k, True))
-        grid = np.meshgrid(*[_ticks(step)] * k, indexing="ij")
-        return [np.column_stack([g.ravel() for g in grid])], {"points": size}
+        k, n = len(self.names), _units(step)
+        size = _fit_budget(n, lambda m: ((m + 1) ** k, True))
+        ticks = _ticks(step)        # built only once the budget admits the grid
+        return (ticks[np.column_stack(np.unravel_index(
+                    np.arange(lo, min(lo + _SWEEP_CHUNK, size)), (n + 1,) * k))]
+                for lo in range(0, size, _SWEEP_CHUNK)), {"points": size}
 
     def point(self, ch, p):
         p = np.atleast_1d(np.asarray(p, dtype=float))

@@ -131,9 +131,9 @@ class RegionEnvelope:
         self.supports = supports
         self.meta = dict(meta or {})
 
-    def support_at(self, direction, tol=1e-9):
+    def support_at(self, direction):
         d = np.asarray(direction, dtype=float)
-        hit = np.all(np.abs(self.directions - d) <= tol, axis=1)
+        hit = np.all(np.abs(self.directions - d) <= 1e-9, axis=1)
         idx = np.nonzero(hit)[0]
         if idx.size == 0:
             raise KeyError("direction %s not in envelope" % (tuple(d),))
@@ -1037,13 +1037,13 @@ CANONICAL_DIRS_3D = np.array([
 CANONICAL_DIRS_2D = np.array([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)], dtype=float)
 
 
-def fan_2d(n=181):
+def fan_2d(n):
     """n unit directions sweeping the first quadrant, 0 to 90 degrees."""
     theta = np.linspace(0.0, math.pi / 2.0, n)
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
-def octant_fibonacci(n=512):
+def octant_fibonacci(n):
     """Deterministic well-spread unit directions in the closed positive
     octant (golden-angle azimuth against an even polar ladder)."""
     i = np.arange(n)

@@ -232,17 +232,17 @@ def _suite_alpha_star(seed, trials=100, n_alpha=21):
 # worked binary examples
 # ---------------------------------------------------------------------------
 
-def _suite_dm_example1(seed, grid_step=1e-3):
+def _suite_dm_example1(seed):
     del seed        # fully deterministic
     ch = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.5)
-    dirs = np.array([(1.0, 0.0), (1.0, 1.0)])
+    ch_hot = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.9)
     t4 = dmb.BOUNDS["t4"]
-    env = t4.envelope(ch, grid_step, dirs, v_card=1)
+    # one walk of the P(x) grid at step 1e-3 prices both channels
+    env, env_hot = sweep([(t4, ch), (t4, ch_hot)], 1e-3,
+                         np.array([(1.0, 0.0), (1.0, 1.0)]), v_card=1)
     r0 = env.support_at((1, 0))
     r01 = env.support_at((1, 1))
     want_r01 = 1.0 - binary_entropy(0.2) + 0.5
-    ch_hot = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.9)
-    env_hot = t4.envelope(ch_hot, grid_step, dirs, v_card=1)
     r01_hot = env_hot.support_at((1, 1))
     poly = t4.polytope(ch, np.array([[0.5, 0.5]]))
     rhs = sorted(poly.rhs.tolist())
@@ -261,7 +261,7 @@ def _suite_dm_example1(seed, grid_step=1e-3):
     ]
 
 
-def _suite_dm_fig3(seed, grid_step=0.02, v_card=3):
+def _suite_dm_fig3(seed, grid_step=0.02):
     del seed
     ch = example_channel("dm-ex2", p=0.2, c12=0.0, c21=0.9)
     ch_fwd = DmBroadcastChannel(ch.transition, 0.1, 0.9)
@@ -271,7 +271,7 @@ def _suite_dm_fig3(seed, grid_step=0.02, v_card=3):
     t4 = dmb.BOUNDS["t4"]
     cap, cut, cap_fwd = sweep(
         [(t4, ch), (dmb.BOUNDS["cutset-fig3"], ch), (t4, ch_fwd)],
-        grid_step, dirs, v_card=v_card)
+        grid_step, dirs, v_card=3)
     inside, rep_in = envelope_dominates(cut, cap, slack=1e-9)
     margin = float(((cut.supports - cap.supports) / norms).max())
     grows, rep_gr = envelope_dominates(cap_fwd, cap, slack=1e-9)
@@ -331,16 +331,14 @@ def _suite_relay_largest_rate(seed, trials=20):
 # Gaussian suites
 # ---------------------------------------------------------------------------
 
-def _suite_gauss_t7(seed, beta_step=1e-3, param_step=1e-2,
-                    powers=(0.5, 1.0, 4.0)):
+def _suite_gauss_t7(seed):
     del seed
     ch = GaussianBc(1.0, 0.5, 1.0, 4.0, c12=0.2, c21=0.7)
+    t7, outer = gb.BOUNDS["t7"], gb.BOUNDS["outer"]
     row_dev = 0.0
     for beta in (0.0, 0.25, 0.5, 1.0):
-        t7 = gb.BOUNDS["t7"].polytope(ch, beta)
-        out = gb.BOUNDS["outer"].polytope(ch, (0.0, beta))
-        orhs = out.rhs.tolist()
-        trhs = t7.rhs.tolist()
+        orhs = outer.polytope(ch, (0.0, beta)).rhs.tolist()
+        trhs = t7.polytope(ch, beta).rhs.tolist()
         row_dev = max(row_dev,
                       abs(trhs[0] - orhs[2]),     # common cap
                       abs(trhs[1] - orhs[0]),     # direct sum row at full side split
@@ -350,10 +348,11 @@ def _suite_gauss_t7(seed, beta_step=1e-3, param_step=1e-2,
     dirs2 = default_dirs_2d()
     dirs3 = np.hstack([dirs2, np.zeros((dirs2.shape[0], 1))])
     norms = np.linalg.norm(dirs2, axis=1)
-    for power in powers:
+    # both envelopes at their bound's default step
+    for power in (0.5, 1.0, 4.0):
         chp = GaussianBc(1.0, 0.5, 1.0, power, c12=0.2, c21=0.7)
-        env7 = gb.BOUNDS["t7"].envelope(chp, beta_step, dirs2)
-        env_out = gb.BOUNDS["outer"].envelope(chp, param_step, dirs3)
+        env7 = t7.envelope(chp, directions=dirs2)
+        env_out = outer.envelope(chp, directions=dirs3)
         diff = env7.supports - env_out.supports
         checks.append(_check(
             "exact-region-contains-converse-grid-P%g" % power,
@@ -362,21 +361,21 @@ def _suite_gauss_t7(seed, beta_step=1e-3, param_step=1e-2,
             "converse-grid-reaches-exact-region-P%g" % power,
             float((diff / norms).max()) <= 3e-3,
             max_gap_bits=float((diff / norms).max()),
-            beta_step=beta_step, param_step=param_step))
+            beta_step=t7.step, param_step=outer.step))
     return checks
 
 
-def _suite_gauss_t8(seed, beta_step=1e-2):
+def _suite_gauss_t8(seed):
     del seed
+    beta_step = 1e-2
     ch = GaussianBc(1.0, 0.5, 1.0, 4.0, c12=0.0, c21=0.3)
     dirs = default_dirs_3d()[:72]      # canonical eight + a fibonacci slice
     t8 = gb.BOUNDS["t8"]
     env = t8.envelope(ch, beta_step, dirs)
-    betas = np.linspace(0.0, 1.0, int(round(1 / beta_step)) + 1)
     # primal vertices of every split's region, so the oracle shares no
     # code with batch_support
-    oracle = vertex_supports(t8.coeffs, t8.rows(t8.terms(ch, betas[:, None]), ch),
-                             dirs).max(axis=0)
+    split = gb._ticks(beta_step)[:, None]
+    oracle = vertex_supports(t8.coeffs, t8.rows(t8.terms(ch, split), ch), dirs).max(axis=0)
     dev = float(np.abs(env.supports - oracle).max())
     env_df = gb.BOUNDS["df"].envelope(ch, beta_step, dirs)
     inner_ok, rep_in = envelope_dominates(env, env_df, slack=1e-12)
@@ -422,14 +421,14 @@ def _gap_channels(rng, trials):
     return channels
 
 
-def _suite_gauss_degraded(seed, param_step=1e-2):
+def _suite_gauss_degraded(seed):
     del seed
     checks = []
     for a, b, lam, power, c21 in ((2.0, 1.0, 0.5, 2.0, 0.7),
                                   (1.0, -0.5, -0.5, 1.0, 0.6)):
         ch = GaussianBc(a, b, lam, power, c12=0.0, c21=c21)
-        env_out = gb.BOUNDS["outer"].envelope(ch, param_step, CANONICAL_DIRS_3D)
-        env_df = gb.BOUNDS["df"].envelope(ch, param_step, CANONICAL_DIRS_3D)
+        env_out = gb.BOUNDS["outer"].envelope(ch, directions=CANONICAL_DIRS_3D)
+        env_df = gb.BOUNDS["df"].envelope(ch, directions=CANONICAL_DIRS_3D)
         dev = float(np.abs(env_out.supports - env_df.supports).max())
         checks.append(_check("aligned-noise-converse-meets-decode-forward"
                              "-a%g-b%g" % (a, b), dev <= 1e-6,
@@ -437,21 +436,21 @@ def _suite_gauss_degraded(seed, param_step=1e-2):
     return checks
 
 
-def _suite_gauss_vanishing_power(seed, beta_step=1e-3, param_step=1e-2):
+def _suite_gauss_vanishing_power(seed):
     del seed
     dirs3 = np.array([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0)])
     dirs2 = np.array([(1.0, 0.0), (1.0, 1.0)])
     ch = example_channel("g-mirror", power=1.0, c12=1.0, c21=1.0)
     outer, t7 = gb.BOUNDS["outer"], gb.BOUNDS["t7"]
-    env_out = outer.envelope(ch, param_step, dirs3)
-    env7 = t7.envelope(ch, beta_step, dirs2)
+    env_out = outer.envelope(ch, directions=dirs3)
+    env7 = t7.envelope(ch, directions=dirs2)
     vals = [env_out.support_at((1, 0, 0)), env_out.support_at((1, 1, 0)),
             env7.support_at((1, 0)), env7.support_at((1, 1))]
     dev = max(abs(v - 1.5) for v in vals)
 
     ch_low = example_channel("g-mirror", power=1e-6, c12=1.0, c21=1.0)
-    lo = outer.envelope(ch_low, param_step, dirs3).support_at((1, 0, 0))
-    lo7 = t7.envelope(ch_low, beta_step, dirs2).support_at((1, 0))
+    lo = outer.envelope(ch_low, directions=dirs3).support_at((1, 0, 0))
+    lo7 = t7.envelope(ch_low, directions=dirs2).support_at((1, 0))
     in_range = all(0.999 <= v <= 1.0 + 1e-6 for v in (lo, lo7))
     return [
         _check("unit-power-supports-exact", dev <= 1e-9, max_abs_dev=dev,

@@ -450,7 +450,8 @@ def test_stack_rejects_mixed_layouts():
     rng = np.random.default_rng(0)
     f = dmb.random_factorization(rng, ch)
     mixed = {
-        "aux alphabets": dmb.random_factorization(rng, ch, cards=(2, 3, 2)),
+        "aux alphabets": dmb.AuxFactorization(
+            rng.dirichlet(np.ones(24)).reshape(2, 3, 2, 2), q1=f.q1, q2=f.q2),
         "q2_on_w": dmb.AuxFactorization(f.aux, q1=f.q1,
                                         q2=np.stack([f.q2, f.q2]), q2_on_w=True),
         "q1 shape": dmb.AuxFactorization(f.aux, q2=f.q2),

@@ -91,6 +91,45 @@ def test_split_grid_budget_guard(monkeypatch):
         space.blocks(ch, 0.1, {})
 
 
+def test_split_grid_streams_bounded_blocks():
+    # the (alpha, beta) pairs at step 1/300 come in blocks of at most
+    # _SWEEP_CHUNK rows that concatenate, bit for bit, to the ij meshgrid
+    # of the ticks, so every point keeps its value and its place
+    ch = GaussianBc(1.0, 0.5, 0.3, 4.0, c12=0.2, c21=0.3)
+    blocks, meta = gb.BOUNDS["outer"].space.blocks(ch, 1 / 300, {})
+    blocks = list(blocks)
+    assert len(blocks) > 1
+    assert all(len(b) <= gridding._SWEEP_CHUNK for b in blocks)
+    grid = np.meshgrid(gb._ticks(1 / 300), gb._ticks(1 / 300), indexing="ij")
+    whole = np.column_stack([g.ravel() for g in grid])
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    assert meta == {"points": 301 ** 2}
+
+
+@pytest.mark.parametrize("ch", [GaussianBc(1.0, 0.5, 0.3, 4.0, c12=0.2, c21=0.3),
+                                example_channel("g-mirror", power=1.0, c12=1.0, c21=1.0),
+                                GaussianBc(-2.0, 0.7, -0.6, 20.0, c12=0.5, c21=0.1)])
+def test_split_grid_blocks_keep_the_envelope(ch, monkeypatch):
+    # folding the grid block by block (2 blocks, then 23) prices what one
+    # block of the whole grid prices, to the bit
+    outer = gb.BOUNDS["outer"]
+    streamed = outer.envelope(ch, 1 / 300)
+    for chunk in (4096, 301 ** 2):
+        monkeypatch.setattr(gb, "_SWEEP_CHUNK", chunk)
+        other = outer.envelope(ch, 1 / 300)
+        assert other.supports.tobytes() == streamed.supports.tobytes()
+        assert other.meta == streamed.meta
+
+
+def test_split_grid_at_the_budget_edge_starts_small():
+    # 10^8 pairs at step 1/9999 fit the budget; the first block is one
+    # chunk, not the grid
+    ch = GaussianBc(1.0, 0.5, 0.3, 4.0)
+    blocks, meta = gb.BOUNDS["outer"].space.blocks(ch, 1 / 9999, {})
+    assert meta == {"points": 10 ** 8}
+    assert next(iter(blocks)).shape == (gridding._SWEEP_CHUNK, 2)
+
+
 # ---------------------------------------------------------------------------
 # exact regions at perfectly correlated noises
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 report plumbing.  Full-strength runs happen in the acceptance tests;
 here the randomized suites run with small trial counts."""
 
+import ast
+import importlib.util
+import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,9 @@ import numpy as np
 
 import confbc.gaussian_bounds as gb
 from confbc.errors import ConfbcError
-from confbc.suites import _finite_json, _gap_channels, run_suite, suite_names
+from confbc.suites import _SUITES, _finite_json, _gap_channels, run_suite, suite_names
+
+TESTS = Path(__file__).resolve().parent
 
 
 EXPECTED = {
@@ -39,6 +45,30 @@ def test_unknown_suite_lists_options():
     with pytest.raises(ConfbcError) as exc:
         run_suite("definitely-not-a-suite")
     assert "alpha-star" in str(exc.value)
+
+
+def test_every_suite_setting_is_run():
+    # a suite parameter after seed is a size someone runs at another
+    # value: the benchmark's job list (any workload, either scale) or a
+    # run_suite call of the tests overrides it; a size nobody overrides is
+    # a constant of the suite body
+    spec = importlib.util.spec_from_file_location(
+        "workloads", TESTS.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    run = {(job["suite"], key) for name in workloads.WORKLOADS for scale in workloads.SIZES
+           for job in workloads.job_list(name, workloads.CANONICAL_SEED, scale)[1]
+           if job["kind"] == "suite" for key in job["overrides"]}
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and node.args \
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "run_suite" \
+                    and isinstance(node.args[0], ast.Constant):
+                run |= {(node.args[0].value, kw.arg) for kw in node.keywords}
+    unset = ["%s(%s)" % (name, param) for name, fn in sorted(_SUITES.items())
+             for param in list(inspect.signature(fn).parameters)[1:]
+             if (name, param) not in run]
+    assert not unset, "suite settings no caller overrides: %s" % ", ".join(unset)
 
 
 def test_finite_json_arrays():
