@@ -229,6 +229,7 @@ _PALETTE = ("#c2410c", "#1d4ed8", "#15803d", "#7e22ce", "#be123c")
 
 def _write_svg(curves, path):
     """Minimal standalone SVG: (R0, R1) axes plus one polyline per region."""
+    from xml.sax.saxutils import escape     # here: its urllib imports cost startup
     w, h, m = 640.0, 480.0, 60.0
     xmax = ymax = 1e-9
     for _, pts in curves:
@@ -271,7 +272,7 @@ def _write_svg(curves, path):
                    'stroke-width="1.5"/>' % (coords, color))
         lx, ly = pts[len(pts) // 2]
         out.append('<text x="%g" y="%g" fill="%s">%s</text>'
-                   % (sx(lx) + 6, sy(ly) - 6, color, label))
+                   % (sx(lx) + 6, sy(ly) - 6, color, escape(label)))
     out.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")

@@ -18,9 +18,12 @@ walks one grid for several (bound, channel) entries at once, and
 BOUNDS[name].polytope(ch, point) prices one grid point.
 outer_polytope, theorem4_polytope and theorem5_polytope are thin calls
 into the table, kept as the single-point API the benchmark's primal
-oracle calls.  inner1_polytope and inner2_polytope price full
-factorizations instead and stay the independent oracle for the
-substitution sweeps.
+oracle calls.  Each region's rows are written once: t5's are t4's at
+c12 = 0, and each inner family's (_inner1_rows, _inner2_rows) read the
+terms below, a full factorization's in inner1_polytope/inner2_polytope
+and the t4_substitution plug-in's (_plug_in_terms) in the sweeps.  So
+the polytopes are the independent oracle of the sweeps' terms, not of
+their rows.
 
 A full factorization's rows read 13 mutual informations of its joint
 p(u, v, w, x, y1, y2, yh1, yh2), and factorization_terms prices them for
@@ -60,10 +63,10 @@ Two cooperation orders appear throughout:
   * inner2_*: the mirror order; receiver 2's quantizer may also depend
     on the common layer (q2 = P(yh2|w,y2), split fraction alpha2).
 
-variant="clipped" keeps the {.}^+ on the binning surpluses; "tilde"
-drops it, which never enlarges the region for the optimal split and is
-what the optimality checks use (a clipped row at alpha=0 can otherwise
-poke above the optimized region).
+variant="clipped" keeps the {.}^+ on family 1's binning surpluses;
+"tilde" drops it, which never enlarges the region for the optimal split
+and is what the optimality checks use (a clipped row at alpha=0 can
+otherwise poke above the optimized region); family 2's are "tilde".
 
 The grid sweeps take their information terms from one batch kernel,
 _entropies.  Given X the outputs do not depend on the auxiliaries, so
@@ -91,6 +94,7 @@ import functools
 import warnings
 from collections import namedtuple
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -305,14 +309,10 @@ def _caps1(t, c12, c21, alpha1, variant):
     return m1, m2, m3, m4, t["u_v_w"]
 
 
-def _caps2(t, c12, c21, alpha2, variant):
-    """Mirror bookkeeping for the decode-split-first-at-2 scheme."""
+def _caps2(t, c12, c21, alpha2):
+    """Mirror bookkeeping for the decode-split-first-at-2 scheme, "tilde"."""
     e1 = c12 - t["h1_uy1_vwy2"]
     e2 = alpha2 * c21 - t["h2_y2_uwy1"]
-    if variant == "clipped":
-        e1, e2 = np.maximum(e1, 0.0), np.maximum(e2, 0.0)
-    elif variant != "tilde":
-        raise ValueError("variant must be 'clipped' or 'tilde'")
     df = (1.0 - alpha2) * c21
     n1 = np.minimum(t["uw_y1"] + e2, t["uw_y1h2"]) + df
     n2 = t["vw_y2"]
@@ -341,83 +341,77 @@ def _check_split(alpha, name):
         raise ValueError("%s must lie in [0, 1]" % name)
 
 
-def _inner_polytope(row1, row2, sum1, sum2, i0):
-    """The inner region with these caps (see _inner_rhs)."""
-    return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS,
-                              _inner_rhs(row1, row2, sum1, sum2, i0))
-
-
 # ---------------------------------------------------------------------------
 # inner bounds, family 1  (quantize-bin-forward at receiver 2 first)
 # ---------------------------------------------------------------------------
 
-def _inner1_alpha_rhs(ch, f, alpha1, variant="clipped", terms=None):
+def _inner1_alpha_rhs(ch, terms, alpha1, variant="clipped"):
     """The rhs of the _INNER_COEFFS rows of the achievable (R0,R1,R2)
-    region for one factorization, or a stack of them, and one explicit
-    link split alpha1 in [0,1] (or one per draw).  terms:
-    factorization_terms(ch, f) when the caller already has them."""
+    region for one factorization's terms, or a stack's, and one explicit
+    link split alpha1 in [0,1] (or one per draw)."""
     _check_split(alpha1, "alpha1")
-    t = terms or factorization_terms(ch, f)
-    m1, m2, m3, m4, i0 = _caps1(t, ch.c12, ch.c21, alpha1, variant)
+    m1, m2, m3, m4, i0 = _caps1(terms, ch.c12, ch.c21, alpha1, variant)
     return _inner_rhs(m2, m4, m1, m3, i0)
 
 
-def alpha1_star(ch, f, terms=None):
+def alpha1_star(ch, terms):
     """The link split that dominates every other choice (all of the
     forward link once the quantizer description fits, else all of it
     to quantization).  Zero when there is no forward link at all.
     Elementwise over a stack's terms."""
     if ch.c12 == 0.0:
         return 0.0
-    t = terms or factorization_terms(ch, f)
-    return np.minimum(t["h1_uy1_wy2"] / ch.c12, 1.0)
+    return np.minimum(terms["h1_uy1_wy2"] / ch.c12, 1.0)
 
 
-def inner1_polytope(ch, f):
-    """The family-1 region with the link split already optimized out;
-    right-hand sides are resolved to plain numbers."""
-    t = factorization_terms(ch, f)
+def _inner1_rows(t, ch):
+    """The family-1 rhs with the link split optimized out, resolved to
+    plain numbers: one draw's terms or a stack's."""
     c12, c21 = ch.c12, ch.c21
     row1 = np.minimum(t["uw_y1"] + c21 - t["h2_y2_uwy1"], t["uw_y1h2"])
     row2 = t["vw_y2"] + c12 - t["h1_uy1_vwy2"]
     mid3 = np.minimum(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
     mid4 = np.minimum(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
-    return _inner_polytope(row1, row2, mid3, mid4, t["u_v_w"])
+    return _inner_rhs(row1, row2, mid3, mid4, t["u_v_w"])
+
+
+def inner1_polytope(ch, f):
+    """The family-1 region of one factorization (_inner1_rows)."""
+    return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS,
+                              _inner1_rows(factorization_terms(ch, f), ch))
 
 
 # ---------------------------------------------------------------------------
 # inner bounds, family 2  (decode-and-forward share at receiver 2 first)
 # ---------------------------------------------------------------------------
 
-def _check_family2(f):
-    if any(not d.q2_on_w and d.q2 is not None for d in _draws(f)):
-        raise ValueError("family 2 wants q2 conditioned on (W, Y2)")
-
-
-def _inner2_alpha_rhs(ch, f, alpha2, variant="clipped", terms=None):
-    """The family-2 mirror of _inner1_alpha_rhs at link split alpha2."""
+def _inner2_alpha_rhs(ch, terms, alpha2):
+    """The family-2 mirror of _inner1_alpha_rhs at split alpha2, "tilde"."""
     _check_split(alpha2, "alpha2")
-    _check_family2(f)
-    t = terms or factorization_terms(ch, f)
-    return _inner_rhs(*_caps2(t, ch.c12, ch.c21, alpha2, variant))
+    return _inner_rhs(*_caps2(terms, ch.c12, ch.c21, alpha2))
 
 
-def alpha2_star(ch, f, terms=None):
+def alpha2_star(ch, terms):
     if ch.c21 == 0.0:
         return 0.0
-    t = terms or factorization_terms(ch, f)
-    return np.minimum(t["h2_y2_wy1"] / ch.c21, 1.0)
+    return np.minimum(terms["h2_y2_wy1"] / ch.c21, 1.0)
 
 
-def inner2_polytope(ch, f):
-    _check_family2(f)
-    t = factorization_terms(ch, f)
+def _inner2_rows(t, ch):
+    """The family-2 mirror of _inner1_rows."""
     c12, c21 = ch.c12, ch.c21
     row1 = t["uw_y1"] + c21 - t["h2_y2_uwy1"]
     row2 = t["vw_y2"]
     mid3 = np.minimum(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
     mid4 = np.minimum(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
-    return _inner_polytope(row1, row2, mid3, mid4, t["u_v_w"])
+    return _inner_rhs(row1, row2, mid3, mid4, t["u_v_w"])
+
+
+def inner2_polytope(ch, f):
+    if any(not d.q2_on_w and d.q2 is not None for d in _draws(f)):
+        raise ValueError("family 2 wants q2 conditioned on (W, Y2)")
+    return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS,
+                              _inner2_rows(factorization_terms(ch, f), ch))
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +421,14 @@ def inner2_polytope(ch, f):
 _SPLIT_VARS = ("R0", "R1", "R2", "R10", "R11", "R20", "R22", "B1", "B2")
 
 
-def appendixB_system(ch, f, alpha1, terms=None):
-    """The family-1 scheme before projection: split rates (private
-    parts R11/R22, reassigned parts R10/R20), bin indices B1/B2, the
-    four clipped decoding caps, and the Marton price as a lower bound on
-    B1+B2.  Eliminating everything but (R0,R1,R2) must land exactly on
-    the _INNER_COEFFS region at _inner1_alpha_rhs whenever the bin
-    budget m1+m3 covers the common-layer price."""
-    t = terms or factorization_terms(ch, f)
-    m1, m2, m3, m4, i0 = _caps1(t, ch.c12, ch.c21, alpha1, "clipped")
+def appendixB_system(ch, terms, alpha1):
+    """The family-1 scheme of one draw's terms before projection: split
+    rates (private parts R11/R22, reassigned parts R10/R20), bin indices
+    B1/B2, the four clipped decoding caps, and the Marton price as a
+    lower bound on B1+B2.  Eliminating everything but (R0,R1,R2) must
+    land exactly on the _INNER_COEFFS region at _inner1_alpha_rhs
+    whenever the bin budget m1+m3 covers the common-layer price."""
+    m1, m2, m3, m4, i0 = _caps1(terms, ch.c12, ch.c21, alpha1, "clipped")
     rows = [
         ({"R1": 1, "R10": -1, "R11": -1}, 0.0),
         ({"R1": -1, "R10": 1, "R11": 1}, 0.0),
@@ -678,12 +671,8 @@ _T5_COEFFS = np.array([(1, 0, 1)] + [(1, 1, 1)] * 4, dtype=float)
 
 
 def _t5_rows(m, ch):
-    """Theorem 5's rows; the one-sided bound ignores c12."""
-    return np.stack([m["v_y2"],
-                     m["x_y1"] + ch.c21,
-                     m["x_y1_v"] + m["v_y2"] + ch.c21,
-                     m["xj_v"] + m["v_y2"],
-                     m["x_j"]], axis=-1)
+    """Theorem 4's rows at c12 = 0, which the one-sided bound ignores."""
+    return _t4_rows(True)(m, SimpleNamespace(c12=0.0, c21=ch.c21))
 
 
 def _warn_theorem5(ch):
@@ -696,18 +685,13 @@ def _warn_theorem5(ch):
                       % (ev["argmin_px"], ev["min_gap"]))
 
 
-def _inner_rows(family):
-    """The t4_substitution plug-in (exact in the semi-deterministic
-    case) priced by the family's region."""
-    def rows(m, ch):
-        pen2 = m["y2_xy1"]
-        r1 = m["x_y1"] + ch.c21 - pen2
-        if family == 1:
-            r1 = np.minimum(r1, m["x_j"])
-        r2 = m["v_y2"] + (ch.c12 if family == 1 else 0.0)
-        r3 = np.minimum(m["x_y1_v"] + ch.c21 - pen2, m["xj_v"]) + r2
-        return np.stack([r1, r2, r3, r1, r1 + r2], axis=-1)
-    return rows
+def _plug_in_terms(m):
+    """_t4_mi_batch's terms as the inner rows' terms at the t4_substitution
+    plug-in (U = X, W = V, V and Yh1 constant, Yh2 = Y2; exact in the
+    semi-deterministic case): six survive and the rest are 0."""
+    return {"uw_y1": m["x_y1"], "uw_y1h2": m["x_j"], "u_y1_w": m["x_y1_v"],
+            "u_y1h2_w": m["xj_v"], "vw_y2": m["v_y2"], "h2_y2_uwy1": m["y2_xy1"],
+            "v_y2_w": 0.0, "v_h1y2_w": 0.0, "h1_uy1_vwy2": 0.0, "u_v_w": 0.0}
 
 
 _PVX = _AuxGrid("v")
@@ -715,9 +699,11 @@ _PVX = _AuxGrid("v")
 BOUNDS = {b.name: b for b in (
     Bound("outer", _RATE_VARS, _OUTER_COEFFS, _AuxGrid("u", "v", capped=True),
           _outer_rows, 0.25, terms=partial(_entropies, names=("U", "V"))),
-    Bound("inner1", _RATE_VARS, _INNER_COEFFS, _PVX, _inner_rows(1), 0.1,
+    Bound("inner1", _RATE_VARS, _INNER_COEFFS, _PVX,
+          lambda m, ch: _inner1_rows(_plug_in_terms(m), ch), 0.1,
           terms=_t4_mi_batch, meta=lambda ch: {"family": 1}),
-    Bound("inner2", _RATE_VARS, _INNER_COEFFS, _PVX, _inner_rows(2), 0.1,
+    Bound("inner2", _RATE_VARS, _INNER_COEFFS, _PVX,
+          lambda m, ch: _inner2_rows(_plug_in_terms(m), ch), 0.1,
           terms=_t4_mi_batch, meta=lambda ch: {"family": 2}),
     Bound("t4", ("R0", "R1"), _T4_COEFFS, _PVX, _t4_rows(True), 0.02,
           terms=_t4_mi_batch, checks=(_SEMI_DET,), meta=_t4_meta(True)),

@@ -13,7 +13,9 @@ calls into the first, kept as the single-point API the benchmark's
 primal oracle calls.  The standing labeling convention is |a| >= |b|
 (receiver 1 is the stronger one); evaluators raise
 InapplicableBoundError and tell you to swap the receivers when it fails
-rather than silently relabeling.
+rather than silently relabeling.  A region that is another at a zero
+link reads that one's rows: t8 and t10 are t7 and t9 less their R0 + R1
+cap at c12 = 0 (their own check), and df is t7 at c21 = 0.
 
 kappa(a, b, lam) is the combined-output SNR slope; at |lam| = 1 and
 misaligned gains it is infinite, and every row that prices the combined
@@ -183,7 +185,8 @@ _T8_COEFFS = np.array([(1, 0, 1), (1, 1, 1)], dtype=float)
 
 
 def _t8_rows(t, ch):
-    return _stack_rows(t["resid"], t["layered"] + t["resid"] + ch.c21)
+    """t7's rows less its R0 + R1 cap, at c12 = 0 (t8's only case)."""
+    return _t7_rows(t, ch)[:, [0, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +229,8 @@ _DF_COEFFS = np.array([(1, 0, 1), (1, 1, 1), (1, 1, 1)], dtype=float)
 
 
 def _df_rows(t, ch):
-    return _stack_rows(t["resid"] + ch.c12,
-                       t["direct"],
-                       t["layered"] + t["resid"] + ch.c12)
+    """t7's rows at c21 = 0."""
+    return _t7_rows(t, SimpleNamespace(c12=ch.c12, c21=0.0))
 
 
 _BETA = _Splits("beta")
@@ -301,12 +303,11 @@ def df_inner_polytope(ch, beta):
 # ---------------------------------------------------------------------------
 
 
-def gap_bound_t11(ch_or_lam):
+def gap_bound_t11(lam):
     """Worst-case converse-to-decode-and-forward distance per row, in
-    bits: half a log of 2/(1 - |lam|).  Infinite at |lam| = 1 (the
-    combined output becomes noiseless and decode-and-forward cannot
-    chase it)."""
-    lam = getattr(ch_or_lam, "lam", ch_or_lam)
+    bits, at noise correlation lam: half a log of 2/(1 - |lam|).
+    Infinite at |lam| = 1 (the combined output becomes noiseless and
+    decode-and-forward cannot chase it)."""
     if abs(lam) >= 1.0:
         return math.inf
     return 0.5 * math.log2(2.0 / (1.0 - abs(lam)))

@@ -12,6 +12,7 @@ verdicts, bit for bit.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -153,7 +154,7 @@ def _suite_fm_equivalence(seed, trials=100, n_dirs=50):
     # terms and the published rows of all of them are priced in one call
     draws = [dmb.random_factorization(rng, ch) for _ in range(trials)]
     t = dmb.factorization_terms(ch, draws)
-    rows = np.stack([dmb._inner1_alpha_rhs(ch, draws, alpha, terms=t)
+    rows = np.stack([dmb._inner1_alpha_rhs(ch, t, alpha)
                      for alpha in alphas], axis=1)                    # (trials, 3, 5)
     sup_rows = batch_support(dmb._INNER_COEFFS, rows.reshape(-1, rows.shape[-1]),
                              dirs).reshape(trials, len(alphas), -1)
@@ -168,7 +169,7 @@ def _suite_fm_equivalence(seed, trials=100, n_dirs=50):
     for i, f in enumerate(draws):
         ti = {name: v[i] for name, v in t.items()}
         for j, alpha in enumerate(alphas):
-            proj = fm_eliminate(dmb.appendixB_system(ch, f, alpha, terms=ti),
+            proj = fm_eliminate(dmb.appendixB_system(ch, ti, alpha),
                                 eliminate)
             sup_proj = support_of_system(proj, dirs)
             if budget[j][i] >= -1e-12:
@@ -208,13 +209,15 @@ def _suite_alpha_star(seed, trials=100, n_alpha=21):
         draws[1].append(dmb.random_factorization(rng, ch, q2_on_w=True))
     worst = -math.inf
     star_in_range = True
-    for fs, star_of, split_rhs in ((draws[0], dmb.alpha1_star, dmb._inner1_alpha_rhs),
-                                   (draws[1], dmb.alpha2_star, dmb._inner2_alpha_rhs)):
+    # both families' split rows unclipped ("tilde"), as the optimality claim is stated
+    for fs, star_of, split_rhs in (
+            (draws[0], dmb.alpha1_star, partial(dmb._inner1_alpha_rhs, variant="tilde")),
+            (draws[1], dmb.alpha2_star, dmb._inner2_alpha_rhs)):
         t = dmb.factorization_terms(ch, fs)
-        star = star_of(ch, fs, terms=t)
+        star = star_of(ch, t)
         star_in_range &= bool(np.all((0.0 <= star) & (star <= 1.0)))
         # the star split and the swept ones share a matrix: one pricing
-        rhs = np.stack([split_rhs(ch, fs, al, variant="tilde", terms=t)
+        rhs = np.stack([split_rhs(ch, t, al)
                         for al in (star, *alphas)], axis=1)          # (trials, 1 + n_alpha, 5)
         sup = batch_support(dmb._INNER_COEFFS, rhs.reshape(-1, rhs.shape[-1]),
                             dirs).reshape(trials, 1 + n_alpha, -1)

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -535,6 +536,19 @@ def test_plot_from_support_csv(g_channel, tmp_path):
     assert rc == 0
     text = svg.read_text()
     assert "<polyline" in text and "exact region" in text
+
+
+def test_plot_escapes_its_label(g_channel, tmp_path):
+    # a label with XML's special characters still gives well-formed XML,
+    # and the text read back is the label as given
+    sup_csv = tmp_path / "sup.csv"
+    assert main(["region", "--channel", g_channel, "--bound", "t7",
+                 "--grid", "0.25", "--out", str(sup_csv)]) == 0
+    svg = tmp_path / "plot.svg"
+    label = "R0 < R1 & co > 0"
+    assert main(["plot", "--in", str(sup_csv), "--svg", str(svg), "--label", label]) == 0
+    texts = minidom.parse(str(svg)).getElementsByTagName("text")
+    assert label in [t.firstChild.data for t in texts]
 
 
 def test_plot_from_boundary_csv(tmp_path):

@@ -288,6 +288,16 @@ def test_t5_warnings():
         dmb.theorem5_polytope(ch_flip, np.full((2, 2), 0.25))
 
 
+def test_t5_reads_the_channel_at_c12_zero():
+    # the one-sided bound is t4's rows at c12 = 0: a forward link leaves
+    # its envelope byte for byte, and is still warned about
+    dirs = CANONICAL_DIRS_3D
+    env0 = dmb.BOUNDS["t5"].envelope(_ex1(c12=0.0), 0.1, dirs)
+    with pytest.warns(UserWarning, match="c12 is ignored"):
+        env = dmb.BOUNDS["t5"].envelope(_ex1(c12=0.3), 0.1, dirs)
+    assert env.supports.tobytes() == env0.supports.tobytes()
+
+
 def test_t5_envelope_matches_pointwise():
     ch = _ex1(c12=0.0)
     dirs = CANONICAL_DIRS_3D
@@ -311,21 +321,22 @@ def _alpha_polytope(ch, f, alpha, family=1, **kw):
     """The inner region of one factorization at one explicit link split:
     _INNER_COEFFS at the family's split rhs."""
     rhs = (dmb._inner1_alpha_rhs if family == 1 else dmb._inner2_alpha_rhs)(
-        ch, f, alpha, **kw)
+        ch, dmb.factorization_terms(ch, f), alpha, **kw)
     return ConstraintPolytope(("R0", "R1", "R2"), dmb._INNER_COEFFS, rhs)
 
 
 def test_alpha_star_range_and_zero_link():
-    f = _factorization()
-    a1 = dmb.alpha1_star(_ex1(), f)
+    t = dmb.factorization_terms(_ex1(), _factorization())
+    a1 = dmb.alpha1_star(_ex1(), t)
     assert 0.0 <= a1 <= 1.0
-    assert dmb.alpha1_star(_ex1(c12=0.0), f) == 0.0
+    assert dmb.alpha1_star(_ex1(c12=0.0), t) == 0.0
 
 
 def test_inner1_resolved_matches_star_split():
     ch = _ex1()
     f = _factorization()
-    star = _alpha_polytope(ch, f, dmb.alpha1_star(ch, f), variant="tilde")
+    star = _alpha_polytope(ch, f, dmb.alpha1_star(ch, dmb.factorization_terms(ch, f)),
+                           variant="tilde")
     resolved = dmb.inner1_polytope(ch, f)
     for d in CANONICAL_DIRS_3D:
         assert resolved.support(d) == pytest.approx(star.support(d), abs=1e-9)
@@ -337,26 +348,6 @@ def test_inner1_alpha_validation():
         _alpha_polytope(_ex1(), f, 1.5)
     with pytest.raises(ValueError):
         _alpha_polytope(_ex1(), f, 0.5, variant="banana")
-
-
-def test_builders_take_precomputed_terms(monkeypatch):
-    # the polytope and split-system builders reuse the caller's terms
-    # and give exactly what they build when left to compute them
-    ch = _ex1()
-    f1 = _factorization()
-    f2 = dmb.random_factorization(np.random.default_rng(3), ch, q2_on_w=True)
-    t1, t2 = dmb.factorization_terms(ch, f1), dmb.factorization_terms(ch, f2)
-    built = [_alpha_polytope(ch, f1, 0.4),
-             _alpha_polytope(ch, f2, 0.4, family=2, variant="tilde"),
-             dmb.appendixB_system(ch, f1, 0.4)]
-    monkeypatch.setattr(dmb, "factorization_terms", None)   # must not be called
-    reused = [_alpha_polytope(ch, f1, 0.4, terms=t1),
-              _alpha_polytope(ch, f2, 0.4, family=2, variant="tilde", terms=t2),
-              dmb.appendixB_system(ch, f1, 0.4, terms=t1)]
-    for p, p2 in zip(built[:2], reused[:2]):
-        assert np.array_equal(p.matrix, p2.matrix) and np.array_equal(p.rhs, p2.rhs)
-    assert np.array_equal(built[2].matrix, reused[2].matrix)
-    assert np.array_equal(built[2].rhs, reused[2].rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +485,6 @@ def test_inner2_wants_w_conditioned_quantizer():
     assert f.q2 is not None and not f.q2_on_w
     with pytest.raises(ValueError):
         dmb.inner2_polytope(_ex1(), f)
-    with pytest.raises(ValueError):
-        _alpha_polytope(_ex1(), f, 0.5, family=2)
     f2 = dmb.random_factorization(rng, _ex1(), q2_on_w=True)
     poly = dmb.inner2_polytope(_ex1(), f2)             # evaluates fine
     _, rhs = poly.coeff_matrix()
@@ -544,7 +533,7 @@ def test_appendixB_projection_feasible_draw():
     f = _factorization(seed=7)            # bin budget covers the price here
     dirs = CANONICAL_DIRS_3D
     for alpha in (0.0, 1.0):
-        sys = dmb.appendixB_system(ch, f, alpha)
+        sys = dmb.appendixB_system(ch, dmb.factorization_terms(ch, f), alpha)
         got = _projection_supports(sys, dirs)
         assert np.all(np.isfinite(got))
         poly = _alpha_polytope(ch, f, alpha)
@@ -559,7 +548,7 @@ def test_appendixB_projection_infeasible_draw_is_empty():
     # empty -- the closed-form rows deliberately over-promise there
     ch = _ex1()
     f = _factorization(seed=1)            # bin budget falls short here
-    sys = dmb.appendixB_system(ch, f, 0.5)
+    sys = dmb.appendixB_system(ch, dmb.factorization_terms(ch, f), 0.5)
     assert np.all(_projection_supports(sys, CANONICAL_DIRS_3D) == -math.inf)
     poly = _alpha_polytope(ch, f, 0.5)
     assert poly.support((1, 1, 1)) > -math.inf    # rows alone would claim points
@@ -665,6 +654,21 @@ def _t4_terms_oracle(ch, pvx):
         "x_j": mi(j, ("X",), ("Y1", "Y2")),
         "y2_xy1": entropy(j, ("X", "Y1", "Y2")) - entropy(j, ("X", "Y1")),
     }
+
+
+@given(seed=st.integers(0, 2 ** 31), cards=_CARDS, nv=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_plug_in_terms_match_the_substitution_factorization(seed, cards, nv):
+    # the inner sweeps' terms: _t4_mi_batch's, mapped onto the
+    # t4_substitution plug-in, are the full factorization's terms
+    rng = np.random.default_rng(seed)
+    ch = _random_dm(rng, *cards)
+    pvx = _sparse_pmf(rng, (nv, cards[0]), size=4)
+    got = dmb._plug_in_terms(dmb._t4_mi_batch(ch, pvx))
+    for i, p in enumerate(pvx):
+        want = dmb.factorization_terms(ch, dmb.t4_substitution(ch, p))
+        for k, v in got.items():
+            assert np.broadcast_to(v, (len(pvx),))[i] == pytest.approx(want[k], abs=1e-12), k
 
 
 @given(seed=st.integers(0, 2 ** 31), cards=_CARDS,

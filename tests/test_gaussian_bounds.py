@@ -268,6 +268,15 @@ def test_df_rows():
     assert b[2] == pytest.approx(gb.psi(0.5 * 8.0) + resid + 0.15, abs=1e-12)
 
 
+def test_df_ignores_the_backward_link():
+    # decode-and-forward is t7's rows at c21 = 0: c21 never moves it
+    dirs = np.array([(1.0, 0, 0), (0, 1.0, 0), (1.0, 0, 1), (1.0, 1, 1), (2.0, 1, 1)])
+    envs = [gb.BOUNDS["df"].envelope(GaussianBc(2.0, 1.0, 0.5, 2.0, c12=0.15, c21=c21),
+                                     0.05, dirs).supports
+            for c21 in (0.0, 0.7, 3.0)]
+    assert envs[1].tobytes() == envs[0].tobytes() == envs[2].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # gap certificates
 # ---------------------------------------------------------------------------
@@ -277,8 +286,6 @@ def test_gap_bound_values():
     assert gb.gap_bound_t11(0.5) == pytest.approx(1.0, abs=1e-15)
     assert gb.gap_bound_t11(-0.5) == pytest.approx(1.0, abs=1e-15)
     assert gb.gap_bound_t11(1.0) == math.inf
-    ch = GaussianBc(1.0, 0.5, 0.5, 1.0)
-    assert gb.gap_bound_t11(ch) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gap_certificate_structure_and_pass():
@@ -297,7 +304,7 @@ def test_gap_certificate_structure_and_pass():
     assert cert["sections"][0]["required_bits"] == 0.5
     # converse section promises the correlation-dependent bound
     assert cert["sections"][2]["required_bits"] == pytest.approx(
-        min(gb.gap_bound_t11(ch), 0.5 * math.log2(2.0 / (1 - ch.lam ** 2))))
+        min(gb.gap_bound_t11(ch.lam), 0.5 * math.log2(2.0 / (1 - ch.lam ** 2))))
 
 
 def _certificate_from_rows(ch, beta_step):

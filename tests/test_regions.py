@@ -852,9 +852,9 @@ def test_fm_plan_replays_appendix_b_draws(seed, prune):
     ch = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.5)
     rng = np.random.default_rng(seed)
     for _ in range(4):
-        f = dmb.random_factorization(rng, ch)
+        t = dmb.factorization_terms(ch, dmb.random_factorization(rng, ch))
         for alpha in (0.0, 0.5, 1.0):
-            system = dmb.appendixB_system(ch, f, alpha)
+            system = dmb.appendixB_system(ch, t, alpha)
             got = _planned_cold_and_warm(system, _APPENDIX_B_NAMES, prune)
             assert _same_system(got, _fm_reference(system, _APPENDIX_B_NAMES, prune))
 
@@ -1002,9 +1002,9 @@ def _fm_rule_cases():
     ch = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.5)
     dirs = np.vstack([CANONICAL_DIRS_3D, -np.eye(3), rng.random((4, 3)) - 0.5])
     for _ in range(4):
-        f = dmb.random_factorization(rng, ch)
+        t = dmb.factorization_terms(ch, dmb.random_factorization(rng, ch))
         for alpha in (0.0, 0.5, 1.0):
-            yield dmb.appendixB_system(ch, f, alpha), _APPENDIX_B_NAMES, dirs
+            yield dmb.appendixB_system(ch, t, alpha), _APPENDIX_B_NAMES, dirs
 
 
 def test_fm_chernikov_rule_keeps_every_support():
@@ -1024,7 +1024,7 @@ def test_fm_chernikov_rule_pins_the_appendix_b_row_count():
     from confbc.channels import example_channel
     ch = example_channel("dm-ex1", p=0.2, c12=0.3, c21=0.5)
     f = dmb.random_factorization(np.random.default_rng(0), ch)
-    system = dmb.appendixB_system(ch, f, 0.5)
+    system = dmb.appendixB_system(ch, dmb.factorization_terms(ch, f), 0.5)
     a, live = system.matrix, np.ones(system.matrix.shape[0], dtype=bool)
     _, variables, mat = regions._fm_plan(a.shape, a.tobytes(), system.variables,
                                          _APPENDIX_B_NAMES, live.tobytes())
