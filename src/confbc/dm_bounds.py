@@ -19,42 +19,27 @@ BOUNDS[name].polytope(ch, point) prices one grid point.
 outer_polytope, theorem4_polytope and theorem5_polytope are thin calls
 into the table, kept as the single-point API the benchmark's primal
 oracle calls.  Each region's rows are written once: t5's are t4's at
-c12 = 0, and each inner family's (_inner1_rows, _inner2_rows) read the
-terms below, a full factorization's in inner1_polytope/inner2_polytope
-and the t4_substitution plug-in's (_plug_in_terms) in the sweeps.  So
-the polytopes are the independent oracle of the sweeps' terms, not of
-their rows.
+c12 = 0, and each inner family's region is its split rows at the split
+that dominates every other (_inner1_rows, _inner2_rows: _inner*_alpha_rhs
+at alpha*_star), read off the terms below, a full factorization's in
+inner1_polytope/inner2_polytope and the t4_substitution plug-in's
+(_plug_in_terms) in the sweeps.  So the polytopes are the independent
+oracle of the sweeps' terms, not of their rows.
 
 A full factorization's rows read 13 mutual informations of its joint
 p(u, v, w, x, y1, y2, yh1, yh2), and factorization_terms prices them for
 a stack of R draws that share their alphabets at once.  One einsum forms
 the (R, U, V, W, X, Y1, Y2, Yh1, Yh2) joints, letters uvwxabcd (a = Y1,
-b = Y2, c = Yh1, d = Yh2).  Each of the 23 entropies of _ENTROPIES, named
-by the letters of its marginal,
-    w  uw  vw  uvw  a  wa  uwa  ad  wad  uwad  wab  uwab  uvwab  wabd
-    uwabd  uwabc  uvwabc  b  wb  vwb  bc  wbc  vwbc,
-is one axis sum, one xlog2x and one row sum, and each term of _TERMS is
-I(A; B | G) = H(AG) + H(BG) - H(ABG) - H(G):
-    uw_y1       = H(uw) + H(a) - H(uwa)
-    uw_y1h2     = H(uw) + H(ad) - H(uwad)
-    u_y1_w      = H(uw) + H(wa) - H(uwa) - H(w)
-    u_y1h2_w    = H(uw) + H(wad) - H(uwad) - H(w)
-    vw_y2       = H(vw) + H(b) - H(vwb)
-    vw_h1y2     = H(vw) + H(bc) - H(vwbc)
-    v_y2_w      = H(vw) + H(wb) - H(vwb) - H(w)
-    v_h1y2_w    = H(vw) + H(wbc) - H(vwbc) - H(w)
-    h1_uy1_vwy2 = H(vwbc) + H(uvwab) - H(uvwabc) - H(vwb)
-    h1_uy1_wy2  = H(wbc) + H(uwab) - H(uwabc) - H(wb)
-    h2_y2_uwy1  = H(uwad) + H(uwab) - H(uwabd) - H(uwa)
-    h2_y2_wy1   = H(wad) + H(wab) - H(wabd) - H(wa)
-    u_v_w       = H(uw) + H(vw) - H(uvw) - H(w)
+b = Y2, c = Yh1, d = Yh2).  Each of the 23 entropies the terms read
+(_ENTROPIES), named by the letters of its marginal, is one axis sum, one
+xlog2x and one row sum, and each term of _TERMS is four of them,
+I(A; B | G) = H(AG) + H(BG) - H(ABG) - H(G).
 Each entropy sums the joint's cells in the order info_core.entropy does
 on compose_joint's table, so a draw's terms have matched
 mutual_information's bit for bit on every draw tried; those two stay the
-test oracle, held to 1e-12.  The split helpers (_caps1,
-_caps2, the _rhs builders, alpha*_star) work elementwise, so a stack's
-rhs rows come out as one (R, 5) array that batch_support prices in one
-call.
+test oracle, held to 1e-12.  The split helpers (_caps1, _caps2, the _rhs
+builders, alpha*_star) work elementwise, so a stack's rhs rows come out
+as one (R, 5) array that batch_support prices in one call.
 
 Two cooperation orders appear throughout:
   * inner1_*: receiver 2 quantizes first, receiver 1 then splits its
@@ -67,6 +52,9 @@ variant="clipped" keeps the {.}^+ on family 1's binning surpluses;
 "tilde" drops it, which never enlarges the region for the optimal split
 and is what the optimality checks use (a clipped row at alpha=0 can
 otherwise poke above the optimized region); family 2's are "tilde".
+Each family's region is its "tilde" rows at alpha*_star, where every
+min of _caps1/_caps2 has a closed form, as Yh1 depends only on (U, W,
+Y1) and Yh2 only on (W, Y2); tests/test_dm_bounds.py keeps it as oracle.
 
 The grid sweeps take their information terms from one batch kernel,
 _entropies.  Given X the outputs do not depend on the auxiliaries, so
@@ -173,11 +161,6 @@ def random_factorization(rng, ch, q2_on_w=False):
 # in compose_joint: u, v, w, x, then a = Y1, b = Y2, c = Yh1, d = Yh2.
 _JOINT_AXES = "uvwxabcd"
 
-# The entropies the terms read, each named by the letters of its marginal.
-_ENTROPIES = ("w", "uw", "vw", "uvw", "a", "wa", "uwa", "ad", "wad", "uwad",
-              "wab", "uwab", "uvwab", "wabd", "uwabd", "uwabc", "uvwabc",
-              "b", "wb", "vwb", "bc", "wbc", "vwbc")
-
 # Each term I(A; B | G) = H(AG) + H(BG) - H(ABG) - H(G), as those four
 # entropies (no H(G) when G is empty).
 _TERMS = {
@@ -195,6 +178,9 @@ _TERMS = {
     "h2_y2_wy1": ("wad", "wab", "wabd", "wa"),          # I(Yh2; Y2 | W Y1)
     "u_v_w": ("uw", "vw", "uvw", "w"),                  # I(U; V | W)
 }
+
+# The entropies the terms read, each named by the letters of its marginal.
+_ENTROPIES = tuple(dict.fromkeys(h for hs in _TERMS.values() for h in hs if h))
 
 
 def _draws(fs):
@@ -258,6 +244,11 @@ def _joint_stack(ch, draws):
     return joint
 
 
+def _snap(v):
+    """v with its entries in (-NEG_TOL, 0), rounding's, snapped to 0."""
+    return np.where((v > -NEG_TOL) & (v < 0.0), 0.0, v)
+
+
 def factorization_terms(ch, fs):
     """All the mutual informations the inner-bound rows draw on, as a
     dict of the _TERMS names.  Computed once per factorization and shared
@@ -285,7 +276,7 @@ def factorization_terms(ch, fs):
         v = h[ag] + h[bg] - h[abg]
         if g:
             v -= h[g]
-        terms[name] = np.where((v > -NEG_TOL) & (v < 0.0), 0.0, v)
+        terms[name] = _snap(v)
     if isinstance(fs, AuxFactorization):
         return {name: v[0] for name, v in terms.items()}
     return terms
@@ -365,18 +356,12 @@ def alpha1_star(ch, terms):
 
 
 def _inner1_rows(t, ch):
-    """The family-1 rhs with the link split optimized out, resolved to
-    plain numbers: one draw's terms or a stack's."""
-    c12, c21 = ch.c12, ch.c21
-    row1 = np.minimum(t["uw_y1"] + c21 - t["h2_y2_uwy1"], t["uw_y1h2"])
-    row2 = t["vw_y2"] + c12 - t["h1_uy1_vwy2"]
-    mid3 = np.minimum(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
-    mid4 = np.minimum(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
-    return _inner_rhs(row1, row2, mid3, mid4, t["u_v_w"])
+    """The family-1 "tilde" rhs at alpha1_star, of one draw's terms or a stack's."""
+    return _inner1_alpha_rhs(ch, t, alpha1_star(ch, t), "tilde")
 
 
 def inner1_polytope(ch, f):
-    """The family-1 region of one factorization (_inner1_rows)."""
+    """The family-1 region of one factorization: its rows at alpha1_star."""
     return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS,
                               _inner1_rows(factorization_terms(ch, f), ch))
 
@@ -392,22 +377,19 @@ def _inner2_alpha_rhs(ch, terms, alpha2):
 
 
 def alpha2_star(ch, terms):
+    """The family-2 mirror of alpha1_star, over the backward link."""
     if ch.c21 == 0.0:
         return 0.0
     return np.minimum(terms["h2_y2_wy1"] / ch.c21, 1.0)
 
 
 def _inner2_rows(t, ch):
-    """The family-2 mirror of _inner1_rows."""
-    c12, c21 = ch.c12, ch.c21
-    row1 = t["uw_y1"] + c21 - t["h2_y2_uwy1"]
-    row2 = t["vw_y2"]
-    mid3 = np.minimum(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
-    mid4 = np.minimum(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
-    return _inner_rhs(row1, row2, mid3, mid4, t["u_v_w"])
+    """The family-2 rhs at the dominant split alpha2_star."""
+    return _inner2_alpha_rhs(ch, t, alpha2_star(ch, t))
 
 
 def inner2_polytope(ch, f):
+    """The family-2 region of one factorization, q2 on (W, Y2): its rows at alpha2_star."""
     if any(not d.q2_on_w and d.q2 is not None for d in _draws(f)):
         raise ValueError("family 2 wants q2 conditioned on (W, Y2)")
     return ConstraintPolytope(_RATE_VARS, _INNER_COEFFS,
@@ -688,10 +670,13 @@ def _warn_theorem5(ch):
 def _plug_in_terms(m):
     """_t4_mi_batch's terms as the inner rows' terms at the t4_substitution
     plug-in (U = X, W = V, V and Yh1 constant, Yh2 = Y2; exact in the
-    semi-deterministic case): six survive and the rest are 0."""
+    semi-deterministic case): eight survive, with h2_y2_wy1 = H(Y2 | V, Y1)
+    snapped as factorization_terms snaps its terms, and the rest are 0."""
     return {"uw_y1": m["x_y1"], "uw_y1h2": m["x_j"], "u_y1_w": m["x_y1_v"],
-            "u_y1h2_w": m["xj_v"], "vw_y2": m["v_y2"], "h2_y2_uwy1": m["y2_xy1"],
-            "v_y2_w": 0.0, "v_h1y2_w": 0.0, "h1_uy1_vwy2": 0.0, "u_v_w": 0.0}
+            "u_y1h2_w": m["xj_v"], "vw_y2": m["v_y2"], "vw_h1y2": m["v_y2"],
+            "h2_y2_uwy1": m["y2_xy1"], "u_v_w": 0.0,
+            "h2_y2_wy1": _snap(m["xj_v"] - m["x_y1_v"] + m["y2_xy1"]),
+            "v_y2_w": 0.0, "v_h1y2_w": 0.0, "h1_uy1_vwy2": 0.0, "h1_uy1_wy2": 0.0}
 
 
 _PVX = _AuxGrid("v")

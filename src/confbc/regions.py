@@ -69,6 +69,9 @@ from .errors import ChannelFormatError, InapplicableBoundError
 
 INF = math.inf
 _FEAS_TOL = 1e-9
+# a row 0 <= b, or a rate region's rhs entry b, is unsatisfiable when b
+# is below -_EMPTY_TOL: every support of its system is -inf
+_EMPTY_TOL = 1e-12
 # the rhs strings system JSON accepts
 _INF_TOKENS = {"inf": INF, "Infinity": INF, "-inf": -INF, "-Infinity": -INF}
 
@@ -375,7 +378,7 @@ def batch_support(coeffs, rhs, dirs, reduce_max=False):
     rhs = np.atleast_2d(np.asarray(rhs, dtype=float))
     dirs = _directions(dirs, coeffs.shape[1])
     _reject_nan(coeffs=coeffs, rhs=rhs)
-    empty = np.any(rhs < -1e-12, axis=1)
+    empty = np.any(rhs < -_EMPTY_TOL, axis=1)
     rows, copies = _distinct_rows(coeffs)
     rhs = np.column_stack([rhs[:, c].min(axis=1) for c in copies]) if copies \
         else np.zeros((rhs.shape[0], 0))
@@ -555,7 +558,7 @@ def support_of_system(system, directions):
     _reject_nan(rhs=b)
     dirs = _directions(directions, a.shape[1])
     zero_rows = np.all(np.abs(a) <= 1e-12, axis=1)
-    if np.any(b[zero_rows] < -1e-9) or np.any(b == -INF):
+    if np.any(b[zero_rows] < -_EMPTY_TOL) or np.any(b == -INF):
         # carries an inconsistent 0 <= negative row or a -inf row
         return np.full(dirs.shape[0], -INF)
     keep = ~zero_rows & np.isfinite(b)
@@ -652,7 +655,9 @@ def sweep(entries, step=None, directions=None, **cards):
 
     The entries share the first one's space, terms stage, step (default:
     its bound's) and directions (default: the fan of its dimension);
-    each block's terms come from the first channel, once.  cards
+    each block's terms come from the first channel, once, so a later
+    channel that differs from it in a field other than c12 and c21
+    raises ValueError.  cards
     (u_card=..., v_card=...) size the auxiliaries; one the space lacks
     raises InapplicableBoundError, and one below 1 raises ValueError.
 
@@ -679,6 +684,8 @@ def sweep(entries, step=None, directions=None, **cards):
             if val is not None and val < 1:
                 raise ValueError(
                     "%s must be a positive integer, got %d" % (key, val))
+        if c is not ch and _differs_past_links(c, ch):
+            raise ValueError("swept channels may differ only in c12 and c21")
         b.admit(c)
     step = bound.step if step is None else step
     dirs = np.atleast_2d(directions) if directions is not None else \
@@ -692,6 +699,13 @@ def sweep(entries, step=None, directions=None, **cards):
     return [RegionEnvelope(b.variables, dirs, batch_support(r, t.T, dirs, reduce_max=True),
                            meta={bound.space.step_key: step, **meta, **b.meta(c)})
             for (b, c), r, t in zip(entries, rows, kept)]
+
+
+def _differs_past_links(a, b):
+    """Do channels a and b differ in their type or a field but c12, c21?"""
+    fa, fb = vars(a), vars(b)
+    return type(a) is not type(b) or fa.keys() != fb.keys() or any(
+        not np.array_equal(fa[k], fb[k]) for k in fa if k not in ("c12", "c21"))
 
 
 # the most rows _maximal samples for its pivots
@@ -716,8 +730,8 @@ def _tighten(coeffs, rhs):
     t(b)_i = min { b_j : a_j >= a_i componentwise }, a_i's copies
     included.  As R >= 0 gives a_i.R <= a_j.R <= b_j, region(t(b)) =
     region(b), so t(b) <= t(b') implies region(b) lies in region(b').
-    An empty region (an entry below -1e-12) tightens to -inf throughout,
-    below every row.
+    An empty region (an entry below -_EMPTY_TOL) tightens to -inf
+    throughout, below every row.
 
     The implication is one way: a region's support along a_i can lie
     below t(b)_i, so an order test on t finds a superset of the maximal
@@ -732,7 +746,7 @@ def _tighten(coeffs, rhs):
         out[:] = rhs[:, first]
         for j in more:
             np.minimum(out, rhs[:, j], out=out)
-    t[:, t.min(axis=0) < -1e-12] = -np.inf
+    t[:, t.min(axis=0) < -_EMPTY_TOL] = -np.inf
     return t
 
 
@@ -890,7 +904,7 @@ def fm_eliminate(system, names, prune=True):
             rhs = np.concatenate([rhs[step.zero], rhs[step.neg] * step.at_neg
                                   + rhs[step.pos] * step.at_pos])
             nul = rhs[step.dedup.nul]
-            bad = nul[nul < -1e-12]
+            bad = nul[nul < -_EMPTY_TOL]
             if bad.size:
                 return _witness(left, bad.min())
             rhs = _dedup_values(step.dedup, rhs)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from confbc.channels import DmBroadcastChannel, GaussianBc, example_channel
+from confbc.channels import DmBroadcastChannel, GaussianBc, example_channel, load_channel
 from confbc.errors import GridTooLargeError, InapplicableBoundError
 from confbc.gridding import (EVAL_BUDGET, simplex_grid, sorted_grid_blocks,
                              sorted_grid_size)
@@ -266,6 +266,21 @@ def test_t4_multi_shares_grid():
     assert envs[0].supports[0] == pytest.approx(0.3, abs=1e-9)
 
 
+@pytest.mark.parametrize("bound,first,other", [
+    (dmb.BOUNDS["t4"], example_channel("dm-ex1", p=0.2), example_channel("dm-ex1", p=0.4)),
+    (gb.BOUNDS["t9"], GaussianBc(1.0, 0.5, 0.2, 4.0), GaussianBc(1.0, 0.5, 0.2, 1.0)),
+])
+def test_a_sweep_shares_terms_only_across_links(bound, first, other):
+    # every block's terms come from the first channel: a second channel
+    # that differs in a field but c12 and c21 is refused, and one that
+    # differs only in them gets its own envelope
+    with pytest.raises(ValueError, match="c12 and c21"):
+        sweep([(bound, first), (bound, other)], 0.05)
+    linked = load_channel({**first.to_json_dict(), "c12": 0.4, "c21": 0.7})
+    envs = sweep([(bound, first), (bound, linked)], 0.05)
+    assert envs[1].supports.tobytes() == bound.envelope(linked, 0.05).supports.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # one-sided three-rate evaluator
 # ---------------------------------------------------------------------------
@@ -332,14 +347,51 @@ def test_alpha_star_range_and_zero_link():
     assert dmb.alpha1_star(_ex1(c12=0.0), t) == 0.0
 
 
-def test_inner1_resolved_matches_star_split():
-    ch = _ex1()
-    f = _factorization()
-    star = _alpha_polytope(ch, f, dmb.alpha1_star(ch, dmb.factorization_terms(ch, f)),
-                           variant="tilde")
-    resolved = dmb.inner1_polytope(ch, f)
-    for d in CANONICAL_DIRS_3D:
-        assert resolved.support(d) == pytest.approx(star.support(d), abs=1e-9)
+def _resolved1(t, ch):
+    """Family 1's rows at alpha1_star, resolved by hand: with Yh1 a
+    function of (U, W, Y1) every min of the split's caps has a closed
+    form."""
+    c12, c21 = ch.c12, ch.c21
+    row1 = np.minimum(t["uw_y1"] + c21 - t["h2_y2_uwy1"], t["uw_y1h2"])
+    row2 = t["vw_y2"] + c12 - t["h1_uy1_vwy2"]
+    mid3 = np.minimum(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
+    mid4 = np.minimum(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
+    return dmb._inner_rhs(row1, row2, mid3, mid4, t["u_v_w"])
+
+
+def _resolved2(t, ch):
+    """Family 2's mirror of _resolved1, with Yh2 a function of (W, Y2)."""
+    c12, c21 = ch.c12, ch.c21
+    row1 = t["uw_y1"] + c21 - t["h2_y2_uwy1"]
+    mid3 = np.minimum(t["u_y1_w"] + c21 - t["h2_y2_uwy1"], t["u_y1h2_w"])
+    mid4 = np.minimum(t["v_y2_w"] + c12 - t["h1_uy1_vwy2"], t["v_h1y2_w"])
+    return dmb._inner_rhs(row1, t["vw_y2"], mid3, mid4, t["u_v_w"])
+
+
+_LINKS = st.sampled_from([0.0, 0.05, 0.3, 1.0, 4.0])
+
+
+@given(seed=st.integers(0, 2 ** 31), nx=st.integers(1, 3), ny1=st.integers(1, 3),
+       ny2=st.integers(1, 3), cards=st.tuples(*[st.integers(1, 3)] * 3),
+       nh1=st.integers(1, 3), nh2=st.integers(1, 3), q1_none=st.booleans(),
+       q2=st.sampled_from([None, "y2", "wy2"]), c12=_LINKS, c21=_LINKS)
+@example(seed=0, nx=2, ny1=2, ny2=2, cards=(2, 2, 2), nh1=2, nh2=2, q1_none=False,
+         q2="wy2", c12=0.0, c21=0.0)
+@settings(max_examples=80, deadline=None)
+def test_star_split_rows_match_the_resolved_formulas(seed, nx, ny1, ny2, cards, nh1, nh2,
+                                                     q1_none, q2, c12, c21):
+    # each family's rows are its split rows at the dominant split: on
+    # random factorizations and on the inner sweeps' plug-in terms they
+    # are the hand-resolved closed forms
+    ch, draws = _random_stack(seed, nx, ny1, ny2, cards, nh1, nh2, q1_none, q2 == "wy2", 3)
+    ch = DmBroadcastChannel(ch.transition, c12, c21)
+    if q2 is None:
+        draws = [dmb.AuxFactorization(f.aux, f.q1) for f in draws]
+    pvx = _sparse_pmf(np.random.default_rng(seed), (cards[0], nx), size=3)
+    for t in (dmb.factorization_terms(ch, draws), dmb._plug_in_terms(dmb._t4_mi_batch(ch, pvx))):
+        for rows, resolved in ((dmb._inner1_rows, _resolved1), (dmb._inner2_rows, _resolved2)):
+            want = np.broadcast_to(resolved(t, ch), (3, 5))
+            assert np.allclose(rows(t, ch), want, rtol=0.0, atol=1e-12)
 
 
 def test_inner1_alpha_validation():

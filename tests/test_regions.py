@@ -628,6 +628,17 @@ def test_fm_empty_projection_is_one_witness_row(prune):
     assert support_of_system(out, (1.0, 0.0)) == -math.inf
 
 
+def test_fm_a_barely_negative_witness_prices_empty():
+    # x <= -5e-10 against x >= 0: fm's witness row 0 <= -5e-10 is below
+    # the one emptiness tolerance support_of_system reads too, so the
+    # projection prices -inf along y, not +inf as a system with no rows
+    sys = LinearSystem.from_rows(("x", "y"), [({"x": 1}, -5e-10), ({"x": -1}, 0.0),
+                                              ({"y": 1}, 1.0), ({"y": -1}, 0.0)])
+    out = fm_eliminate(sys, ("x",))
+    assert out.matrix.tolist() == [[0.0]] and out.rhs.tolist() == [-5e-10]
+    assert support_of_system(out, (1.0,)) == -math.inf
+
+
 def test_fm_unknown_name_raises_before_the_witness():
     with pytest.raises(ValueError, match="'Q'"):
         fm_eliminate(_empty_at_step_one(), ("B1", "Q"))
